@@ -3,8 +3,9 @@
 A :class:`Tape` records every differentiable operation in execution order
 (define-by-run); :func:`backward` replays the tape once in reverse and
 accumulates gradients into every tensor that requires them.  Everything is
-64-bit; broadcasting is deliberately restricted to the scalar and
-trailing-row cases, which is all the forecasting model needs.
+64-bit. Elementwise operations broadcast by NumPy rules, so a batch of
+windows runs through the same operations as a single one; the backward pass
+sums each gradient back down to its operand's shape.
 """
 
 from __future__ import annotations
@@ -157,21 +158,8 @@ def _record(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers (scalar and trailing-row only)
+# broadcasting (NumPy rules)
 # ---------------------------------------------------------------------------
-
-def _broadcast_ok(sa: tuple[int, ...], sb: tuple[int, ...]) -> bool:
-    if sa == sb:
-        return True
-    if int(np.prod(sa)) == 1 or int(np.prod(sb)) == 1:
-        return True
-    # a 1-D row may broadcast over the trailing dimension of the other side
-    if len(sb) == 1 and len(sa) >= 1 and sa[-1] == sb[0]:
-        return True
-    if len(sa) == 1 and len(sb) >= 1 and sb[-1] == sa[0]:
-        return True
-    return False
-
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
@@ -190,9 +178,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _binary(kind: str, a, b, forward, da, db) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast "
-                         "(only scalar and trailing-row broadcasting supported)")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not "
+                         "broadcast") from None
     out = forward(a.data, b.data)
 
     def backward_fn(g):

@@ -145,10 +145,6 @@ class Backbone:
                 trainable.append((name, tensor))
         return trainable
 
-    def trainable_parameters(self, policy: TrainabilityPolicy
-                             ) -> list[tuple[str, Tensor]]:
-        return self.apply_policy(policy)
-
     # -- forward ------------------------------------------------------------
 
     def forward(self, x: Tensor) -> Tensor:
@@ -165,14 +161,10 @@ class Backbone:
                                 f"{cfg.max_seq_len}")
         heads, head_dim = cfg.n_heads, d // cfg.n_heads
 
-        pos = ad.narrow(self.params["positional"], 0, 0, length)
-        # row-broadcast the (L, D) table over the batch via a flat view
-        x = ad.reshape(ad.add(ad.reshape(x, (b, length * d)),
-                              ad.reshape(pos, (length * d,))),
-                       (b, length, d))
-
-        mask = np.triu(np.full((length, length), MASK_FILL), k=1)
-        mask_t = Tensor(np.broadcast_to(mask, (b, heads, length, length)).copy())
+        # the (L, D) positional table and the (L, L) causal mask broadcast
+        # over the batch (and the heads)
+        x = ad.add(x, ad.narrow(self.params["positional"], 0, 0, length))
+        mask = Tensor(np.triu(np.full((length, length), MASK_FILL), k=1))
 
         for i in range(cfg.n_layers):
             p = f"layer.{i}"
@@ -188,7 +180,7 @@ class Backbone:
             q, k, v = qkv
             scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
                             1.0 / np.sqrt(head_dim))
-            weights = ad.softmax(ad.add(scores, mask_t), axis=-1)
+            weights = ad.softmax(ad.add(scores, mask), axis=-1)
             context = ad.matmul(weights, v)
             context = ad.reshape(ad.transpose(context, (0, 2, 1, 3)),
                                  (b, length, d))

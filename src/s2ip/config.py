@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backbone import BackboneConfig, TrainabilityPolicy
-from .model import DecompositionConfig, ModelConfig
-from .preprocess import PatchSpec
-from .series import SplitSpec, WindowSpec
+from .backbone import BackboneConfig, BackboneError, TrainabilityPolicy
+from .model import DecompositionConfig, ModelConfig, ModelError
+from .preprocess import PatchSpec, PreprocessError
+from .series import SeriesError, SplitSpec, WindowSpec
 from .training import TrainConfig
 
 
@@ -168,6 +168,18 @@ class RunConfig:
             raise ConfigError(f"split.train/val/test: fractions sum to {total}, "
                               "expected 1")
         self.values = merged
+        # cross-key constraints: the model must be buildable from these
+        # values (the channel count only sizes parameters)
+        try:
+            self.model_config(1)
+        except (ModelError, BackboneError, PreprocessError, SeriesError) as exc:
+            raise ConfigError(f"model configuration: {exc}") from None
+        if not merged["prompt.embedding_path"]:
+            most = merged["prompt.vocab_size"] // 2
+            if merged["prompt.anchors"] > most:
+                raise ConfigError(f"prompt.anchors: must be at most "
+                                  f"prompt.vocab_size // 2 = {most}, got "
+                                  f"{merged['prompt.anchors']}")
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -175,10 +187,8 @@ class RunConfig:
     # -- typed views ---------------------------------------------------------
 
     def split_spec(self) -> SplitSpec:
-        few = self.values["split.few_shot"]
         return SplitSpec(self.values["split.train"], self.values["split.val"],
-                         self.values["split.test"],
-                         few_shot_fraction=few if few > 0 else None)
+                         self.values["split.test"])
 
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.values["window.lookback"],

@@ -99,15 +99,24 @@ def load_frame(config: RunConfig, seed: int) -> SeriesFrame:
                            seed)
 
 
-def build_pipeline(config: RunConfig, seed: int) -> Pipeline:
-    frame = load_frame(config, seed)
+def split_frame(config: RunConfig, frame: SeriesFrame
+                ) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame,
+                           Standardizer | None]:
+    """Chronological train/val/test split, with the training part cut to its
+    few-shot fraction, plus the standardizer fitted on that training part
+    (None when standardization is off)."""
     train_f, val_f, test_f = chronological_split(frame, config.split_spec())
     few = config["split.few_shot"]
     if few > 0:
         train_f = few_shot_truncate(train_f, few)
-    standardizer = None
-    if config["data.standardize"]:
-        standardizer = Standardizer.fit(train_f)
+    standardizer = Standardizer.fit(train_f) if config["data.standardize"] else None
+    return train_f, val_f, test_f, standardizer
+
+
+def build_pipeline(config: RunConfig, seed: int) -> Pipeline:
+    frame = load_frame(config, seed)
+    train_f, val_f, test_f, standardizer = split_frame(config, frame)
+    if standardizer is not None:
         train_f = standardizer.transform(train_f)
         val_f = standardizer.transform(val_f) if val_f.length else val_f
         test_f = standardizer.transform(test_f) if test_f.length else test_f
@@ -232,16 +241,8 @@ def cmd_forecast(config: RunConfig, seed: int, outdir: str,
     lookback = config["window.lookback"]
     if frame.length < lookback:
         raise HarnessError(f"need at least {lookback} rows to forecast")
-    standardizer = None
-    if config["data.standardize"]:
-        train_f, _, _ = chronological_split(frame, config.split_spec())
-        few = config["split.few_shot"]
-        if few > 0:
-            train_f = few_shot_truncate(train_f, few)
-        standardizer = Standardizer.fit(train_f)
-        scaled = standardizer.transform(frame)
-    else:
-        scaled = frame
+    standardizer = split_frame(config, frame)[3]
+    scaled = frame if standardizer is None else standardizer.transform(frame)
     future = _next_timestamps(frame, config["window.horizon"])
     rows = []
     for channel in range(frame.n_channels):
@@ -318,23 +319,20 @@ def cmd_export_embeddings(config: RunConfig, seed: int, outdir: str,
     selected = pipeline.test_windows[:config["export.max_windows"]]
     if not selected:
         raise HarnessError("no test windows to embed")
-    ts_rows, prompted_rows = [], []
-    for channel, x, _ in selected:
-        ts_embed, _ = model.tokenize_and_embed(x, channel)
-        ts_rows.append(ts_embed.data.mean(axis=0))
-        k = model.config.prompt_k
-        if k > 0:
-            selection = retrieve_topk(ts_embed.data, model.bank, k,
-                                      pooling=model.config.pooling)
-            anchor_rows = model.bank.anchors()[list(selection.indices)]
-            stacked = np.vstack([anchor_rows, ts_embed.data])
-            prompted_rows.append(stacked.mean(axis=0))
-        else:
-            prompted_rows.append(ts_embed.data.mean(axis=0))
+    channels, inputs, _ = zip(*selected)
+    ts_embed = model.tokenize_and_embed(np.stack(inputs), channels)[0].data
+    anchors = model.bank.anchors()
+    prompted = ts_embed
+    if model.config.prompt_k > 0:
+        selections = retrieve_topk(ts_embed, model.bank, model.config.prompt_k,
+                                   pooling=model.config.pooling,
+                                   anchors=anchors)
+        indices = np.array([s.indices for s in selections])
+        prompted = np.concatenate([anchors[indices], ts_embed], axis=1)
     paths = []
-    for name, arr in (("anchors", model.bank.anchors()),
-                      ("ts_embeddings", np.vstack(ts_rows)),
-                      ("prompted_embeddings", np.vstack(prompted_rows))):
+    for name, arr in (("anchors", anchors),
+                      ("ts_embeddings", ts_embed.mean(axis=1)),
+                      ("prompted_embeddings", prompted.mean(axis=1))):
         path = os.path.join(outdir, f"{name}.tensor")
         with open(path, "wb") as fh:
             ad.write_named_array(fh, name, arr)

@@ -1,10 +1,13 @@
 """End-to-end forecasting model.
 
-Pipeline per window: instance-normalize, decompose, patch each component,
-concatenate into a meta token, project into the backbone width, retrieve the
-top-K anchors as a prefix, run the frozen backbone, project the patch
-positions onto per-component horizons, sum the components, and invert the
-instance normalization.
+One batch-first forward (:meth:`ForecastModel.forward`) serves training,
+forecasting and export. Over a ``(B, lookback)`` batch of windows it
+instance-normalizes, decomposes, patches each component, concatenates the
+patches into meta tokens, projects them into the backbone width, retrieves
+each window's top-K anchors as a prefix, runs the frozen backbone, projects
+the patch positions onto per-component horizons, sums the components, and
+inverts each window's normalization. A single-window forecast is the same
+forward on a batch of one.
 
 The trainable set is: input projection, output projection, anchor map,
 per-channel normalization affine parameters, and whatever the backbone
@@ -21,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import Backbone, BackboneConfig, TrainabilityPolicy, default_policy
 from .preprocess import (DEFAULT_EPSILON, PatchSpec, RevInState, decompose,
-                         patch, patch_count, revin_denormalize)
+                         patch, patch_count)
 from .prompt import (AnchorBank, EmbeddingMatrix, PromptSelection,
                      alignment_term, prefix_concat, retrieve_topk)
 from .series import WindowSpec
@@ -171,13 +174,26 @@ class ModelConfig:
 
 @dataclass
 class ForecastResult:
+    """One window's forecast, unpacked from a batch of one."""
+
     forecast: np.ndarray                # denormalized, length horizon
     selection: PromptSelection
-    ts_embed: Tensor                    # (N_P, D)
+    ts_embed: np.ndarray                # (N_P, D)
     normalized_forecast: np.ndarray     # pre-denormalization, length horizon
     normalized_components: np.ndarray   # (n_components, horizon)
-    revin_state: RevInState
-    forecast_tensor: Tensor             # differentiable denormalized forecast
+
+
+@dataclass
+class ForwardPass:
+    """What :meth:`ForecastModel.forward` computed for a batch of B windows,
+    as tensors on the active tape."""
+
+    forecast: Tensor                    # (B, horizon), denormalized
+    normalized_forecast: Tensor         # (B, horizon)
+    components: Tensor                  # (B, n_components * horizon)
+    ts_embed: Tensor                    # (B, N_P, D)
+    selections: list[PromptSelection]   # one per window
+    anchors: Tensor | None              # the step's anchors; None without prompts
 
 
 class ForecastModel:
@@ -248,17 +264,20 @@ class ForecastModel:
         for name, tensor in self.backbone.params.items():
             tensor.data = np.ascontiguousarray(arrays[f"backbone.{name}"])
 
-    def _channel_scalar(self, name: str, channel: int) -> Tensor:
-        if not 0 <= channel < self.config.n_channels:
-            raise ModelError(f"channel {channel} out of range "
-                             f"[0, {self.config.n_channels})")
-        return ad.gather_rows(self.params[name], [channel])
+    def _revin_affine(self, channels: np.ndarray, shape: tuple[int, ...]
+                      ) -> tuple[Tensor, Tensor]:
+        """Each window's (gamma, beta), gathered by channel and shaped to
+        broadcast against a ``(B, ...)`` tensor."""
+        return tuple(ad.reshape(ad.gather_rows(self.params[name], channels), shape)
+                     for name in ("revin.gamma", "revin.beta"))
 
     # -- tokenization --------------------------------------------------------
 
-    def tokenize_and_embed(self, x: np.ndarray, channel: int = 0
+    def tokenize_and_embed(self, x: np.ndarray, channels
                            ) -> tuple[Tensor, RevInState]:
-        """Normalize, decompose, patch, and project one window.
+        """Normalize, decompose, patch, and project a ``(B, lookback)``
+        batch of windows, one channel per row; returns the ``(B, N_P, D)``
+        embedding and the ``(B,)`` normalization statistics.
 
         The data-dependent part of the normalization (z-scoring by instance
         statistics) commutes with the linear decomposition and patching, so
@@ -267,18 +286,21 @@ class ForecastModel:
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (cfg.window.lookback,):
-            raise ModelError(f"window must have length {cfg.window.lookback}, "
+        channels = np.asarray(channels, dtype=np.int64)
+        if x.ndim != 2 or x.shape[1] != cfg.window.lookback:
+            raise ModelError(f"expected (B, {cfg.window.lookback}) windows, "
                              f"got shape {x.shape}")
-        mean = float(x.mean())
-        var = float(x.var())
-        gamma_t = self._channel_scalar("revin.gamma", channel)
-        beta_t = self._channel_scalar("revin.beta", channel)
-        state = RevInState(mean=mean, variance=var,
-                           gamma=float(gamma_t.data[0]),
-                           beta=float(beta_t.data[0]),
+        if channels.shape != (x.shape[0],):
+            raise ModelError(f"need one channel per window, got shape "
+                             f"{channels.shape} for {x.shape[0]} windows")
+        if channels.min() < 0 or channels.max() >= cfg.n_channels:
+            raise ModelError(f"channel out of range [0, {cfg.n_channels}): "
+                             f"{channels.tolist()}")
+        state = RevInState(mean=x.mean(axis=1), variance=x.var(axis=1),
+                           gamma=self.params["revin.gamma"].data[channels],
+                           beta=self.params["revin.beta"].data[channels],
                            epsilon=cfg.revin_epsilon)
-        z = (x - mean) / state.scale
+        z = (x - state.mean[:, None]) / state.scale[:, None]
 
         lp = cfg.patch.patch_length
         if cfg.decomposition.enabled:
@@ -287,16 +309,17 @@ class ForecastModel:
                             method=cfg.decomposition.method,
                             **({"inner_iterations": cfg.decomposition.stl_inner}
                                if cfg.decomposition.method == "stl" else {}))
-            meta_z = np.hstack([patch(dec.trend, cfg.patch),
-                                patch(dec.seasonal, cfg.patch),
-                                patch(dec.residual, cfg.patch)])
+            meta_z = np.concatenate([patch(dec.trend, cfg.patch),
+                                     patch(dec.seasonal, cfg.patch),
+                                     patch(dec.residual, cfg.patch)], axis=-1)
             # the shift parameter lands on the trend block only
-            shift_mask = np.hstack([np.ones((meta_z.shape[0], lp)),
-                                    np.zeros((meta_z.shape[0], 2 * lp))])
+            shift_mask = np.zeros(meta_z.shape[1:])
+            shift_mask[:, :lp] = 1.0
         else:
             meta_z = patch(z, cfg.patch)
-            shift_mask = np.ones_like(meta_z)
+            shift_mask = np.ones(meta_z.shape[1:])
 
+        gamma_t, beta_t = self._revin_affine(channels, (len(channels), 1, 1))
         meta = ad.add(ad.mul(Tensor(meta_z), gamma_t),
                       ad.mul(Tensor(shift_mask), beta_t))
         ts_embed = ad.add(ad.matmul(meta, self.params["input_projection.weight"]),
@@ -305,18 +328,8 @@ class ForecastModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _prompted(self, ts_embed: Tensor, anchors: Tensor | None
-                  ) -> tuple[Tensor, PromptSelection]:
-        k = self.config.prompt_k
-        if k == 0 or anchors is None:
-            return ts_embed, PromptSelection((), ())
-        selection = retrieve_topk(ts_embed.data, self.bank, k,
-                                  pooling=self.config.pooling)
-        selected = ad.gather_rows(anchors, list(selection.indices))
-        return prefix_concat(selected, ts_embed), selection
-
     def _head(self, z_out: Tensor) -> Tensor:
-        """Project backbone outputs to per-component horizons and sum them.
+        """Project backbone outputs to per-component horizons.
 
         Prompt positions are dropped before flattening unless configured
         otherwise, so the projection width does not depend on K.
@@ -334,6 +347,7 @@ class ForecastModel:
                       self.params["output_projection.bias"])
 
     def _recombine(self, y_out: Tensor) -> Tensor:
+        """Sum the trend, seasonal and residual horizon segments."""
         cfg = self.config
         if not cfg.decomposition.enabled:
             return y_out
@@ -341,89 +355,62 @@ class ForecastModel:
         parts = [ad.narrow(y_out, 1, i * h, h) for i in range(3)]
         return ad.add(ad.add(parts[0], parts[1]), parts[2])
 
-    def _denormalize_rows(self, y_norm: Tensor, channels: list[int],
-                          states: list[RevInState]) -> Tensor:
-        rows = []
-        for i, (channel, state) in enumerate(zip(channels, states)):
-            gamma_t = self._channel_scalar("revin.gamma", channel)
-            beta_t = self._channel_scalar("revin.beta", channel)
-            row = ad.narrow(y_norm, 0, i, 1)
-            row = ad.div(ad.sub(row, beta_t), gamma_t)
-            rows.append(ad.add(ad.mul(row, state.scale), state.mean))
-        return rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+    def forward(self, x: np.ndarray, channels) -> ForwardPass:
+        """Forecast a ``(B, lookback)`` batch of windows, one channel per
+        row: tokenize, retrieve and prepend the top-K anchors, run the
+        backbone, project, recombine the components, and invert each
+        window's normalization."""
+        cfg = self.config
+        channels = np.asarray(channels, dtype=np.int64)
+        ts_embed, state = self.tokenize_and_embed(x, channels)
+        batch = ts_embed.shape[0]
+        z_in, anchors = ts_embed, None
+        selections = [PromptSelection((), ())] * batch
+        if cfg.prompt_k > 0:
+            anchors = self.bank.anchors_tensor()
+            selections = retrieve_topk(ts_embed.data, self.bank, cfg.prompt_k,
+                                       pooling=cfg.pooling, anchors=anchors.data)
+            indices = np.array([s.indices for s in selections])
+            z_in = prefix_concat(ad.gather_rows(anchors, indices), ts_embed)
+        components = self._head(self.backbone.forward(z_in))
+        y_norm = self._recombine(components)
+        gamma_t, beta_t = self._revin_affine(channels, (batch, 1))
+        yhat = ad.div(ad.sub(y_norm, beta_t), gamma_t)
+        yhat = ad.add(ad.mul(yhat, state.scale[:, None]), state.mean[:, None])
+        return ForwardPass(forecast=yhat, normalized_forecast=y_norm,
+                           components=components, ts_embed=ts_embed,
+                           selections=selections, anchors=anchors)
 
     def forward_forecast(self, x: np.ndarray, channel: int = 0) -> ForecastResult:
-        """Forecast one window; returns the denormalized prediction along
+        """Forecast one window: :meth:`forward` on a batch of one, unpacked
         with the intermediate pieces tests and exports need."""
-        anchors = self.bank.anchors_tensor() if self.config.prompt_k > 0 else None
-        ts_embed, state = self.tokenize_and_embed(x, channel)
-        z_in, selection = self._prompted(ts_embed, anchors)
-        length, d = z_in.shape
-        z_out = self.backbone.forward(ad.reshape(z_in, (1, length, d)))
-        y_out = self._head(z_out)
-        y_norm = self._recombine(y_out)
-        yhat = self._denormalize_rows(y_norm, [channel], [state])
-        h = self.config.window.horizon
-        components = y_out.data.reshape(self.config.n_components, h)
+        out = self.forward(np.asarray(x, dtype=np.float64)[None], [channel])
         return ForecastResult(
-            forecast=yhat.data.reshape(h).copy(),
-            selection=selection,
-            ts_embed=ts_embed,
-            normalized_forecast=y_norm.data.reshape(h).copy(),
-            normalized_components=components.copy(),
-            revin_state=state,
-            forecast_tensor=yhat,
+            forecast=out.forecast.data[0],
+            selection=out.selections[0],
+            ts_embed=out.ts_embed.data[0],
+            normalized_forecast=out.normalized_forecast.data[0],
+            normalized_components=out.components.data[0].reshape(
+                self.config.n_components, self.config.window.horizon),
         )
 
     def joint_loss(self, batch, alignment_weight: float | None = None) -> Tensor:
         """Mean-squared forecast error minus the (weighted) batch-mean
-        alignment bonus; the training objective."""
+        alignment bonus over a batch of (channel, input, target) windows;
+        the training objective."""
         if not batch:
             raise ModelError("joint_loss needs a nonempty batch")
         lam = (self.config.alignment_weight if alignment_weight is None
                else float(alignment_weight))
         if lam < 0:
             raise ModelError("alignment weight must be >= 0")
-        cfg = self.config
-        anchors = self.bank.anchors_tensor() if cfg.prompt_k > 0 else None
-
-        z_ins, selections, ts_embeds, states, channels, targets = [], [], [], [], [], []
-        for channel, x, y in batch:
-            ts_embed, state = self.tokenize_and_embed(x, channel)
-            z_in, selection = self._prompted(ts_embed, anchors)
-            length, d = z_in.shape
-            z_ins.append(ad.reshape(z_in, (1, length, d)))
-            selections.append(selection)
-            ts_embeds.append(ts_embed)
-            states.append(state)
-            channels.append(channel)
-            targets.append(np.asarray(y, dtype=np.float64))
-
-        z_out = self.backbone.forward(z_ins[0] if len(z_ins) == 1
-                                      else ad.concat(z_ins, axis=0))
-        y_norm = self._recombine(self._head(z_out))
-        yhat = self._denormalize_rows(y_norm, channels, states)
-        target_t = Tensor(np.stack(targets))
-        err = ad.sub(yhat, target_t)
+        channels, inputs, targets = zip(*batch)
+        out = self.forward(np.stack(inputs), channels)
+        err = ad.sub(out.forecast, Tensor(np.stack(targets)))
         loss = ad.tmean(ad.mul(err, err))
-
-        if cfg.prompt_k > 0 and anchors is not None:
-            terms = [ad.reshape(alignment_term(e, s, self.bank,
-                                               pooling=cfg.pooling,
-                                               anchors=anchors), (1,))
-                     for e, s in zip(ts_embeds, selections)]
-            bonus = ad.tmean(ad.concat(terms, axis=0))
+        if out.anchors is not None:
+            bonus = ad.tmean(alignment_term(out.ts_embed, out.selections,
+                                            self.bank, pooling=self.config.pooling,
+                                            anchors=out.anchors))
             loss = ad.sub(loss, ad.mul(bonus, lam))
         return loss
-
-
-def recombine_and_denormalize(y_out: np.ndarray, state: RevInState) -> np.ndarray:
-    """Split a concatenated component forecast into three equal segments
-    (trend, seasonal, residual), sum them, and invert the normalization."""
-    y_out = np.asarray(y_out, dtype=np.float64)
-    if y_out.ndim != 1 or y_out.size % 3 != 0:
-        raise ad.ShapeError(f"component vector length {y_out.shape} is not "
-                            "divisible into three segments")
-    h = y_out.size // 3
-    combined = y_out[:h] + y_out[h:2 * h] + y_out[2 * h:]
-    return revin_denormalize(combined, state)

@@ -1,25 +1,22 @@
 """Window-level preprocessing: reversible instance normalization, additive
-seasonal-trend decomposition, overlapped patching, and meta-token assembly.
+seasonal-trend decomposition, and overlapped patching.
 
 The normalization uses instance (per-window) statistics with a trainable
 affine map, so it can be inverted exactly on the forecast. Decomposition is
 additive: trend + seasonal + residual reconstructs the input bit-for-bit by
 construction. Patches are overlapping slices of the series after its tail is
 replicate-padded by one stride, which realizes the "+2" in the patch-count
-formula.
+formula. Decomposition and patching work along the last axis, so a
+``(B, n)`` batch of windows goes through in one call.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
 DEFAULT_EPSILON = 1e-5
-
-META_TOKEN_MAGIC = b"METATOK1"
 
 
 class PreprocessError(ValueError):
@@ -29,23 +26,24 @@ class PreprocessError(ValueError):
 @dataclass(frozen=True)
 class RevInState:
     """Instance statistics plus the affine parameters used to normalize one
-    window; kept so the forecast can be mapped back to the original scale."""
+    window (floats) or a batch of windows (``(B,)`` arrays); kept so the
+    forecast can be mapped back to the original scale."""
 
-    mean: float
-    variance: float
-    gamma: float
-    beta: float
+    mean: float | np.ndarray
+    variance: float | np.ndarray
+    gamma: float | np.ndarray
+    beta: float | np.ndarray
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.variance < 0:
+        if np.any(np.less(self.variance, 0)):
             raise PreprocessError("variance must be nonnegative")
         if self.epsilon <= 0:
             raise PreprocessError("epsilon must be positive")
 
     @property
-    def scale(self) -> float:
-        return float(np.sqrt(self.variance + self.epsilon))
+    def scale(self) -> float | np.ndarray:
+        return np.sqrt(np.add(self.variance, self.epsilon))
 
 
 def revin_normalize(x: np.ndarray, gamma: float = 1.0, beta: float = 0.0,
@@ -75,6 +73,8 @@ def revin_denormalize(y: np.ndarray, state: RevInState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecompositionResult:
+    """Components with the input's shape: ``(n,)`` or ``(B, n)``."""
+
     trend: np.ndarray
     seasonal: np.ndarray
     residual: np.ndarray
@@ -91,32 +91,53 @@ def _validate_decomposition_args(n: int, period: int, trend_window: int) -> None
         raise PreprocessError(f"trend_window must be odd and <= {n}, got {trend_window}")
 
 
+def _windows(x: np.ndarray, width: int, step: int = 1) -> np.ndarray:
+    """Copies of the full ``width``-wide windows along the last axis, at
+    offsets 0, step, 2 * step, ...; shape ``(..., count, width)``.
+
+    An index gather rather than ``sliding_window_view``: under NumPy 2.4
+    every view made through ``as_strided`` leaves a little memory behind,
+    which adds up on the per-window forecast path.
+    """
+    starts = np.arange(0, x.shape[-1] - width + 1, step)
+    return x[..., starts[:, None] + np.arange(width)]
+
+
+def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
+    """Mean of every full ``window`` along the last axis (n - window + 1
+    values per row)."""
+    return _windows(x, window).mean(axis=-1)
+
+
 def moving_average_trend(x: np.ndarray, trend_window: int) -> np.ndarray:
-    """Centered moving average with replicate-extended edges, so a constant
-    series has itself as trend."""
+    """Centered moving average along the last axis with replicate-extended
+    edges, so a constant series has itself as trend."""
     half = trend_window // 2
-    padded = np.pad(x, half, mode="edge")
-    kernel = np.full(trend_window, 1.0 / trend_window)
-    return np.convolve(padded, kernel, mode="valid")
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)], mode="edge")
+    return _moving_average(padded, trend_window)
 
 
 def classical_decompose(x: np.ndarray, period: int, trend_window: int
                         ) -> DecompositionResult:
-    """Classical additive decomposition.
+    """Classical additive decomposition along the last axis.
 
     Trend is a centered moving average; the seasonal component is the
     per-phase mean of the detrended series, de-meaned so each full period
     sums to zero; the residual is whatever remains.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    n = x.shape[-1]
     _validate_decomposition_args(n, period, trend_window)
     trend = moving_average_trend(x, trend_window)
-    detrended = x - trend
+    # zero-pad to whole cycles so each phase is one column of a reshape
+    cycles = -(-n // period)
+    padded = np.zeros(x.shape[:-1] + (cycles * period,))
+    padded[..., :n] = x - trend
     phases = np.arange(n) % period
-    phase_means = np.array([detrended[phases == p].mean() for p in range(period)])
-    phase_means -= phase_means.mean()
-    seasonal = phase_means[phases]
+    phase_means = (padded.reshape(x.shape[:-1] + (cycles, period)).sum(axis=-2)
+                   / np.bincount(phases))
+    phase_means -= phase_means.mean(axis=-1, keepdims=True)
+    seasonal = phase_means[..., phases]
     residual = x - trend - seasonal
     return DecompositionResult(trend, seasonal, residual, period, trend_window,
                                "classical")
@@ -159,10 +180,6 @@ def _loess_batch(ys: np.ndarray, span: int) -> np.ndarray:
     return _fit_line(sw, sx, sxx, sy, sxy, centers[:, 0])
 
 
-def _loess_fit(y: np.ndarray, span: int) -> np.ndarray:
-    return _loess_batch(y[None, :], span)[0]
-
-
 def _loess_at_batch(ys: np.ndarray, points, span: int) -> np.ndarray:
     """Evaluate the local fit at arbitrary (possibly exterior) positions,
     shared across a (B, n) batch of rows."""
@@ -181,15 +198,10 @@ def _loess_at_batch(ys: np.ndarray, points, span: int) -> np.ndarray:
     return out
 
 
-def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(x, kernel, mode="valid")
-
-
 def stl_decompose(x: np.ndarray, period: int, trend_window: int,
                   seasonal_span: int = 7, inner_iterations: int = 2
                   ) -> DecompositionResult:
-    """Iterative loess-based decomposition.
+    """Iterative loess-based decomposition along the last axis.
 
     Each inner pass smooths the cycle-subseries of the detrended data
     (extended one period on each side), removes a low-pass version of the
@@ -198,47 +210,52 @@ def stl_decompose(x: np.ndarray, period: int, trend_window: int,
     x - trend - seasonal, so additivity is exact.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    n = x.shape[-1]
     _validate_decomposition_args(n, period, trend_window)
     if seasonal_span % 2 == 0 or seasonal_span < 3:
         raise PreprocessError("seasonal_span must be odd and >= 3")
     if inner_iterations < 1:
         raise PreprocessError("need at least one inner iteration")
 
+    rows = x.reshape(-1, n)
     lowpass_span = period + (period % 2 == 0)  # smallest odd >= period
     # cycle-subseries lengths take at most two values; group for batching
     groups: dict[int, list[int]] = {}
     for phase in range(period):
         groups.setdefault(-(-(n - phase) // period), []).append(phase)
 
-    trend = np.zeros(n)
-    seasonal = np.zeros(n)
+    trend = np.zeros_like(rows)
+    seasonal = np.zeros_like(rows)
     for _ in range(inner_iterations):
-        detrended = x - trend
-        extended = np.empty(n + 2 * period)
+        detrended = rows - trend
+        # subseries of phase p, extended by one point on each side, lands
+        # at p, p + period, ... of a series 2 * period longer than x
+        extended = np.empty((rows.shape[0], n + 2 * period))
         for m, phases in groups.items():
-            batch = np.stack([detrended[phase::period] for phase in phases])
-            interior = _loess_batch(batch, seasonal_span)
-            exterior = _loess_at_batch(batch, (-1.0, float(m)), seasonal_span)
-            positions = np.arange(-1, m + 1)
-            for row, phase in enumerate(phases):
-                times = phase + positions * period + period
-                extended[times[0]] = exterior[row, 0]
-                extended[times[1:-1]] = interior[row]
-                extended[times[-1]] = exterior[row, 1]
+            sub = np.stack([detrended[:, phase::period] for phase in phases],
+                           axis=1).reshape(-1, m)
+            interior = _loess_batch(sub, seasonal_span)
+            exterior = _loess_at_batch(sub, (-1.0, float(m)), seasonal_span)
+            cycles = np.concatenate([exterior[:, :1], interior, exterior[:, 1:]],
+                                    axis=1).reshape(rows.shape[0], len(phases),
+                                                    m + 2)
+            for j, phase in enumerate(phases):
+                extended[:, phase::period] = cycles[:, j]
         lowpass = _moving_average(_moving_average(_moving_average(
             extended, period), period), 3)
-        lowpass = _loess_fit(lowpass, lowpass_span)
-        seasonal = extended[period:period + n] - lowpass
-        trend = _loess_fit(x - seasonal, trend_window)
-    residual = x - trend - seasonal
-    return DecompositionResult(trend, seasonal, residual, period, trend_window,
+        lowpass = _loess_batch(lowpass, lowpass_span)
+        seasonal = extended[:, period:period + n] - lowpass
+        trend = _loess_batch(rows - seasonal, trend_window)
+    residual = rows - trend - seasonal
+    return DecompositionResult(trend.reshape(x.shape), seasonal.reshape(x.shape),
+                               residual.reshape(x.shape), period, trend_window,
                                "stl")
 
 
 def decompose(x: np.ndarray, period: int, trend_window: int,
               method: str = "classical", **kwargs) -> DecompositionResult:
-    """Additive decomposition by the requested method."""
+    """Additive decomposition by the requested method, along the last axis
+    of an ``(n,)`` window or a ``(B, n)`` batch."""
     if method == "classical":
         return classical_decompose(x, period, trend_window)
     if method == "stl":
@@ -270,58 +287,17 @@ def patch_count(length: int, spec: PatchSpec) -> int:
 
 
 def patch(component: np.ndarray, spec: PatchSpec) -> np.ndarray:
-    """Slice a component series into overlapping patches.
+    """Slice a component series into overlapping patches along its last
+    axis: ``(n,)`` gives ``(n_patches, patch_length)``, ``(B, n)`` gives
+    ``(B, n_patches, patch_length)``.
 
     The series is first right-padded with ``stride`` copies of its last
-    value; row k is then the slice starting at k * stride.
+    value; patch k is then the slice starting at k * stride.
     """
     component = np.asarray(component, dtype=np.float64)
-    if component.ndim != 1:
-        raise PreprocessError(f"expected a 1-D component, got shape {component.shape}")
-    n_patches = patch_count(component.size, spec)
-    padded = np.concatenate([component, np.full(spec.stride, component[-1])])
-    rows = np.empty((n_patches, spec.patch_length))
-    for k in range(n_patches):
-        start = k * spec.stride
-        rows[k] = padded[start:start + spec.patch_length]
-    return rows
-
-
-@dataclass(frozen=True)
-class MetaToken:
-    """Horizontal concatenation of the trend, seasonal, and residual patch
-    matrices (in that order), with the normalization state riding along."""
-
-    values: np.ndarray
-    n_patches: int
-    revin: RevInState
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
-def build_meta_token(trend_patches: np.ndarray, seasonal_patches: np.ndarray,
-                     residual_patches: np.ndarray, revin: RevInState) -> MetaToken:
-    shapes = {trend_patches.shape, seasonal_patches.shape, residual_patches.shape}
-    if len(shapes) != 1:
-        raise PreprocessError(f"component patch shapes disagree: {sorted(shapes)}")
-    values = np.hstack([trend_patches, seasonal_patches, residual_patches])
-    return MetaToken(values=values, n_patches=values.shape[0], revin=revin)
-
-
-def dump_meta_token(token: MetaToken, fh: BinaryIO) -> None:
-    """Debug dump: 16-byte header (magic, n_patches, width) then row-major
-    float64 data."""
-    fh.write(META_TOKEN_MAGIC)
-    fh.write(struct.pack("<II", token.n_patches, token.width))
-    fh.write(np.ascontiguousarray(token.values, dtype="<f8").tobytes())
-
-
-def load_meta_token_values(fh: BinaryIO) -> np.ndarray:
-    magic = fh.read(8)
-    if magic != META_TOKEN_MAGIC:
-        raise PreprocessError("not a meta-token dump")
-    n_patches, width = struct.unpack("<II", fh.read(8))
-    raw = fh.read(n_patches * width * 8)
-    return np.frombuffer(raw, dtype="<f8").reshape(n_patches, width).copy()
+    if component.ndim < 1:
+        raise PreprocessError("expected a component series, got a scalar")
+    patch_count(component.shape[-1], spec)  # validates the length
+    tail = np.repeat(component[..., -1:], spec.stride, axis=-1)
+    padded = np.concatenate([component, tail], axis=-1)
+    return _windows(padded, spec.patch_length, spec.stride)

@@ -126,119 +126,124 @@ class PromptSelection:
         return len(self.indices)
 
 
-def _pooled(ts_embed: np.ndarray) -> np.ndarray:
-    ts_embed = np.asarray(ts_embed, dtype=np.float64)
-    if ts_embed.ndim != 2:
-        raise PromptError(f"expected an (N_P, D) embedding, got {ts_embed.shape}")
-    return ts_embed.mean(axis=0)
-
-
-def pool_and_score(ts_embed: np.ndarray, anchor: np.ndarray) -> float:
-    """Cosine similarity between the mean-pooled window embedding and one
-    anchor; 0 (flagged) when either side is numerically zero."""
-    global _degenerate_events
-    pooled = _pooled(ts_embed)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    np_norm = float(np.linalg.norm(pooled))
-    a_norm = float(np.linalg.norm(anchor))
-    if np_norm < DEGENERATE_NORM or a_norm < DEGENERATE_NORM:
-        _degenerate_events += 1
-        return 0.0
-    return float(pooled @ anchor / (np_norm * a_norm))
-
-
 def score_all(ts_embed: np.ndarray, anchors: np.ndarray,
               pooling: str = "mean") -> np.ndarray:
-    """Cosine score of the window embedding against every anchor row."""
+    """Cosine score of each window embedding against every anchor row.
+
+    ``ts_embed`` is one ``(N_P, D)`` window or a ``(B, N_P, D)`` batch; the
+    scores are ``(A,)`` or ``(B, A)``. A score whose pooled embedding (or,
+    under per-patch pooling, whose patch row) or anchor is numerically zero
+    is 0, and each such window or anchor counts as a degenerate event.
+    """
     global _degenerate_events
+    ts_embed = np.asarray(ts_embed, dtype=np.float64)
+    if ts_embed.ndim not in (2, 3):
+        raise PromptError(f"expected an (N_P, D) or (B, N_P, D) embedding, "
+                          f"got {ts_embed.shape}")
     anchors = np.asarray(anchors, dtype=np.float64)
     anchor_norms = np.linalg.norm(anchors, axis=1)
-    safe_anchor = np.where(anchor_norms < DEGENERATE_NORM, 1.0, anchor_norms)
+    degenerate = anchor_norms < DEGENERATE_NORM
+    safe_anchor = np.where(degenerate, 1.0, anchor_norms)
     if pooling == "mean":
-        pooled = _pooled(ts_embed)
-        p_norm = np.linalg.norm(pooled)
-        if p_norm < DEGENERATE_NORM:
-            _degenerate_events += 1
-            return np.zeros(anchors.shape[0])
-        scores = anchors @ pooled / (safe_anchor * p_norm)
+        pooled = ts_embed.mean(axis=-2)
+        p_norm = np.linalg.norm(pooled, axis=-1, keepdims=True)
+        flat = p_norm < DEGENERATE_NORM
+        scores = pooled @ anchors.T / (safe_anchor * np.where(flat, 1.0, p_norm))
+        scores = np.where(flat, 0.0, scores)
+        # a flat window scores 0 everywhere and counts once
+        _degenerate_events += int(flat.sum())
+        windows_scored = int(flat.size - flat.sum())
     elif pooling == "per_patch":
-        rows = np.asarray(ts_embed, dtype=np.float64)
-        row_norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        safe_rows = np.where(row_norms < DEGENERATE_NORM, 1.0, row_norms)
-        cosines = (rows / safe_rows) @ (anchors / safe_anchor[:, None]).T
-        cosines = np.where(row_norms < DEGENERATE_NORM, 0.0, cosines)
-        scores = cosines.mean(axis=0)
+        row_norms = np.linalg.norm(ts_embed, axis=-1, keepdims=True)
+        flat = row_norms < DEGENERATE_NORM
+        cosines = ((ts_embed / np.where(flat, 1.0, row_norms))
+                   @ (anchors / safe_anchor[:, None]).T)
+        scores = np.where(flat, 0.0, cosines).mean(axis=-2)
+        windows_scored = int(np.prod(ts_embed.shape[:-2]))
     else:
         raise PromptError(f"unknown pooling mode {pooling!r}")
-    degenerate = anchor_norms < DEGENERATE_NORM
     if degenerate.any():
-        _degenerate_events += int(degenerate.sum())
+        _degenerate_events += windows_scored * int(degenerate.sum())
         scores = np.where(degenerate, 0.0, scores)
     return scores
 
 
 def retrieve_topk(ts_embed: np.ndarray, bank: AnchorBank, k: int,
-                  pooling: str = "mean") -> PromptSelection:
-    """Score every anchor and keep the k best, lower index first on ties."""
+                  pooling: str = "mean", anchors: np.ndarray | None = None
+                  ) -> PromptSelection | list[PromptSelection]:
+    """Score every anchor and keep the k best, lower index first on ties.
+
+    An ``(N_P, D)`` window gives one selection, a ``(B, N_P, D)`` batch one
+    per window. ``anchors`` is the bank's current anchor matrix when the
+    caller already holds it; by default it is derived from the bank.
+    """
     if not 1 <= k <= bank.n_anchors:
         raise PromptError(f"k must lie in [1, {bank.n_anchors}], got {k}")
-    scores = score_all(ts_embed, bank.anchors(), pooling=pooling)
+    if anchors is None:
+        anchors = bank.anchors()
+    scores = score_all(ts_embed, anchors, pooling=pooling)
     # stable sort on negated scores: equal scores keep ascending index order
-    order = np.argsort(-scores, kind="stable")[:k]
-    return PromptSelection(indices=tuple(int(i) for i in order),
-                           scores=tuple(float(scores[i]) for i in order))
+    order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    top = np.take_along_axis(scores, order, axis=-1)
+    if scores.ndim == 1:
+        return PromptSelection(tuple(order.tolist()), tuple(top.tolist()))
+    return [PromptSelection(tuple(i), tuple(s))
+            for i, s in zip(order.tolist(), top.tolist())]
 
 
 def prefix_concat(selected_anchors: Tensor, ts_embed: Tensor) -> Tensor:
-    """Prepend the selected anchor rows (score order) to the patch rows."""
-    if selected_anchors.ndim == 2 and selected_anchors.shape[0] == 0:
+    """Prepend the selected anchor rows (score order) to the patch rows,
+    along the sequence axis of one window or of a batch."""
+    if selected_anchors.shape[-2] == 0:
         return ts_embed
     if selected_anchors.shape[-1] != ts_embed.shape[-1]:
         raise ad.ShapeError(f"anchor width {selected_anchors.shape[-1]} != "
                             f"embedding width {ts_embed.shape[-1]}")
-    return ad.concat([selected_anchors, ts_embed], axis=0)
+    return ad.concat([selected_anchors, ts_embed], axis=-2)
 
 
-def _cosine_rows(rows: Tensor, pooled: Tensor) -> Tensor:
-    """Differentiable cosine of each row of ``rows`` against ``pooled``."""
-    d = pooled.shape[0]
-    num = ad.matmul(rows, ad.reshape(pooled, (d, 1)))        # (K, 1)
-    row_sq = ad.tsum(ad.mul(rows, rows), axis=1, keepdims=True)
-    pooled_sq = ad.tsum(ad.mul(pooled, pooled))
-    denom = ad.mul(ad.sqrt(row_sq), ad.sqrt(pooled_sq))
-    return ad.div(num, denom)
+def _norms(rows: Tensor) -> Tensor:
+    """Differentiable L2 norm over the last axis, kept as a size-1 axis."""
+    return ad.sqrt(ad.tsum(ad.mul(rows, rows), axis=-1, keepdims=True))
 
 
-def alignment_term(ts_embed: Tensor, selection: PromptSelection,
-                   bank: AnchorBank, pooling: str = "mean",
-                   anchors: Tensor | None = None) -> Tensor:
-    """Sum of the selected anchors' scores, as a differentiable scalar.
+def alignment_term(ts_embed: Tensor, selection, bank: AnchorBank,
+                   pooling: str = "mean", anchors: Tensor | None = None
+                   ) -> Tensor:
+    """Sum of the selected anchors' scores, as a differentiable value.
 
-    Gradients flow into the window embedding and the anchor map, never into
-    the discrete index choice. Bounded in [-K, K]. A pre-derived ``anchors``
-    tensor may be passed to share one derivation across a batch.
+    ``ts_embed`` is one ``(N_P, D)`` window with one ``PromptSelection``
+    (the result is a scalar), or a ``(B, N_P, D)`` batch with one selection
+    per window (the result has shape ``(B,)``). Gradients flow into the
+    window embeddings and the anchor map, never into the discrete index
+    choice. Each value is bounded in [-K, K]. A pre-derived ``anchors``
+    tensor may be passed to share one derivation across a step.
     """
-    if selection.k == 0:
-        return Tensor(0.0)
-    if max(selection.indices) >= bank.n_anchors:
+    single = ts_embed.ndim == 2
+    selections = [selection] if single else list(selection)
+    indices = np.array([s.indices for s in selections], dtype=np.int64)
+    if indices.size == 0:
+        return Tensor(0.0 if single else np.zeros(len(selections)))
+    if indices.max() >= bank.n_anchors:
         raise PromptError("selection indices exceed the anchor bank")
     if anchors is None:
         anchors = bank.anchors_tensor()
-    selected = ad.gather_rows(anchors, list(selection.indices))
+    if single:
+        ts_embed = ad.reshape(ts_embed, (1,) + ts_embed.shape)
+    selected = ad.gather_rows(anchors, indices)                # (B, K, D)
     if pooling == "mean":
-        pooled = ad.tmean(ts_embed, axis=0)
-        return ad.tsum(_cosine_rows(selected, pooled))
-    if pooling == "per_patch":
-        n_patches = ts_embed.shape[0]
-        num = ad.matmul(ts_embed, ad.transpose(selected))     # (N_P, K)
-        row_norm = ad.sqrt(ad.tsum(ad.mul(ts_embed, ts_embed), axis=1,
-                                   keepdims=True))            # (N_P, 1)
-        ones_row = Tensor(np.ones((1, selection.k)))
-        row_norms = ad.matmul(row_norm, ones_row)             # (N_P, K)
-        anchor_norm = ad.sqrt(ad.tsum(ad.mul(selected, selected), axis=1))
-        cosines = ad.div(ad.div(num, row_norms), anchor_norm)
-        return ad.tsum(ad.tmean(cosines, axis=0))
-    raise PromptError(f"unknown pooling mode {pooling!r}")
+        pooled = ad.tmean(ts_embed, axis=1, keepdims=True)                # (B, 1, D)
+        num = ad.tsum(ad.mul(selected, pooled), axis=2, keepdims=True)   # (B, K, 1)
+        cosines = ad.div(num, ad.mul(_norms(selected), _norms(pooled)))
+        terms = ad.tsum(cosines, axis=(1, 2))
+    elif pooling == "per_patch":
+        num = ad.matmul(ts_embed, ad.transpose(selected, (0, 2, 1)))  # (B, N_P, K)
+        anchor_norms = ad.transpose(_norms(selected), (0, 2, 1))      # (B, 1, K)
+        cosines = ad.div(ad.div(num, _norms(ts_embed)), anchor_norms)
+        terms = ad.tsum(ad.tmean(cosines, axis=1), axis=1)
+    else:
+        raise PromptError(f"unknown pooling mode {pooling!r}")
+    return ad.reshape(terms, ()) if single else terms
 
 
 def clustered_vocabulary(vocab_size: int, dim: int, n_clusters: int = 8,

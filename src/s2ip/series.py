@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class SplitSpec:
     train_fraction: float = 0.7
     val_fraction: float = 0.1
     test_fraction: float = 0.2
-    few_shot_fraction: float | None = None
 
     def __post_init__(self):
         for name in ("train_fraction", "val_fraction", "test_fraction"):
@@ -88,9 +87,6 @@ class SplitSpec:
         total = self.train_fraction + self.val_fraction + self.test_fraction
         if abs(total - 1.0) > 1e-9:
             raise SeriesError(f"split fractions sum to {total}, expected 1")
-        if self.few_shot_fraction is not None:
-            if not 0.0 < self.few_shot_fraction <= 1.0:
-                raise SeriesError("few_shot_fraction must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -230,10 +226,6 @@ def windows(frame: SeriesFrame, spec: WindowSpec) -> list[Window]:
                               col[start:mid].copy(),
                               col[mid:mid + spec.horizon].copy()))
     return out
-
-
-def iter_windows(frame: SeriesFrame, spec: WindowSpec) -> Iterator[Window]:
-    yield from windows(frame, spec)
 
 
 @dataclass

@@ -83,7 +83,13 @@ def clip_gradients(named_params, max_norm: float) -> float:
 
 def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
     """One Adam update over every parameter with a populated gradient;
-    gradients are cleared afterwards."""
+    gradients are cleared afterwards. Every gradient is checked before any
+    parameter moves, so a non-finite one leaves the model untouched."""
+    for name, tensor in named_params:
+        g = tensor.grad
+        if g is not None and not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient for {name!r} "
+                                f"(norm {float(np.linalg.norm(g))})")
     b1, b2 = config.adam_betas
     state.step += 1
     t = state.step
@@ -91,9 +97,6 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
         g = tensor.grad
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for {name!r} "
-                                f"(norm {float(np.linalg.norm(g))})")
         m = state.m[name] = b1 * state.m[name] + (1 - b1) * g
         v = state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
@@ -122,7 +125,7 @@ def train(model: ForecastModel, train_windows, val_windows,
     Tracks the best validation MSE, restores the best parameters at the end,
     and stops once the count of consecutive non-improving epochs exceeds the
     patience (an empty validation set disables early stopping). A non-finite
-    loss aborts with the best-so-far parameters restored.
+    loss or gradient aborts with the best-so-far parameters restored.
     """
     if not train_windows:
         raise TrainingError("training set is empty")
@@ -135,40 +138,49 @@ def train(model: ForecastModel, train_windows, val_windows,
     stale = 0
     started = time.perf_counter()
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(train_windows))
-        epoch_losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_windows[i] for i in order[start:start + config.batch_size]]
-            with Tape():
-                loss = model.joint_loss(batch)
-            value = loss.item()
-            if not np.isfinite(value):
-                model.load_arrays(best)
-                report.wall_seconds = time.perf_counter() - started
-                raise TrainingError(f"non-finite loss ({value}) at epoch "
-                                    f"{epoch + 1}; best parameters restored")
-            backward(loss)
-            clip_gradients(named, config.clip_norm)
-            adam_step(named, state, config)
-            epoch_losses.append(value)
-        report.train_losses.append(float(np.mean(epoch_losses)))
+    try:
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(train_windows))
+            epoch_losses = []
+            for start in range(0, len(order), config.batch_size):
+                batch = [train_windows[i]
+                         for i in order[start:start + config.batch_size]]
+                with Tape() as tape:
+                    loss = model.joint_loss(batch)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise TrainingError(f"non-finite loss ({value}) at epoch "
+                                        f"{epoch + 1}")
+                backward(loss)
+                # the recorded nodes and their tensors reference each other;
+                # free the step's activations now, not at the next cyclic
+                # garbage collection
+                tape.nodes.clear()
+                clip_gradients(named, config.clip_norm)
+                adam_step(named, state, config)
+                epoch_losses.append(value)
+            report.train_losses.append(float(np.mean(epoch_losses)))
 
-        if val_windows:
-            val_mse = _validation_mse(model, val_windows)
-            report.val_mses.append(val_mse)
-            if val_mse < best_val:
-                best_val = val_mse
+            if val_windows:
+                val_mse = _validation_mse(model, val_windows)
+                report.val_mses.append(val_mse)
+                if val_mse < best_val:
+                    best_val = val_mse
+                    best = _snapshot(model)
+                    report.best_epoch = epoch + 1
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale > config.early_stop_patience:
+                        break
+            else:
                 best = _snapshot(model)
                 report.best_epoch = epoch + 1
-                stale = 0
-            else:
-                stale += 1
-                if stale > config.early_stop_patience:
-                    break
-        else:
-            best = _snapshot(model)
-            report.best_epoch = epoch + 1
+    except TrainingError as exc:
+        model.load_arrays(best)
+        for _, tensor in named:
+            tensor.grad = None
+        raise TrainingError(f"{exc}; best parameters restored") from exc
 
     model.load_arrays(best)
     report.wall_seconds = time.perf_counter() - started

@@ -218,6 +218,17 @@ OPS = [
     ("matmul_batched", lambda rng: (rng.normal(size=(2, 3, 4)),
                                     rng.normal(size=(4, 5))),
      lambda a, b: ad.matmul(a, b)),
+    # general NumPy broadcasting: per-window scalars, a shared table, and
+    # per-row offsets over a batch
+    ("mul_batch_scalars", lambda rng: (rng.normal(size=(3, 1, 1)),
+                                       rng.normal(size=(3, 4, 2))),
+     lambda a, b: ad.mul(a, b)),
+    ("add_shared_table", lambda rng: (rng.normal(size=(4, 2)),
+                                      rng.normal(size=(3, 4, 2))),
+     lambda a, b: ad.add(a, b)),
+    ("sub_row_offsets", lambda rng: (rng.normal(size=(3, 1)),
+                                     rng.normal(size=(3, 5))),
+     lambda a, b: ad.sub(a, b)),
 ]
 
 UNARY_OPS = [

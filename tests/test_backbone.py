@@ -106,7 +106,7 @@ def test_zero_input_deterministic():
 
 def test_policy_selects_positional_and_norms():
     model = Backbone(SMALL, seed=7)
-    names = [name for name, _ in model.trainable_parameters(default_policy())]
+    names = [name for name, _ in model.apply_policy(default_policy())]
     assert "positional" in names
     assert all(("ln" in n) or n == "positional" for n in names)
     expected_norms = {"layer.0.ln1.gain", "layer.0.ln1.bias",
@@ -119,7 +119,7 @@ def test_policy_selects_positional_and_norms():
 
 def test_policy_all_false_is_empty():
     model = Backbone(SMALL, seed=8)
-    assert model.trainable_parameters(
+    assert model.apply_policy(
         TrainabilityPolicy(False, False, False, False)) == []
 
 

@@ -179,6 +179,20 @@ def test_invalid_config_exit_code(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("line", ["decomposition.period = 60",
+                                  "prompt.anchors = 400",
+                                  "backbone.heads = 5"])
+def test_cross_key_config_error_exit_code(tmp_path, line, capsys):
+    # each value is valid alone but cannot build the model; the run stops
+    # before it writes or reads anything
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["train", "--config", path.as_posix(), "--out", str(out)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_emits_feature_rows(tmp_path):
     cfg = tiny_config_file(tmp_path, {"train.epochs": "1"})
     out = tmp_path / "ablate"
@@ -264,7 +278,9 @@ def test_short_split_warns_and_yields_no_windows(tmp_path):
 
     config = RunConfig({"synthetic.length": 60, "window.lookback": 32,
                         "window.horizon": 8, "split.train": 0.6,
-                        "split.val": 0.2, "split.test": 0.2})
+                        "split.val": 0.2, "split.test": 0.2,
+                        "decomposition.period": 8,
+                        "decomposition.trend_window": 9})
     with warnings_module.catch_warnings(record=True) as caught:
         warnings_module.simplefilter("always")
         pipeline = build_pipeline(config, 0)
@@ -277,7 +293,9 @@ def test_few_shot_config_wiring(tmp_path):
     from s2ip.harness import build_pipeline
 
     config = RunConfig({"synthetic.length": 400, "split.few_shot": 0.5,
-                        "window.lookback": 32, "window.horizon": 8})
+                        "window.lookback": 32, "window.horizon": 8,
+                        "decomposition.period": 8,
+                        "decomposition.trend_window": 9})
     pipeline = build_pipeline(config, 0)
     assert pipeline.train_frame.length == 140  # floor(0.5 * 280)
 

@@ -3,10 +3,10 @@ import pytest
 
 import s2ip.autodiff as ad
 from s2ip.backbone import BackboneConfig
-from s2ip.model import (DecompositionConfig, ForecastModel, ModelConfig,
-                        ModelError, recombine_and_denormalize)
-from s2ip.preprocess import PatchSpec, RevInState
-from s2ip.prompt import clustered_vocabulary, pool_and_score
+from s2ip.autodiff import Tensor
+from s2ip.model import DecompositionConfig, ForecastModel, ModelConfig, ModelError
+from s2ip.preprocess import PatchSpec
+from s2ip.prompt import clustered_vocabulary, score_all
 from s2ip.series import WindowSpec
 
 
@@ -86,36 +86,40 @@ def test_embedding_shape_96_16_8():
                     backbone=BackboneConfig(embed_dim=64, n_layers=1,
                                             n_heads=4, max_seq_len=32)),
         clustered_vocabulary(100, 64, seed=0), seed=0)
-    x = np.random.default_rng(0).normal(size=96)
-    ts_embed, _ = model.tokenize_and_embed(x, 0)
-    assert ts_embed.shape == (12, 64)
+    x = np.random.default_rng(0).normal(size=(3, 96))
+    ts_embed, _ = model.tokenize_and_embed(x, [0, 0, 0])
+    assert ts_embed.shape == (3, 12, 64)
 
 
 def test_constant_window_embeds_to_bias():
     # constant input -> zero normalized series -> zero meta token (beta = 0),
     # so every patch row embeds to the projection bias
     model = tiny_model()
-    ts_embed, state = model.tokenize_and_embed(np.full(32, 7.0), 0)
+    ts_embed, state = model.tokenize_and_embed(np.full((1, 32), 7.0), [0])
     bias = model.params["input_projection.bias"].data
     assert np.allclose(ts_embed.data, np.broadcast_to(bias, ts_embed.shape),
                        atol=1e-12)
-    assert state.mean == 7.0
+    assert state.mean[0] == 7.0
 
 
 def test_tokenize_deterministic():
     model = tiny_model()
-    x = np.random.default_rng(1).normal(size=32)
-    a, _ = model.tokenize_and_embed(x, 1)
-    b, _ = model.tokenize_and_embed(x, 1)
+    x = np.random.default_rng(1).normal(size=(2, 32))
+    a, _ = model.tokenize_and_embed(x, [1, 0])
+    b, _ = model.tokenize_and_embed(x, [1, 0])
     assert np.array_equal(a.data, b.data)
 
 
 def test_tokenize_rejects_wrong_length():
     model = tiny_model()
     with pytest.raises(ModelError):
-        model.tokenize_and_embed(np.zeros(31), 0)
+        model.tokenize_and_embed(np.zeros((1, 31)), [0])
     with pytest.raises(ModelError):
-        model.tokenize_and_embed(np.zeros(32), 5)
+        model.tokenize_and_embed(np.zeros((1, 32)), [5])
+    with pytest.raises(ModelError):
+        model.tokenize_and_embed(np.zeros((2, 32)), [0])
+    with pytest.raises(ModelError):
+        model.forward_forecast(np.zeros(31), 0)
 
 
 def test_normalized_embedding_invariant_to_affine_input():
@@ -124,10 +128,10 @@ def test_normalized_embedding_invariant_to_affine_input():
     model = tiny_model(revin_epsilon=1e-12)
     rng = np.random.default_rng(2)
     x = rng.normal(size=32)
-    base_embed, _ = model.tokenize_and_embed(x, 0)
+    base_embed, _ = model.tokenize_and_embed(x[None], [0])
     base = model.forward_forecast(x, 0)
     for a, b in ((2.0, 0.0), (0.5, -3.0), (10.0, 100.0)):
-        embed, _ = model.tokenize_and_embed(a * x + b, 0)
+        embed, _ = model.tokenize_and_embed((a * x + b)[None], [0])
         assert np.allclose(embed.data, base_embed.data, atol=1e-9)
         result = model.forward_forecast(a * x + b, 0)
         assert result.selection.indices == base.selection.indices
@@ -214,9 +218,8 @@ def test_loss_decomposes_into_mse_minus_alignment():
     aligns = []
     for channel, x, _ in batch:
         result = model.forward_forecast(x, channel)
-        aligns.append(sum(pool_and_score(result.ts_embed.data,
-                                         model.bank.anchors()[i])
-                          for i in result.selection.indices))
+        scores = score_all(result.ts_embed, model.bank.anchors())
+        aligns.append(sum(scores[i] for i in result.selection.indices))
     assert loss == pytest.approx(mse - lam * np.mean(aligns), abs=1e-12)
 
 
@@ -267,41 +270,37 @@ def test_trainable_parameter_listing():
 # recombination
 # ---------------------------------------------------------------------------
 
-def identity_state(eps=1e-5):
-    # variance chosen so sqrt(var + eps) == 1 exactly
-    return RevInState(mean=0.0, variance=1.0 - eps, gamma=1.0, beta=0.0,
-                      epsilon=eps)
-
-
 def test_recombine_zero_components():
-    state = identity_state()
-    y = np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
-    assert np.allclose(recombine_and_denormalize(y, state), [1.0, 2.0])
+    model = tiny_model(window=WindowSpec(32, 2))
+    y = np.array([[1.0, 2.0, 0.0, 0.0, 0.0, 0.0]])
+    assert np.array_equal(model._recombine(Tensor(y)).data, [[1.0, 2.0]])
 
 
 def test_recombine_sums_segments():
-    state = identity_state()
-    y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    assert np.allclose(recombine_and_denormalize(y, state), [9.0, 12.0])
+    model = tiny_model(window=WindowSpec(32, 2))
+    y = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                  [0.5, 0.0, 0.5, 0.0, 0.5, 0.0]])
+    assert np.array_equal(model._recombine(Tensor(y)).data,
+                          [[9.0, 12.0], [1.5, 0.0]])
 
 
 def test_recombine_matches_oracle():
+    # the forecast is the summed components mapped back through each
+    # channel's affine pair and the window's own statistics
+    model = tiny_model()
     rng = np.random.default_rng(12)
+    model.params["revin.gamma"].data = rng.uniform(0.5, 2.0, size=2)
+    model.params["revin.beta"].data = rng.normal(size=2)
+    eps = model.config.revin_epsilon
     for _ in range(20):
-        h = int(rng.integers(1, 10))
-        y = rng.normal(size=3 * h)
-        state = RevInState(mean=rng.normal(), variance=rng.uniform(0.1, 4.0),
-                           gamma=rng.uniform(0.5, 2.0), beta=rng.normal())
-        out = recombine_and_denormalize(y, state)
-        combined = y[:h] + y[h:2 * h] + y[2 * h:]
-        expected = ((combined - state.beta) / state.gamma
-                    * np.sqrt(state.variance + state.epsilon) + state.mean)
-        assert np.max(np.abs(out - expected)) <= 1e-12
-
-
-def test_recombine_bad_length():
-    with pytest.raises(ad.ShapeError):
-        recombine_and_denormalize(np.zeros(7), identity_state())
+        channel = int(rng.integers(2))
+        x = rng.normal(rng.normal(), rng.uniform(0.1, 4.0), size=32)
+        result = model.forward_forecast(x, channel)
+        combined = result.normalized_components.sum(axis=0)
+        expected = ((combined - model.params["revin.beta"].data[channel])
+                    / model.params["revin.gamma"].data[channel]
+                    * np.sqrt(x.var() + eps) + x.mean())
+        assert np.max(np.abs(result.forecast - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["classical", "stl"])
@@ -309,8 +308,7 @@ def test_tokenization_matches_direct_pipeline(method):
     # the model scales the decomposed z-scores by (gamma, beta) through the
     # linearity of decomposition and patching; that must agree with running
     # normalize -> decompose -> patch -> concatenate directly
-    from s2ip.preprocess import (build_meta_token, decompose, patch,
-                                 revin_normalize)
+    from s2ip.preprocess import decompose, patch, revin_normalize
 
     model = tiny_model(decomposition=DecompositionConfig(
         period=8, trend_window=9, method=method))
@@ -322,15 +320,13 @@ def test_tokenization_matches_direct_pipeline(method):
         model.params["revin.beta"].data = np.full(2, beta)
         x = rng.normal(size=32) * 3.0 + 1.0
 
-        normalized, state = revin_normalize(x, gamma=gamma, beta=beta,
-                                            epsilon=model.config.revin_epsilon)
+        normalized, _ = revin_normalize(x, gamma=gamma, beta=beta,
+                                        epsilon=model.config.revin_epsilon)
         dec = decompose(normalized, 8, 9, method=method)
         spec = model.config.patch
-        direct = build_meta_token(patch(dec.trend, spec),
-                                  patch(dec.seasonal, spec),
-                                  patch(dec.residual, spec), state)
-        expected = (direct.values
-                    @ model.params["input_projection.weight"].data
+        meta = np.hstack([patch(dec.trend, spec), patch(dec.seasonal, spec),
+                          patch(dec.residual, spec)])
+        expected = (meta @ model.params["input_projection.weight"].data
                     + model.params["input_projection.bias"].data)
-        ts_embed, _ = model.tokenize_and_embed(x, 0)
-        assert np.max(np.abs(ts_embed.data - expected)) <= 1e-12
+        ts_embed, _ = model.tokenize_and_embed(x[None], [0])
+        assert np.max(np.abs(ts_embed.data[0] - expected)) <= 1e-12

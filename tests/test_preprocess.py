@@ -1,12 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 
 from s2ip.preprocess import (PatchSpec, PreprocessError, RevInState,
-                             build_meta_token, decompose, dump_meta_token,
-                             load_meta_token_values, patch, patch_count,
-                             revin_denormalize, revin_normalize)
+                             _loess_at_batch, _loess_batch, decompose, patch,
+                             patch_count, revin_denormalize, revin_normalize)
 
 
 def oracle_classical(x, period, trend_window):
@@ -22,6 +19,39 @@ def oracle_classical(x, period, trend_window):
         means.append(float(np.mean(vals)))
     means = np.array(means) - np.mean(means)
     seasonal = np.array([means[i % period] for i in range(n)])
+    return trend, seasonal, x - trend - seasonal
+
+
+def oracle_stl(x, period, trend_window, seasonal_span=7, inner_iterations=2):
+    """One-window reference of the loess decomposition: cycle-subseries
+    placed point by point, low-pass by np.convolve."""
+    n = len(x)
+
+    def moving_average(values, window):
+        return np.convolve(values, np.full(window, 1.0 / window), mode="valid")
+
+    groups = {}
+    for phase in range(period):
+        groups.setdefault(-(-(n - phase) // period), []).append(phase)
+    trend = np.zeros(n)
+    for _ in range(inner_iterations):
+        detrended = x - trend
+        extended = np.empty(n + 2 * period)
+        for m, phases in groups.items():
+            rows = np.stack([detrended[phase::period] for phase in phases])
+            interior = _loess_batch(rows, seasonal_span)
+            exterior = _loess_at_batch(rows, (-1.0, float(m)), seasonal_span)
+            positions = np.arange(-1, m + 1)
+            for row, phase in enumerate(phases):
+                times = phase + positions * period + period
+                extended[times[0]] = exterior[row, 0]
+                extended[times[1:-1]] = interior[row]
+                extended[times[-1]] = exterior[row, 1]
+        lowpass = moving_average(moving_average(moving_average(
+            extended, period), period), 3)
+        lowpass = _loess_batch(lowpass[None], period + (period % 2 == 0))[0]
+        seasonal = extended[period:period + n] - lowpass
+        trend = _loess_batch((x - seasonal)[None], trend_window)[0]
     return trend, seasonal, x - trend - seasonal
 
 
@@ -170,6 +200,24 @@ def test_stl_recovers_clean_seasonality():
     assert np.std(dec.residual[core]) < 0.2 * np.std(seasonal_truth)
 
 
+@pytest.mark.parametrize("method,oracle", [("classical", oracle_classical),
+                                           ("stl", oracle_stl)])
+def test_batched_decompose_matches_one_window_oracle(method, oracle):
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        n = int(rng.integers(24, 100))
+        period = int(rng.integers(2, n // 2 + 1))
+        tw = min(25, n if n % 2 else n - 1)
+        batch = rng.normal(size=(int(rng.integers(1, 6)), n))
+        dec = decompose(batch, period=period, trend_window=tw, method=method)
+        assert dec.trend.shape == batch.shape
+        for i, x in enumerate(batch):
+            expected = oracle(x, period, tw)
+            for got, want in zip((dec.trend, dec.seasonal, dec.residual),
+                                 expected):
+                assert np.max(np.abs(got[i] - want)) <= 1e-12
+
+
 def test_decompose_period_validation():
     x = np.zeros(20)
     with pytest.raises(PreprocessError):
@@ -221,6 +269,19 @@ def test_patch_rows_are_slices_of_padded_source():
             assert np.array_equal(rows[k], padded[k * s:k * s + lp])
 
 
+def test_batched_patch_matches_rows():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(4, 100))
+        lp = int(rng.integers(1, n + 1))
+        spec = PatchSpec(lp, int(rng.integers(1, lp + 1)))
+        batch = rng.normal(size=(3, n))
+        rows = patch(batch, spec)
+        assert rows.shape == (3, patch_count(n, spec), lp)
+        for i, x in enumerate(batch):
+            assert np.array_equal(rows[i], patch(x, spec))
+
+
 def test_patch_too_long_rejected():
     with pytest.raises(PreprocessError):
         patch(np.zeros(10), PatchSpec(16, 8))
@@ -231,45 +292,3 @@ def test_patch_spec_validation():
         PatchSpec(4, 8)  # stride larger than patch
     with pytest.raises(PreprocessError):
         PatchSpec(0, 1)
-
-
-# ---------------------------------------------------------------------------
-# meta tokens
-# ---------------------------------------------------------------------------
-
-def _state():
-    return RevInState(mean=0.0, variance=1.0, gamma=1.0, beta=0.0)
-
-
-def test_meta_token_layout():
-    a = np.full((2, 3), 1.0)
-    b = np.full((2, 3), 2.0)
-    c = np.full((2, 3), 3.0)
-    token = build_meta_token(a, b, c, _state())
-    assert token.values.shape == (2, 9)
-    assert np.array_equal(token.values[0], [1, 1, 1, 2, 2, 2, 3, 3, 3])
-
-
-def test_meta_token_paper_shape():
-    blocks = [np.zeros((64, 16)) for _ in range(3)]
-    token = build_meta_token(*blocks, _state())
-    assert token.values.shape == (64, 48)
-    assert not token.values.any()
-
-
-def test_meta_token_shape_mismatch():
-    with pytest.raises(PreprocessError):
-        build_meta_token(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 3)),
-                         _state())
-
-
-def test_meta_token_dump_round_trip():
-    rng = np.random.default_rng(5)
-    token = build_meta_token(rng.normal(size=(5, 4)), rng.normal(size=(5, 4)),
-                             rng.normal(size=(5, 4)), _state())
-    buf = io.BytesIO()
-    dump_meta_token(token, buf)
-    assert len(buf.getvalue()) == 16 + 5 * 12 * 8
-    buf.seek(0)
-    back = load_meta_token_values(buf)
-    assert np.array_equal(back, token.values)

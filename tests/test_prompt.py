@@ -6,8 +6,8 @@ import s2ip.prompt as pr
 from s2ip.autodiff import Tensor
 from s2ip.prompt import (AnchorBank, EmbeddingMatrix, PromptError,
                          PromptSelection, alignment_term, clustered_vocabulary,
-                         derive_anchors, pool_and_score, prefix_concat,
-                         retrieve_topk)
+                         derive_anchors, prefix_concat, retrieve_topk,
+                         score_all)
 
 
 def brute_force_topk(ts_embed, anchors, k):
@@ -72,17 +72,17 @@ def test_bank_rejects_too_many_anchors():
 
 def test_score_parallel():
     ts = np.tile([1.0, 0.0], (3, 1))
-    assert pool_and_score(ts, np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert score_all(ts, np.array([[1.0, 0.0]]))[0] == pytest.approx(1.0)
 
 
 def test_score_orthogonal():
     ts = np.tile([1.0, 0.0], (3, 1))
-    assert pool_and_score(ts, np.array([0.0, 1.0])) == pytest.approx(0.0)
+    assert score_all(ts, np.array([[0.0, 1.0]]))[0] == pytest.approx(0.0)
 
 
 def test_score_hand_computed():
     ts = np.tile([1.0, 1.0], (2, 1))
-    score = pool_and_score(ts, np.array([2.0, 0.0]))
+    score = score_all(ts, np.array([[2.0, 0.0]]))[0]
     assert score == pytest.approx(2.0 / (np.sqrt(2.0) * 2.0))
     assert score == pytest.approx(0.70711, abs=1e-5)
 
@@ -90,9 +90,25 @@ def test_score_hand_computed():
 def test_score_degenerate_flagged():
     pr.reset_degenerate_score_events()
     ts = np.zeros((3, 2))
-    assert pool_and_score(ts, np.array([1.0, 0.0])) == 0.0
+    assert score_all(ts, np.array([[1.0, 0.0]]))[0] == 0.0
     assert pr.degenerate_score_events() == 1
+    # a batch counts each flat window once, and each zero anchor once per
+    # window it is scored against
+    batch = np.stack([np.zeros((3, 2)), np.ones((3, 2))])
+    scores = score_all(batch, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert np.allclose(scores, [[0.0, 0.0], [np.sqrt(0.5), 0.0]], atol=1e-15)
+    assert pr.degenerate_score_events() == 3
     pr.reset_degenerate_score_events()
+
+
+@pytest.mark.parametrize("pooling", ["mean", "per_patch"])
+def test_score_batch_matches_rows(pooling):
+    rng = np.random.default_rng(14)
+    anchors = rng.normal(size=(6, 4))
+    batch = rng.normal(size=(5, 3, 4))
+    scores = score_all(batch, anchors, pooling=pooling)
+    for row, ts in zip(scores, batch):
+        assert np.max(np.abs(row - score_all(ts, anchors, pooling=pooling))) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +258,8 @@ def test_alignment_matches_recomputed_cosines():
         ts = rng.normal(size=(5, 4))
         selection = retrieve_topk(ts, bank, k=3)
         value = alignment_term(Tensor(ts), selection, bank).item()
-        expected = sum(pool_and_score(ts, bank.anchors()[i])
-                       for i in selection.indices)
+        scores = score_all(ts, bank.anchors())
+        expected = sum(scores[i] for i in selection.indices)
         assert abs(value - expected) <= 1e-12
         assert -3.0 <= value <= 3.0
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import s2ip.autodiff as ad
 from s2ip.autodiff import Tensor
 from s2ip.backbone import BackboneConfig
 from s2ip.model import DecompositionConfig, ModelConfig
@@ -79,6 +80,20 @@ def test_adam_aborts_on_nonfinite_grad():
     named = [("bad.param", p)]
     with pytest.raises(TrainingError, match="bad.param"):
         adam_step(named, AdamState(named), TrainConfig())
+
+
+def test_adam_checks_every_gradient_before_updating():
+    a = Tensor([1.0], requires_grad=True)
+    b = Tensor([2.0], requires_grad=True)
+    a.grad = np.array([0.5])
+    b.grad = np.array([np.inf])
+    named = [("a", a), ("b", b)]
+    state = AdamState(named)
+    with pytest.raises(TrainingError, match="'b'"):
+        adam_step(named, state, TrainConfig())
+    assert a.data[0] == 1.0 and b.data[0] == 2.0
+    assert state.step == 0
+    assert not state.m["a"].any()
 
 
 def test_clip_gradients_global_norm():
@@ -185,6 +200,34 @@ def test_nonfinite_loss_aborts_and_restores():
     # are the last good state
     for name, tensor in model.named_parameters():
         assert np.array_equal(tensor.data, before[name]), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_gradient_aborts_and_restores():
+    # from the second step on, the loss gains a term whose value is 0 but
+    # whose gradient for the second parameter is NaN: sqrt'(0) * 0
+    model = tiny_model()
+    before = {n: t.data.copy() for n, t in model.named_parameters()}
+    second = model.named_parameters()[1][1]
+    joint_loss = model.joint_loss
+    steps = []
+
+    def poisoned(batch):
+        steps.append(1)
+        loss = joint_loss(batch)
+        if len(steps) >= 2:
+            loss = ad.add(loss, ad.tsum(ad.sqrt(ad.mul(second, 0.0))))
+        return loss
+
+    model.joint_loss = poisoned
+    config = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=8, seed=0)
+    with pytest.raises(TrainingError, match="non-finite gradient"):
+        train(model, sine_windows(24, seed=10), [], config)
+    assert len(steps) == 2
+    # the first step moved every parameter; all are back at the snapshot
+    for name, tensor in model.named_parameters():
+        assert np.array_equal(tensor.data, before[name]), name
+        assert tensor.grad is None
 
 
 # ---------------------------------------------------------------------------
