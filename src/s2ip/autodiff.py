@@ -2,10 +2,11 @@
 
 A :class:`Tape` records every differentiable operation in execution order
 (define-by-run); :func:`backward` replays the tape once in reverse and
-accumulates gradients into every tensor that requires them.  Everything is
-64-bit. Elementwise operations broadcast by NumPy rules, so a batch of
-windows runs through the same operations as a single one; the backward pass
-sums each gradient back down to its operand's shape.
+accumulates into leaf tensors that require gradients; frozen operands get no
+gradient work. Everything is 64-bit. Elementwise operations broadcast by
+NumPy rules, so a batch of windows runs through the same operations as a
+single one; the backward pass sums each gradient back down to its operand's
+shape.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class Tensor:
 
     ``requires_grad`` marks trainable leaves; tensors produced by recorded
     operations inherit it and remember the tape they were recorded on.
+    :func:`backward` writes ``grad`` into leaves only.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "tape")
@@ -186,8 +188,12 @@ def _binary(kind: str, a, b, forward, da, db) -> Tensor:
     out = forward(a.data, b.data)
 
     def backward_fn(g):
-        return [(a, _unbroadcast(da(g, a.data, b.data), a.shape)),
-                (b, _unbroadcast(db(g, a.data, b.data), b.shape))]
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(da(g, a.data, b.data), a.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(db(g, a.data, b.data), b.shape)))
+        return grads
 
     return _record(kind, (a, b), out, backward_fn)
 
@@ -255,17 +261,32 @@ def relu(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    def forward(x):
-        inner = _GELU_SCALE * (x + GELU_CUBIC_COEFF * x ** 3)
-        return 0.5 * x * (1.0 + np.tanh(inner))
+    # the cube is x2 * x: ``x ** 3`` goes through pow, about 100x slower on
+    # an activation-sized array; the backward reuses the forward's x2 and tanh
+    a = as_tensor(a)
+    x = a.data
+    x2 = x * x
+    t = np.tanh(_GELU_SCALE * (x + GELU_CUBIC_COEFF * (x2 * x)))
+    out = 0.5 * x * (1.0 + t)
 
-    def dfn(g, x, o):
-        inner = _GELU_SCALE * (x + GELU_CUBIC_COEFF * x ** 3)
-        t = np.tanh(inner)
-        dinner = _GELU_SCALE * (1.0 + 3.0 * GELU_CUBIC_COEFF * x ** 2)
-        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+    def backward_fn(g):
+        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) dinner), evaluated in place on
+        # two buffers
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        slope *= x
+        slope *= 0.5
+        dinner = x2 * (3.0 * GELU_CUBIC_COEFF)
+        dinner += 1.0
+        dinner *= _GELU_SCALE
+        slope *= dinner
+        np.add(t, 1.0, out=dinner)
+        dinner *= 0.5
+        slope += dinner
+        slope *= g
+        return [(a, slope)]
 
-    return _unary("gelu", a, forward, dfn)
+    return _record("gelu", (a,), out, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +307,18 @@ def matmul(a, b) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def backward_fn(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        if ga.ndim > a.ndim:
-            ga = ga.sum(axis=tuple(range(ga.ndim - a.ndim)))
-        if gb.ndim > b.ndim:
-            gb = gb.sum(axis=tuple(range(gb.ndim - b.ndim)))
-        return [(a, ga), (b, gb)]
+        grads = []
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            if ga.ndim > a.ndim:
+                ga = ga.sum(axis=tuple(range(ga.ndim - a.ndim)))
+            grads.append((a, ga))
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            if gb.ndim > b.ndim:
+                gb = gb.sum(axis=tuple(range(gb.ndim - b.ndim)))
+            grads.append((b, gb))
+        return grads
 
     return _record("matmul", (a, b), out, backward_fn)
 
@@ -364,14 +390,19 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     out = xhat * gain.data + bias.data
 
     def backward_fn(g):
+        grads = []
+        if x.requires_grad:
+            dxhat = g * gain.data
+            dx = inv * (dxhat
+                        - dxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+            grads.append((x, dx))
         lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
-        dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        return [(x, dx), (gain, dgain), (bias, dbias)]
+        if gain.requires_grad:
+            grads.append((gain, (g * xhat).sum(axis=lead)))
+        if bias.requires_grad:
+            grads.append((bias, g.sum(axis=lead)))
+        return grads
 
     return _record("layer_norm", (x, gain, bias), out, backward_fn)
 
@@ -414,6 +445,8 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     def backward_fn(g):
         grads = []
         for t, start, stop in zip(ts, offsets[:-1], offsets[1:]):
+            if not t.requires_grad:
+                continue
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(start, stop)
             grads.append((t, g[tuple(idx)]))
@@ -463,17 +496,23 @@ def gather_rows(a, indices) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss through its tape.
 
+    Gradients accumulate into leaf tensors that require gradients (tensors
+    that no node on the tape produced); frozen operands get no gradient work.
     Gradients accumulate (+=) across fan-out and across repeated backward
-    calls; tensors with ``requires_grad=False`` are left untouched.
+    calls. Each intermediate gradient is freed as soon as the node that
+    produced its tensor has consumed it, so intermediate tensors never carry
+    ``.grad``.
     """
     if loss.size != 1:
         raise AutodiffError(f"backward expects a scalar loss, got shape {loss.shape}")
     if loss.tape is None:
         raise AutodiffError("loss is not attached to a tape (no recorded operations)")
+    nodes = loss.tape.nodes
+    produced = {id(node.output) for node in nodes}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(loss.tape.nodes):
-        g_out = grads.get(id(node.output))
+    leaves: dict[int, Tensor] = {}
+    for node in reversed(nodes):
+        g_out = grads.pop(id(node.output), None)
         if g_out is None:
             continue
         for tensor, g in node.backward_fn(g_out):
@@ -483,10 +522,11 @@ def backward(loss: Tensor) -> None:
             if key in grads:
                 grads[key] = grads[key] + g
             else:
-                grads[key] = np.asarray(g, dtype=np.float64)
-                holders[key] = tensor
-    for key, tensor in holders.items():
-        g = grads[key].reshape(tensor.shape)
+                grads[key] = g
+                if key not in produced:
+                    leaves[key] = tensor
+    for key, tensor in leaves.items():
+        g = np.asarray(grads[key], dtype=np.float64).reshape(tensor.shape)
         tensor.grad = g.copy() if tensor.grad is None else tensor.grad + g
 
 

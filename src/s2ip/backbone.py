@@ -68,6 +68,7 @@ class Backbone:
                  weights_path=None):
         self.config = config
         self.params: dict[str, Tensor] = {}
+        self._masks: dict[int, Tensor] = {}
         self._init_params(np.random.default_rng(seed))
         if weights_path is not None:
             self.load_weights(weights_path)
@@ -162,9 +163,12 @@ class Backbone:
         heads, head_dim = cfg.n_heads, d // cfg.n_heads
 
         # the (L, D) positional table and the (L, L) causal mask broadcast
-        # over the batch (and the heads)
+        # over the batch (and the heads); the mask is built once per length
         x = ad.add(x, ad.narrow(self.params["positional"], 0, 0, length))
-        mask = Tensor(np.triu(np.full((length, length), MASK_FILL), k=1))
+        mask = self._masks.get(length)
+        if mask is None:
+            mask = Tensor(np.triu(np.full((length, length), MASK_FILL), k=1))
+            self._masks[length] = mask
 
         for i in range(cfg.n_layers):
             p = f"layer.{i}"

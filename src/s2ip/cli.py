@@ -1,6 +1,6 @@
 """Command-line entry point: ``s2ip <command> --config <path> [--seed N]
-[--out DIR]``. Exits 0 on success; configuration and runtime errors print a
-diagnostic and exit nonzero."""
+[--out DIR]``. Exits 0 on success; a configuration error prints a diagnostic
+and exits 2, a runtime error prints one and exits 1."""
 
 from __future__ import annotations
 
@@ -43,6 +43,9 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else config["train.seed"]
     try:
         artifacts = run(args.command, config, seed, args.out, args.checkpoint)
+    except ConfigError as exc:
+        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        return 2
     except (HarnessError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -268,9 +268,10 @@ ABLATION_SETTINGS = (
 )
 
 
-def cmd_ablate(config: RunConfig, seed: int, outdir: str) -> list[str]:
-    """Train and evaluate one cell per feature setting, then one per swept
-    value of the alignment weight, prompt length, and anchor count."""
+def ablation_cells(config: RunConfig) -> list[tuple[str, RunConfig]]:
+    """One named config per feature setting, then one per swept value of the
+    alignment weight, prompt length, and anchor count. Each is validated as
+    it is built, so an invalid sweep value raises ``ConfigError`` here."""
     cells: list[tuple[str, RunConfig]] = []
     for name, overrides in ABLATION_SETTINGS:
         cells.append((name, config.override(overrides)))
@@ -282,7 +283,12 @@ def cmd_ablate(config: RunConfig, seed: int, outdir: str) -> list[str]:
     for count in config["ablate.anchor_counts"]:
         cells.append((f"anchors={count}",
                       config.override({"prompt.anchors": count})))
+    return cells
 
+
+def cmd_ablate(cells: list[tuple[str, RunConfig]], seed: int,
+               outdir: str) -> list[str]:
+    """Train and evaluate every cell of ``ablation_cells``."""
     rows = []
     for name, cell_config in cells:
         pipeline = build_pipeline(cell_config, seed)
@@ -346,6 +352,8 @@ def run(command: str, config: RunConfig, seed: int, outdir: str,
     if command not in COMMANDS:
         raise HarnessError(f"unknown command {command!r}; expected one of "
                            f"{COMMANDS}")
+    # every configuration is built and validated before any output exists
+    cells = ablation_cells(config) if command == "ablate" else None
     os.makedirs(outdir, exist_ok=True)
     if command == "gen-data":
         return cmd_gen_data(config, seed, outdir)
@@ -356,5 +364,5 @@ def run(command: str, config: RunConfig, seed: int, outdir: str,
     if command == "forecast":
         return cmd_forecast(config, seed, outdir, checkpoint)
     if command == "ablate":
-        return cmd_ablate(config, seed, outdir)
+        return cmd_ablate(cells, seed, outdir)
     return cmd_export_embeddings(config, seed, outdir, checkpoint)

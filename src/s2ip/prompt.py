@@ -202,9 +202,28 @@ def prefix_concat(selected_anchors: Tensor, ts_embed: Tensor) -> Tensor:
     return ad.concat([selected_anchors, ts_embed], axis=-2)
 
 
-def _norms(rows: Tensor) -> Tensor:
-    """Differentiable L2 norm over the last axis, kept as a size-1 axis."""
-    return ad.sqrt(ad.tsum(ad.mul(rows, rows), axis=-1, keepdims=True))
+def _norms(rows: Tensor) -> tuple[Tensor, np.ndarray | None]:
+    """Differentiable L2 norm over the last axis, kept as a size-1 axis, and
+    the mask of rows whose norm is below ``DEGENERATE_NORM`` (None when no
+    row is). A degenerate row's norm reads 1, so dividing by it and its
+    gradient stay finite."""
+    squares = ad.tsum(ad.mul(rows, rows), axis=-1, keepdims=True)
+    flat = np.sqrt(squares.data) < DEGENERATE_NORM
+    if not flat.any():
+        return ad.sqrt(squares), None
+    return ad.sqrt(ad.add(squares, flat.astype(np.float64))), flat
+
+
+def _zero_degenerate(cosines: Tensor, *flats) -> Tensor:
+    """Force to 0 (with a zero gradient) every cosine whose row or anchor is
+    degenerate, as ``score_all`` does; ``flats`` broadcast to the cosines."""
+    flats = [flat for flat in flats if flat is not None]
+    if not flats:
+        return cosines
+    keep = np.ones(cosines.shape, dtype=bool)
+    for flat in flats:
+        keep &= ~flat
+    return ad.mul(cosines, keep.astype(np.float64))
 
 
 def alignment_term(ts_embed: Tensor, selection, bank: AnchorBank,
@@ -216,7 +235,9 @@ def alignment_term(ts_embed: Tensor, selection, bank: AnchorBank,
     (the result is a scalar), or a ``(B, N_P, D)`` batch with one selection
     per window (the result has shape ``(B,)``). Gradients flow into the
     window embeddings and the anchor map, never into the discrete index
-    choice. Each value is bounded in [-K, K]. A pre-derived ``anchors``
+    choice. Each value is bounded in [-K, K]. As in ``score_all``, a pooled
+    embedding, patch row or anchor of (numerically) zero norm contributes a
+    cosine of 0, with a finite gradient. A pre-derived ``anchors``
     tensor may be passed to share one derivation across a step.
     """
     single = ts_embed.ndim == 2
@@ -231,15 +252,22 @@ def alignment_term(ts_embed: Tensor, selection, bank: AnchorBank,
     if single:
         ts_embed = ad.reshape(ts_embed, (1,) + ts_embed.shape)
     selected = ad.gather_rows(anchors, indices)                # (B, K, D)
+    anchor_norms, anchor_flat = _norms(selected)                  # (B, K, 1)
     if pooling == "mean":
         pooled = ad.tmean(ts_embed, axis=1, keepdims=True)                # (B, 1, D)
         num = ad.tsum(ad.mul(selected, pooled), axis=2, keepdims=True)   # (B, K, 1)
-        cosines = ad.div(num, ad.mul(_norms(selected), _norms(pooled)))
+        pooled_norms, pooled_flat = _norms(pooled)
+        cosines = ad.div(num, ad.mul(anchor_norms, pooled_norms))
+        cosines = _zero_degenerate(cosines, anchor_flat, pooled_flat)
         terms = ad.tsum(cosines, axis=(1, 2))
     elif pooling == "per_patch":
         num = ad.matmul(ts_embed, ad.transpose(selected, (0, 2, 1)))  # (B, N_P, K)
-        anchor_norms = ad.transpose(_norms(selected), (0, 2, 1))      # (B, 1, K)
-        cosines = ad.div(ad.div(num, _norms(ts_embed)), anchor_norms)
+        row_norms, row_flat = _norms(ts_embed)                        # (B, N_P, 1)
+        cosines = ad.div(ad.div(num, row_norms),
+                         ad.transpose(anchor_norms, (0, 2, 1)))       # (B, 1, K)
+        cosines = _zero_degenerate(
+            cosines, row_flat,
+            None if anchor_flat is None else anchor_flat.transpose(0, 2, 1))
         terms = ad.tsum(ad.tmean(cosines, axis=1), axis=1)
     else:
         raise PromptError(f"unknown pooling mode {pooling!r}")

@@ -324,6 +324,88 @@ def test_concat_gradients():
 
 
 # ---------------------------------------------------------------------------
+# GELU against the pow formula; frozen operands; leaf-only gradients
+# ---------------------------------------------------------------------------
+
+def pow_gelu(x):
+    """The GELU as first written, with ``x ** 3``; the differential oracle."""
+    return 0.5 * x * (1.0 + np.tanh(ad._GELU_SCALE
+                                    * (x + ad.GELU_CUBIC_COEFF * x ** 3)))
+
+
+def pow_gelu_derivative(x):
+    t = np.tanh(ad._GELU_SCALE * (x + ad.GELU_CUBIC_COEFF * x ** 3))
+    dinner = ad._GELU_SCALE * (1.0 + 3.0 * ad.GELU_CUBIC_COEFF * x ** 2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+
+
+def test_gelu_matches_pow_formula():
+    x = np.random.default_rng(20).normal(0.0, 3.0, size=(64, 256))
+    assert np.max(np.abs(ad.gelu(Tensor(x)).data - pow_gelu(x))) <= 1e-15
+    a = Tensor(x, requires_grad=True)
+    g = np.random.default_rng(21).normal(size=x.shape)
+    with Tape():
+        loss = ad.tsum(ad.mul(ad.gelu(a), Tensor(g)))
+    backward(loss)
+    assert np.max(np.abs(a.grad - g * pow_gelu_derivative(x))) <= 1e-14
+
+
+def test_gelu_grad_check():
+    # clipped to |x| <= 3: further out, 1 + tanh cancels to a few digits and
+    # central differences of the loss carry no usable derivative
+    x = Tensor(np.clip(np.random.default_rng(22).normal(0.0, 3.0, size=(24,)),
+                       -3.0, 3.0), requires_grad=True)
+    assert grad_check(lambda: ad.tsum(ad.gelu(x)), [x], eps=1e-5) <= 1e-6
+
+
+FROZEN_CASES = [
+    ("matmul", {"x": (2, 3, 4), "w": (4, 5)},
+     lambda t: ad.matmul(t["x"], t["w"])),
+    ("add_broadcast", {"x": (2, 3, 4), "row": (4,)},
+     lambda t: ad.add(t["x"], t["row"])),
+    ("mul_broadcast", {"row": (4,), "x": (2, 3, 4)},
+     lambda t: ad.mul(t["row"], t["x"])),
+    ("layer_norm", {"x": (2, 3, 4), "gain": (4,), "bias": (4,)},
+     lambda t: ad.layer_norm(t["x"], t["gain"], t["bias"])),
+]
+
+
+@pytest.mark.parametrize("shapes, build", [case[1:] for case in FROZEN_CASES],
+                         ids=[case[0] for case in FROZEN_CASES])
+def test_backward_fn_skips_frozen_operands(shapes, build):
+    # one operand at a time requires gradients; the node's backward_fn
+    # returns a pair for that operand only
+    rng = np.random.default_rng(23)
+    arrays = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+    for live in arrays:
+        tensors = {key: Tensor(arr, requires_grad=(key == live))
+                   for key, arr in arrays.items()}
+        with Tape() as tape:
+            out = build(tensors)
+        (node,) = tape.nodes
+        pairs = node.backward_fn(np.ones_like(out.data))
+        assert [t for t, _ in pairs] == [tensors[live]], live
+        assert pairs[0][1].shape == tensors[live].shape
+
+
+def test_backward_writes_grad_only_into_leaves():
+    rng = np.random.default_rng(24)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    gain = Tensor(np.ones(3), requires_grad=True)
+    frozen = Tensor(rng.normal(size=(3,)))
+    x = Tensor(rng.normal(size=(5, 4)))
+    with Tape():
+        h = ad.matmul(x, w)
+        z = ad.gelu(ad.layer_norm(h, gain, frozen))
+        loss = ad.tmean(ad.mul(z, z))
+    backward(loss)
+    assert w.grad is not None and gain.grad is not None
+    assert frozen.grad is None and x.grad is None
+    for intermediate in (h, z, loss):
+        assert intermediate.requires_grad and intermediate.grad is None
+
+
+# ---------------------------------------------------------------------------
 # grad_check
 # ---------------------------------------------------------------------------
 

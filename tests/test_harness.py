@@ -193,6 +193,19 @@ def test_cross_key_config_error_exit_code(tmp_path, line, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep", [{"ablate.anchor_counts": "4,40"},
+                                   {"ablate.ks": "9"}])
+def test_invalid_ablation_cell_exits_2_before_io(tmp_path, sweep, capsys):
+    # 40 anchors exceed prompt.vocab_size // 2 = 25; k = 9 exceeds the 8
+    # anchors; either cell is rejected before the output directory exists
+    cfg = tiny_config_file(tmp_path, {"train.epochs": "1", **sweep})
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--config", cfg, "--seed", "0",
+                 "--out", str(out)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_emits_feature_rows(tmp_path):
     cfg = tiny_config_file(tmp_path, {"train.epochs": "1"})
     out = tmp_path / "ablate"

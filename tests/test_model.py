@@ -251,6 +251,35 @@ def test_loss_differentiable_end_to_end():
     assert err <= 1e-4
 
 
+@pytest.mark.parametrize("pooling, nodes", [("mean", 82), ("per_patch", 83)])
+def test_step_computes_no_frozen_gradient(pooling, nodes):
+    # one training step's backward computes a gradient for no tensor that
+    # does not require one, on a tape of a fixed size
+    model = tiny_model(pooling=pooling)
+    with ad.Tape() as tape:
+        loss = model.joint_loss(make_batch(model, 4, seed=12))
+    assert len(tape.nodes) == nodes
+    targets = []
+
+    def spy(fn):
+        def backward_fn(g):
+            pairs = fn(g)
+            targets.extend(tensor for tensor, _ in pairs)
+            return pairs
+        return backward_fn
+
+    for node in tape.nodes:
+        node.backward_fn = spy(node.backward_fn)
+    ad.backward(loss)
+    assert targets and all(tensor.requires_grad for tensor in targets)
+    frozen = [name for name, t in model.backbone.params.items()
+              if not t.requires_grad]
+    assert frozen and all(model.backbone.params[name].grad is None
+                          for name in frozen)
+    for _, tensor in model.named_parameters():
+        assert tensor.grad is not None
+
+
 def test_trainable_parameter_listing():
     model = tiny_model()
     names = [name for name, _ in model.named_parameters()]

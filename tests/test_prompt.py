@@ -300,6 +300,33 @@ def test_alignment_per_patch_pooling():
     assert abs(value - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("pooling", ["mean", "per_patch"])
+def test_alignment_degenerate_rows_score_zero(pooling):
+    # window 0 is all zeros, window 1 has one zero patch row, and anchor 0
+    # is zero: each such cosine is 0, as in score_all, and every gradient
+    # stays finite
+    bank = make_bank(seed=14)
+    bank.map_weights.data[0] = 0.0
+    rng = np.random.default_rng(15)
+    data = rng.normal(size=(3, 5, 4))
+    data[0] = 0.0
+    data[1, 2] = 0.0
+    ts = Tensor(data, requires_grad=True)
+    selections = [PromptSelection((0, 1, 2), (0.0, 0.0, 0.0))] * 3
+    anchors = bank.anchors()
+    scores = score_all(data, anchors, pooling=pooling)
+    expected = scores[:, :3].sum(axis=1)
+    with ad.Tape():
+        terms = alignment_term(ts, selections, bank, pooling=pooling)
+        loss = ad.tsum(terms)
+    assert np.all(np.abs(terms.data - expected) <= 1e-12)
+    assert terms.data[0] == 0.0
+    ad.backward(loss)
+    assert np.all(np.isfinite(ts.grad))
+    assert np.all(np.isfinite(bank.map_weights.grad))
+    assert np.all(ts.grad[0] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # synthetic vocabulary
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import pytest
 import s2ip.autodiff as ad
 from s2ip.autodiff import Tensor
 from s2ip.backbone import BackboneConfig
+from s2ip.config import RunConfig
+from s2ip.harness import build_model
 from s2ip.model import DecompositionConfig, ModelConfig
 from s2ip.model import ForecastModel
 from s2ip.preprocess import PatchSpec
@@ -228,6 +230,22 @@ def test_nonfinite_gradient_aborts_and_restores():
     for name, tensor in model.named_parameters():
         assert np.array_equal(tensor.data, before[name]), name
         assert tensor.grad is None
+
+
+def test_constant_window_keeps_loss_and_training_finite():
+    # a constant window embeds to the projection bias, zero at
+    # initialization, so its pooled embedding and patch rows have zero norm
+    model = build_model(RunConfig(), n_channels=1, seed=0)
+    rng = np.random.default_rng(16)
+    batch = [(0, rng.normal(size=96), rng.normal(size=24)) for _ in range(3)]
+    batch.append((0, np.full(96, 2.5), np.full(24, 2.5)))
+    with ad.Tape():
+        loss = model.joint_loss(batch)
+    assert np.isfinite(loss.item())
+    report = train(model, batch, [], TrainConfig(epochs=1, batch_size=4))
+    assert np.isfinite(report.train_losses[0])
+    for _, tensor in model.named_parameters():
+        assert np.all(np.isfinite(tensor.data))
 
 
 # ---------------------------------------------------------------------------
