@@ -11,6 +11,8 @@ shape.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from typing import BinaryIO, Callable, Sequence
 
@@ -262,12 +264,21 @@ def relu(a) -> Tensor:
 
 def gelu(a) -> Tensor:
     # the cube is x2 * x: ``x ** 3`` goes through pow, about 100x slower on
-    # an activation-sized array; the backward reuses the forward's x2 and tanh
+    # an activation-sized array; the backward reuses the forward's x2 and
+    # tanh. The forward runs in place on those two buffers plus the output,
+    # three live arrays; it rounds as 0.5 * x * (1 + tanh(s (x + c x^3)))
+    # does, since it only commutes products and scales by 0.5
     a = as_tensor(a)
     x = a.data
     x2 = x * x
-    t = np.tanh(_GELU_SCALE * (x + GELU_CUBIC_COEFF * (x2 * x)))
-    out = 0.5 * x * (1.0 + t)
+    t = x2 * x
+    t *= GELU_CUBIC_COEFF
+    t += x
+    t *= _GELU_SCALE
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def backward_fn(g):
         # g * (0.5 (1 + t) + 0.5 x (1 - t^2) dinner), evaluated in place on
@@ -590,11 +601,22 @@ def read_array(fh: BinaryIO) -> np.ndarray:
         if len(raw) != 8:
             raise IOError("truncated tensor record (dims)")
         dims.append(struct.unpack("<Q", raw)[0])
-    count = int(np.prod(dims)) if dims else 1
-    raw = fh.read(count * 8)
-    if len(raw) != count * 8:
+    # Python ints: a product of u64 dims can wrap around in int64
+    count = math.prod(dims)
+    if count * 8 > _bytes_left(fh):
         raise IOError("truncated tensor record (data)")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+    raw = fh.read(count * 8)
+    try:
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+    except ValueError as exc:  # an empty record with dims numpy cannot hold
+        raise IOError(f"invalid tensor record dims {dims}: {exc}") from exc
+
+
+def _bytes_left(fh: BinaryIO) -> int:
+    pos = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(pos)
+    return end - pos
 
 
 def write_named_array(fh: BinaryIO, name: str, arr: np.ndarray) -> None:

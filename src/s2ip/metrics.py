@@ -227,20 +227,20 @@ def evaluate_forecasts(pairs, mode: str = "long", seasonality: int = 1,
 
 def evaluate_model(model, test_windows, mode: str = "long",
                    seasonality: int = 1, dump_path=None) -> MetricReport:
-    """Forecast every test window and aggregate the metric suite; optionally
-    dump per-window rows as CSV."""
+    """Forecast every test window with one ``model.predict`` call and
+    aggregate the metric suite; optionally dump per-window rows as CSV."""
     if not test_windows:
         raise MetricError("test set is empty")
-    pairs, insamples, rows = [], [], []
-    for i, (channel, x, y) in enumerate(test_windows):
-        result = model.forward_forecast(x, channel)
-        pairs.append((y, result.forecast))
-        insamples.append(x)
-        m, a = mse_mae(y, result.forecast)
+    channels, insamples, _ = zip(*test_windows)
+    forecasts = model.predict(np.stack(insamples), channels)
+    pairs, rows = [], []
+    for i, ((channel, x, y), yhat) in enumerate(zip(test_windows, forecasts)):
+        pairs.append((y, yhat))
+        m, a = mse_mae(y, yhat)
         row = {"window_id": i, "channel": channel, "mse": m, "mae": a}
         if mode == "short":
-            row["smape"] = smape(y, result.forecast)
-            mase_val = mase(y, result.forecast, x, seasonality)
+            row["smape"] = smape(y, yhat)
+            mase_val = mase(y, yhat, x, seasonality)
             row["mase"] = "" if mase_val is None else mase_val
         rows.append(row)
     if dump_path is not None:

@@ -1,3 +1,6 @@
+import io
+import struct
+
 import numpy as np
 import pytest
 
@@ -350,6 +353,14 @@ def test_gelu_matches_pow_formula():
     assert np.max(np.abs(a.grad - g * pow_gelu_derivative(x))) <= 1e-14
 
 
+def test_gelu_in_place_forward_rounds_as_the_expression():
+    x = np.random.default_rng(23).normal(0.0, 3.0, size=(64, 256))
+    x[0, :4] = [0.0, -40.0, 40.0, 1e-300]
+    c, s = ad.GELU_CUBIC_COEFF, ad._GELU_SCALE
+    expected = 0.5 * x * (1.0 + np.tanh(s * (x + c * (x * x * x))))
+    assert np.array_equal(ad.gelu(Tensor(x)).data, expected)
+
+
 def test_gelu_grad_check():
     # clipped to |x| <= 3: further out, 1 + tanh cancels to a few digits and
     # central differences of the loss carry no usable derivative
@@ -462,6 +473,22 @@ def test_named_array_round_trip(tmp_path):
         name, back = ad.read_named_array(fh)
     assert name == "layer.0.attn.wq"
     assert np.array_equal(back, arr)
+
+
+@pytest.mark.parametrize("dims, match", [((2 ** 32, 2 ** 32), "truncated"),
+                                         ((11,), "truncated"),
+                                         ((0, 2 ** 63), "invalid")])
+def test_record_dims_past_the_stream_raise_ioerror(dims, match):
+    # (2**32, 2**32) wraps to a count of 0 in int64; (11,) asks for one value
+    # more than the 10 stored; (0, 2**63) is empty but too large for numpy
+    stream = io.BytesIO()
+    stream.write(struct.pack("<Q", len(dims)))
+    for dim in dims:
+        stream.write(struct.pack("<Q", dim))
+    stream.write(np.arange(10.0).astype("<f8").tobytes())
+    stream.seek(0)
+    with pytest.raises(IOError, match=match):
+        ad.read_array(stream)
 
 
 def test_truncated_record_raises(tmp_path):

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import s2ip.autodiff as ad
-from s2ip.autodiff import Tape, Tensor, backward
+from s2ip.autodiff import Tape, Tensor, active_tape, backward
 from s2ip.backbone import BackboneConfig
-from s2ip.model import DecompositionConfig, ForecastModel, ModelConfig
+from s2ip.model import (FORECAST_CHUNK, DecompositionConfig, ForecastModel,
+                        ModelConfig, ModelError)
 from s2ip.preprocess import PatchSpec, decompose, patch
 from s2ip.prompt import clustered_vocabulary
 from s2ip.series import WindowSpec
@@ -247,6 +248,35 @@ def test_joint_loss_and_gradients_match_per_window_reference(name):
     assert abs(value - ref_value) <= 1e-12
     for param, expected in ref_grads.items():
         assert np.max(np.abs(grads[param] - expected)) <= 1e-10, param
+
+
+@pytest.mark.parametrize("n", [1, FORECAST_CHUNK, 2 * FORECAST_CHUNK + 3])
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_predict_matches_per_window_forecasts(name, n):
+    model = make_model(**CONFIGS[name])
+    batch = make_batch(n, seed=4)
+    forecasts = model.predict(np.stack([x for _, x, _ in batch]),
+                              [channel for channel, _, _ in batch])
+    assert forecasts.shape == (n, model.config.window.horizon)
+    for row, (channel, x, _) in zip(forecasts, batch):
+        expected = model.forward_forecast(x, channel).forecast
+        assert np.max(np.abs(row - expected)) <= 1e-12
+
+
+def test_predict_runs_tape_free_chunks():
+    model = make_model()
+    batch = make_batch(2 * FORECAST_CHUNK + 3, seed=5)
+    x = np.stack([x for _, x, _ in batch])
+    passes, forward = [], model.forward
+    model.forward = lambda *args: passes.append(forward(*args)) or passes[-1]
+    model.predict(x, [channel for channel, _, _ in batch])
+    assert [p.forecast.shape[0] for p in passes] == [FORECAST_CHUNK,
+                                                     FORECAST_CHUNK, 3]
+    assert all(p.forecast.tape is None and not p.forecast.requires_grad
+               for p in passes)
+    assert active_tape() is None
+    with pytest.raises(ModelError, match="one channel per window"):
+        model.predict(x, [0] * (len(batch) + 1))
 
 
 def tape_nodes(model, batch):

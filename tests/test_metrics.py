@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from s2ip.backbone import BackboneConfig
 from s2ip.metrics import (MetricError, evaluate_forecasts, evaluate_model,
                           mape, mase, mse_mae, naive2_forecast, owa,
                           seasonality_test, smape)
+from s2ip.model import DecompositionConfig, ForecastModel, ModelConfig
+from s2ip.preprocess import PatchSpec
+from s2ip.prompt import clustered_vocabulary
+from s2ip.series import WindowSpec
 
 
 def oracle_naive2_seasonal(insample, s, horizon):
@@ -185,13 +190,9 @@ class OracleModel:
     def __init__(self, lookup):
         self.lookup = lookup
 
-    def forward_forecast(self, x, channel):
-        class Result:
-            pass
-
-        result = Result()
-        result.forecast = self.lookup(x, channel)
-        return result
+    def predict(self, x, channels):
+        return np.stack([self.lookup(row, channel)
+                         for row, channel in zip(x, channels)])
 
 
 def test_evaluate_oracle_model_is_zero():
@@ -260,3 +261,52 @@ def test_evaluate_dump_matches_recomputation(tmp_path):
 def test_evaluate_empty_rejected():
     with pytest.raises(MetricError):
         evaluate_model(OracleModel(lambda x, c: x), [], mode="long")
+
+
+def tiny_real_model():
+    config = ModelConfig(window=WindowSpec(32, 8), patch=PatchSpec(8, 4),
+                         decomposition=DecompositionConfig(period=8,
+                                                           trend_window=9),
+                         backbone=BackboneConfig(embed_dim=16, n_layers=1,
+                                                 n_heads=2, max_seq_len=16),
+                         prompt_k=2, n_anchors=8, n_channels=2)
+    return ForecastModel(config, clustered_vocabulary(50, 16, seed=0), seed=0)
+
+
+@pytest.mark.parametrize("mode", ["long", "short"])
+def test_evaluate_real_model_matches_per_window_forecasts(tmp_path, mode):
+    import csv
+
+    model = tiny_real_model()
+    rng = np.random.default_rng(6)
+    t = np.arange(40.0)
+    windows = []
+    for i in range(19):  # two full chunks of 8 and a short one
+        series = 10.0 + np.sin(2 * np.pi * t / 8 + i) + rng.normal(0, 0.2, 40)
+        windows.append((i % 2, series[:32], series[32:]))
+    dump = tmp_path / "per_window.csv"
+    report = evaluate_model(model, windows, mode=mode, seasonality=8,
+                            dump_path=dump)
+
+    forecasts = [model.forward_forecast(x, c).forecast for c, x, _ in windows]
+    pairs = [(y, f) for (_, _, y), f in zip(windows, forecasts)]
+    expected = evaluate_forecasts(pairs, mode=mode, seasonality=8,
+                                  insamples=[x for _, x, _ in windows])
+    for key, value in expected.as_row().items():
+        got = report.as_row()[key]
+        if value is None:
+            assert got is None, key
+        else:
+            assert abs(got - value) <= 1e-12, key
+
+    with open(dump, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(windows)
+    for i, (row, (channel, x, y), f) in enumerate(zip(rows, windows, forecasts)):
+        assert int(row["window_id"]) == i and int(row["channel"]) == channel
+        m, a = mse_mae(y, f)
+        assert abs(float(row["mse"]) - m) <= 1e-12
+        assert abs(float(row["mae"]) - a) <= 1e-12
+        if mode == "short":
+            assert abs(float(row["smape"]) - smape(y, f)) <= 1e-12
+            assert abs(float(row["mase"]) - mase(y, f, x, 8)) <= 1e-12

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,20 @@ def test_checkpoint_truncated(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     path.write_bytes(path.read_bytes()[:-100])
+    with pytest.raises(TrainingError, match="truncated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (2,)])
+def test_checkpoint_record_past_the_end_is_truncated(tmp_path, dims):
+    # a trailing record whose dims claim more data than the file holds: one
+    # whose count wraps to 0 in int64, and one a single value short
+    model = tiny_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    record = struct.pack("<Q", 5) + b"extra" + struct.pack("<Q", len(dims))
+    record += b"".join(struct.pack("<Q", dim) for dim in dims)
+    path.write_bytes(path.read_bytes() + record + struct.pack("<d", 1.0))
     with pytest.raises(TrainingError, match="truncated"):
         load_checkpoint(path)
 
