@@ -2,7 +2,7 @@
 prompts over a frozen miniature transformer."""
 
 from .autodiff import Tape, Tensor, backward, grad_check
-from .backbone import Backbone, BackboneConfig, TrainabilityPolicy, default_policy
+from .backbone import Backbone, BackboneConfig, TrainabilityPolicy
 from .metrics import MetricReport, evaluate_model
 from .model import DecompositionConfig, ForecastModel, ModelConfig
 from .preprocess import (DecompositionResult, PatchSpec, RevInState, decompose,

@@ -105,9 +105,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -245,21 +242,8 @@ def neg(a) -> Tensor:
     return _unary("neg", a, lambda x: -x, lambda g, x, o: -g)
 
 
-def exp(a) -> Tensor:
-    return _unary("exp", a, np.exp, lambda g, x, o: g * o)
-
-
 def sqrt(a) -> Tensor:
     return _unary("sqrt", a, np.sqrt, lambda g, x, o: g * 0.5 / o)
-
-
-def tanh(a) -> Tensor:
-    return _unary("tanh", a, np.tanh, lambda g, x, o: g * (1.0 - o * o))
-
-
-def relu(a) -> Tensor:
-    return _unary("relu", a, lambda x: np.maximum(x, 0.0),
-                  lambda g, x, o: g * (x > 0.0))
 
 
 def gelu(a) -> Tensor:
@@ -631,7 +615,10 @@ def read_named_array(fh: BinaryIO) -> tuple[str, np.ndarray]:
     if len(raw) != 8:
         raise IOError("truncated named record (name length)")
     n = struct.unpack("<Q", raw)[0]
-    raw = fh.read(n)
-    if len(raw) != n:
+    if n > _bytes_left(fh):
         raise IOError("truncated named record (name)")
-    return raw.decode("utf-8"), read_array(fh)
+    try:
+        name = fh.read(n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IOError(f"named record name is not UTF-8: {exc}") from exc
+    return name, read_array(fh)

@@ -7,7 +7,6 @@ under the default policy; attention and feed-forward weights stay at their
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ class BackboneConfig:
     n_heads: int = 4
     max_seq_len: int = 128
     ffn_mult: int = 4
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.embed_dim < 1 or self.n_layers < 1 or self.n_heads < 1:
@@ -41,8 +39,6 @@ class BackboneConfig:
             raise BackboneError("max_seq_len must be positive")
         if self.ffn_mult < 1:
             raise BackboneError("ffn_mult must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise BackboneError("dropout must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -55,23 +51,15 @@ class TrainabilityPolicy:
     ffn: bool = False
 
 
-def default_policy() -> TrainabilityPolicy:
-    """Positional embeddings and layer norms train; everything else stays frozen."""
-    return TrainabilityPolicy(True, True, False, False)
-
-
 class Backbone:
     """Stack of pre-norm blocks (causal multi-head attention, then a GELU
     feed-forward), with learned positional embeddings and a final layer norm."""
 
-    def __init__(self, config: BackboneConfig, seed: int = 0,
-                 weights_path=None):
+    def __init__(self, config: BackboneConfig, seed: int = 0):
         self.config = config
         self.params: dict[str, Tensor] = {}
         self._masks: dict[int, Tensor] = {}
         self._init_params(np.random.default_rng(seed))
-        if weights_path is not None:
-            self.load_weights(weights_path)
 
     def _init_params(self, rng: np.random.Generator) -> None:
         cfg = self.config
@@ -97,33 +85,6 @@ class Backbone:
             self.params[f"{p}.ffn.b2"] = Tensor(np.zeros(d))
         self.params["final_ln.gain"] = Tensor(np.ones(d))
         self.params["final_ln.bias"] = Tensor(np.zeros(d))
-
-    # -- persistence --------------------------------------------------------
-
-    def save_weights(self, path) -> None:
-        with open(path, "wb") as fh:
-            for name in sorted(self.params):
-                ad.write_named_array(fh, name, self.params[name].data)
-
-    def load_weights(self, path) -> None:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        loaded: dict[str, np.ndarray] = {}
-        stream = io.BytesIO(blob)
-        while stream.tell() < len(blob):
-            name, arr = ad.read_named_array(stream)
-            loaded[name] = arr
-        missing = sorted(set(self.params) - set(loaded))
-        if missing:
-            raise BackboneError(f"weight file is missing tensors: {missing}")
-        for name, arr in loaded.items():
-            if name not in self.params:
-                raise BackboneError(f"unexpected tensor {name!r} in weight file")
-            if arr.shape != self.params[name].shape:
-                raise BackboneError(
-                    f"shape mismatch for {name!r}: file has {arr.shape}, "
-                    f"model expects {self.params[name].shape}")
-            self.params[name].data = np.ascontiguousarray(arr)
 
     # -- trainability -------------------------------------------------------
 
@@ -202,13 +163,3 @@ class Backbone:
 
         return ad.layer_norm(x, self.params["final_ln.gain"],
                              self.params["final_ln.bias"])
-
-
-def parameter_count(config: BackboneConfig) -> int:
-    """Closed-form parameter total: per layer 4D^2+4D attention, 8D^2+5D
-    feed-forward (hidden = 4D), 4D layer norms; plus the final norm and the
-    positional table."""
-    d = config.embed_dim
-    hidden = config.ffn_mult * d
-    per_layer = (4 * d * d + 4 * d) + (2 * d * hidden + hidden + d) + 4 * d
-    return config.n_layers * per_layer + 2 * d + config.max_seq_len * d

@@ -85,7 +85,6 @@ SCHEMA: dict[str, tuple[str, object, object]] = {
     "backbone.heads": ("int", 4, _positive_int),
     "backbone.ffn_mult": ("int", 4, _positive_int),
     "backbone.max_seq_len": ("int", 128, _positive_int),
-    "backbone.dropout": ("float", 0.0, _fraction),
     "backbone.train_positional": ("bool", True, _no_check),
     "backbone.train_layer_norms": ("bool", True, _no_check),
     "backbone.train_attention": ("bool", False, _no_check),
@@ -203,8 +202,7 @@ class RunConfig:
                               n_layers=self.values["backbone.layers"],
                               n_heads=self.values["backbone.heads"],
                               max_seq_len=self.values["backbone.max_seq_len"],
-                              ffn_mult=self.values["backbone.ffn_mult"],
-                              dropout=self.values["backbone.dropout"])
+                              ffn_mult=self.values["backbone.ffn_mult"])
 
     def policy(self) -> TrainabilityPolicy:
         return TrainabilityPolicy(

@@ -16,13 +16,14 @@ policy allows (positional embeddings and layer norms by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import Backbone, BackboneConfig, TrainabilityPolicy, default_policy
+from .backbone import Backbone, BackboneConfig, TrainabilityPolicy
 from .preprocess import (DEFAULT_EPSILON, PatchSpec, RevInState, decompose,
                          patch, patch_count)
 from .prompt import (AnchorBank, EmbeddingMatrix, PromptSelection,
@@ -34,6 +35,9 @@ from .series import WindowSpec
 # the batching speed-up; 16 ran ~15% faster but added ~2.6 MiB (~5%) to the
 # peak RSS of the evaluation benchmark, at its 5% bound
 FORECAST_CHUNK = 8
+
+# checkpoint header keys of older S2IP1 writers -> the dotted field name now
+_HEADER_ALIASES = {"patch.length": "patch.patch_length"}
 
 
 class ModelError(ValueError):
@@ -65,7 +69,6 @@ class ModelConfig:
     include_prompt_in_output: bool = False
     pooling: str = "mean"
     n_channels: int = 1
-    revin_epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         if self.prompt_k < 0:
@@ -81,8 +84,6 @@ class ModelConfig:
             raise ModelError(f"unknown pooling mode {self.pooling!r}")
         if self.n_channels < 1:
             raise ModelError("n_channels must be positive")
-        if self.revin_epsilon <= 0:
-            raise ModelError("revin_epsilon must be positive")
         if self.patch.patch_length > self.window.lookback:
             raise ModelError(f"patch_length {self.patch.patch_length} exceeds "
                              f"lookback {self.window.lookback}")
@@ -123,59 +124,47 @@ class ModelConfig:
         return positions * self.backbone.embed_dim
 
     def to_dict(self) -> dict:
-        return {
-            "window.lookback": self.window.lookback,
-            "window.horizon": self.window.horizon,
-            "window.stride": self.window.stride,
-            "patch.length": self.patch.patch_length,
-            "patch.stride": self.patch.stride,
-            "decomposition.enabled": self.decomposition.enabled,
-            "decomposition.period": self.decomposition.period,
-            "decomposition.trend_window": self.decomposition.trend_window,
-            "decomposition.method": self.decomposition.method,
-            "decomposition.stl_inner": self.decomposition.stl_inner,
-            "backbone.embed_dim": self.backbone.embed_dim,
-            "backbone.n_layers": self.backbone.n_layers,
-            "backbone.n_heads": self.backbone.n_heads,
-            "backbone.max_seq_len": self.backbone.max_seq_len,
-            "backbone.ffn_mult": self.backbone.ffn_mult,
-            "backbone.dropout": self.backbone.dropout,
-            "prompt_k": self.prompt_k,
-            "n_anchors": self.n_anchors,
-            "alignment_weight": self.alignment_weight,
-            "include_prompt_in_output": self.include_prompt_in_output,
-            "pooling": self.pooling,
-            "n_channels": self.n_channels,
-            "revin_epsilon": self.revin_epsilon,
-        }
+        """The checkpoint header: every field under its dotted name, with
+        the nested config dataclasses flattened (``window.lookback``)."""
+        return _flatten(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            window=WindowSpec(int(d["window.lookback"]), int(d["window.horizon"]),
-                              int(d["window.stride"])),
-            patch=PatchSpec(int(d["patch.length"]), int(d["patch.stride"])),
-            decomposition=DecompositionConfig(
-                enabled=bool(d["decomposition.enabled"]),
-                period=int(d["decomposition.period"]),
-                trend_window=int(d["decomposition.trend_window"]),
-                method=str(d["decomposition.method"]),
-                stl_inner=int(d["decomposition.stl_inner"])),
-            backbone=BackboneConfig(
-                embed_dim=int(d["backbone.embed_dim"]),
-                n_layers=int(d["backbone.n_layers"]),
-                n_heads=int(d["backbone.n_heads"]),
-                max_seq_len=int(d["backbone.max_seq_len"]),
-                ffn_mult=int(d["backbone.ffn_mult"]),
-                dropout=float(d["backbone.dropout"])),
-            prompt_k=int(d["prompt_k"]),
-            n_anchors=int(d["n_anchors"]),
-            alignment_weight=float(d["alignment_weight"]),
-            include_prompt_in_output=bool(d["include_prompt_in_output"]),
-            pooling=str(d["pooling"]),
-            n_channels=int(d["n_channels"]),
-            revin_epsilon=float(d["revin_epsilon"]),
-        )
+        """Rebuild a config from :meth:`to_dict`'s header, checking each
+        value's type. Keys the config no longer has are ignored, so older
+        S2IP1 headers load; their ``patch.length`` is read as
+        ``patch.patch_length``."""
+        if not isinstance(d, dict):
+            raise ModelError(f"expected a JSON object, got {type(d).__name__}")
+        d = {_HEADER_ALIASES.get(key, key): value for key, value in d.items()}
+        return _build(cls, d, "")
+
+
+def _flatten(obj, prefix: str = "") -> dict:
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            out.update(_flatten(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
+
+
+def _build(cls, d: dict, prefix: str):
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        key, kind = prefix + f.name, hints[f.name]
+        if is_dataclass(kind):
+            kwargs[f.name] = _build(kind, d, key + ".")
+            continue
+        value = d[key]
+        # an int is a valid float; a bool is not a valid int
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise ModelError(f"{key}: expected {kind.__name__}, got {value!r}")
+        kwargs[f.name] = kind(value)
+    return cls(**kwargs)
 
 
 @dataclass
@@ -210,7 +199,7 @@ class ForecastModel:
                              f"{config.backbone.embed_dim}")
         self.config = config
         self.embedding = embedding
-        self.policy = policy if policy is not None else default_policy()
+        self.policy = policy if policy is not None else TrainabilityPolicy()
         rng = np.random.default_rng(seed)
         self.backbone = Backbone(config.backbone, seed=int(rng.integers(2 ** 31)))
         self._backbone_trainable = self.backbone.apply_policy(self.policy)
@@ -305,7 +294,7 @@ class ForecastModel:
         state = RevInState(mean=x.mean(axis=1), variance=x.var(axis=1),
                            gamma=self.params["revin.gamma"].data[channels],
                            beta=self.params["revin.beta"].data[channels],
-                           epsilon=cfg.revin_epsilon)
+                           epsilon=DEFAULT_EPSILON)
         z = (x - state.mean[:, None]) / state.scale[:, None]
 
         lp = cfg.patch.patch_length

@@ -78,9 +78,6 @@ class DecompositionResult:
     trend: np.ndarray
     seasonal: np.ndarray
     residual: np.ndarray
-    period: int
-    trend_window: int
-    method: str
 
 
 def _validate_decomposition_args(n: int, period: int, trend_window: int) -> None:
@@ -139,8 +136,7 @@ def classical_decompose(x: np.ndarray, period: int, trend_window: int
     phase_means -= phase_means.mean(axis=-1, keepdims=True)
     seasonal = phase_means[..., phases]
     residual = x - trend - seasonal
-    return DecompositionResult(trend, seasonal, residual, period, trend_window,
-                               "classical")
+    return DecompositionResult(trend, seasonal, residual)
 
 
 def _tricube(dist: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -248,8 +244,7 @@ def stl_decompose(x: np.ndarray, period: int, trend_window: int,
         trend = _loess_batch(rows - seasonal, trend_window)
     residual = rows - trend - seasonal
     return DecompositionResult(trend.reshape(x.shape), seasonal.reshape(x.shape),
-                               residual.reshape(x.shape), period, trend_window,
-                               "stl")
+                               residual.reshape(x.shape))
 
 
 def decompose(x: np.ndarray, period: int, trend_window: int,

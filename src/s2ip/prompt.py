@@ -29,11 +29,6 @@ def degenerate_score_events() -> int:
     return _degenerate_events
 
 
-def reset_degenerate_score_events() -> None:
-    global _degenerate_events
-    _degenerate_events = 0
-
-
 class PromptError(ValueError):
     pass
 

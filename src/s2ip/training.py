@@ -17,6 +17,9 @@ from .model import ForecastModel, ModelConfig
 from .prompt import EmbeddingMatrix
 
 CHECKPOINT_MAGIC = b"S2IP1\n"
+# Adam's moment decay rates and the guard added to the update's denominator
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -30,8 +33,6 @@ class TrainConfig:
     batch_size: int = 32
     early_stop_patience: int = 5
     seed: int = 0
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     clip_norm: float = 1.0  # 0 disables clipping
 
     def __post_init__(self):
@@ -90,7 +91,7 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
         if g is not None and not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for {name!r} "
                                 f"(norm {float(np.linalg.norm(g))})")
-    b1, b2 = config.adam_betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     for name, tensor in named_params:
@@ -102,7 +103,7 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
         tensor.data = tensor.data - config.learning_rate * m_hat / (
-            np.sqrt(v_hat) + config.adam_eps)
+            np.sqrt(v_hat) + ADAM_EPS)
         tensor.grad = None
 
 
@@ -229,9 +230,11 @@ def load_checkpoint(path) -> ForecastModel:
     try:
         while stream.tell() < len(blob):
             name, arr = ad.read_named_array(stream)
+            if name in arrays:
+                raise TrainingError(f"{path}: duplicate tensor {name!r}")
             arrays[name] = arr
     except IOError as exc:
-        raise TrainingError(f"{path}: truncated checkpoint: {exc}") from exc
+        raise TrainingError(f"{path}: corrupt checkpoint: {exc}") from exc
 
     if "embedding.values" not in arrays:
         raise TrainingError(f"{path}: checkpoint lacks the embedding matrix")

@@ -15,7 +15,7 @@ from s2ip.autodiff import Tape, Tensor, active_tape, backward
 from s2ip.backbone import BackboneConfig
 from s2ip.model import (FORECAST_CHUNK, DecompositionConfig, ForecastModel,
                         ModelConfig, ModelError)
-from s2ip.preprocess import PatchSpec, decompose, patch
+from s2ip.preprocess import DEFAULT_EPSILON, PatchSpec, decompose, patch
 from s2ip.prompt import clustered_vocabulary
 from s2ip.series import WindowSpec
 
@@ -29,7 +29,7 @@ DEGENERATE_NORM = 1e-12
 def ref_tokenize(model, x, channel):
     cfg = model.config
     mean, var = float(x.mean()), float(x.var())
-    scale = float(np.sqrt(var + cfg.revin_epsilon))
+    scale = float(np.sqrt(var + DEFAULT_EPSILON))
     gamma = ad.gather_rows(model.params["revin.gamma"], [channel])
     beta = ad.gather_rows(model.params["revin.beta"], [channel])
     z = (x - mean) / scale

@@ -1,13 +1,19 @@
 import csv
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from s2ip.autodiff import read_named_array
+from s2ip.backbone import TrainabilityPolicy
 from s2ip.cli import main
-from s2ip.config import (ConfigError, RunConfig, parse_config,
+from s2ip.config import (SCHEMA, ConfigError, RunConfig, parse_config,
                          parse_config_text, serialize_config)
 from s2ip.harness import synthetic_frame
+from s2ip.model import ModelConfig
+from s2ip.series import SplitSpec
+from s2ip.training import TrainConfig
 
 TINY = """
 synthetic.length = 200
@@ -62,6 +68,26 @@ def test_empty_config_is_all_defaults(tmp_path):
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="window.lookbak"):
         parse_config_text("window.lookbak = 96")
+
+
+def test_schema_defaults_match_dataclass_defaults():
+    config = RunConfig()
+    assert config.model_config(1) == ModelConfig()
+    assert config.train_config() == TrainConfig()
+    assert config.policy() == TrainabilityPolicy()
+    assert config.split_spec() == SplitSpec()
+
+
+def test_readme_config_table_lists_exactly_the_schema_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            keys.update(line.split("|")[1].replace("`", "").replace(" ", "")
+                        .split("/"))
+    assert keys == set(SCHEMA)
 
 
 def test_negative_prompt_k_rejected():
@@ -177,6 +203,14 @@ def test_invalid_config_exit_code(tmp_path):
     path.write_text("prompt.k = -1\n", encoding="utf-8")
     assert main(["train", "--config", path.as_posix(),
                  "--out", str(tmp_path / "x")]) == 2
+
+
+def test_removed_dropout_key_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("backbone.dropout = 0.0\n", encoding="utf-8")
+    assert main(["train", "--config", path.as_posix(),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "unknown configuration key 'backbone.dropout'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["decomposition.period = 60",
@@ -332,6 +366,17 @@ def test_embedding_file_interface(tmp_path):
         write_named_array(fh, "wrong_name", emb)
     from s2ip.harness import HarnessError
     with pytest.raises(HarnessError, match="'E'"):
+        load_embedding(config, seed=0)
+
+
+def test_embedding_file_with_huge_name_length_raises_ioerror(tmp_path):
+    from s2ip.harness import load_embedding
+
+    path = tmp_path / "vocab.tensor"
+    path.write_bytes(struct.pack("<Q", 2 ** 62) + b"E" + bytes(64))
+    config = RunConfig({"prompt.embedding_path": str(path),
+                        "backbone.embed_dim": 16})
+    with pytest.raises(IOError, match="truncated named record"):
         load_embedding(config, seed=0)
 
 

@@ -5,7 +5,7 @@ import s2ip.autodiff as ad
 from s2ip.backbone import BackboneConfig
 from s2ip.autodiff import Tensor
 from s2ip.model import DecompositionConfig, ForecastModel, ModelConfig, ModelError
-from s2ip.preprocess import PatchSpec
+from s2ip.preprocess import DEFAULT_EPSILON, PatchSpec
 from s2ip.prompt import clustered_vocabulary, score_all
 from s2ip.series import WindowSpec
 
@@ -76,6 +76,12 @@ def test_config_round_trips_through_dict():
     assert ModelConfig.from_dict(config.to_dict()) == config
 
 
+def test_config_from_dict_takes_an_int_for_a_float():
+    header = {**tiny_config().to_dict(), "alignment_weight": 1}
+    weight = ModelConfig.from_dict(header).alignment_weight
+    assert weight == 1.0 and type(weight) is float
+
+
 # ---------------------------------------------------------------------------
 # tokenization
 # ---------------------------------------------------------------------------
@@ -122,10 +128,11 @@ def test_tokenize_rejects_wrong_length():
         model.forward_forecast(np.zeros(31), 0)
 
 
-def test_normalized_embedding_invariant_to_affine_input():
+def test_normalized_embedding_invariant_to_affine_input(monkeypatch):
     # (a x + b) has identical z-scores for a > 0 (up to the normalization
     # epsilon, so use a tiny one here); retrieval indices follow suit
-    model = tiny_model(revin_epsilon=1e-12)
+    monkeypatch.setattr("s2ip.model.DEFAULT_EPSILON", 1e-12)
+    model = tiny_model()
     rng = np.random.default_rng(2)
     x = rng.normal(size=32)
     base_embed, _ = model.tokenize_and_embed(x[None], [0])
@@ -320,7 +327,7 @@ def test_recombine_matches_oracle():
     rng = np.random.default_rng(12)
     model.params["revin.gamma"].data = rng.uniform(0.5, 2.0, size=2)
     model.params["revin.beta"].data = rng.normal(size=2)
-    eps = model.config.revin_epsilon
+    eps = DEFAULT_EPSILON
     for _ in range(20):
         channel = int(rng.integers(2))
         x = rng.normal(rng.normal(), rng.uniform(0.1, 4.0), size=32)
@@ -350,7 +357,7 @@ def test_tokenization_matches_direct_pipeline(method):
         x = rng.normal(size=32) * 3.0 + 1.0
 
         normalized, _ = revin_normalize(x, gamma=gamma, beta=beta,
-                                        epsilon=model.config.revin_epsilon)
+                                        epsilon=DEFAULT_EPSILON)
         dec = decompose(normalized, 8, 9, method=method)
         spec = model.config.patch
         meta = np.hstack([patch(dec.trend, spec), patch(dec.seasonal, spec),

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -13,9 +14,9 @@ from s2ip.model import ForecastModel
 from s2ip.preprocess import PatchSpec
 from s2ip.prompt import clustered_vocabulary
 from s2ip.series import WindowSpec
-from s2ip.training import (AdamState, TrainConfig, TrainingError, adam_step,
-                           clip_gradients, load_checkpoint, save_checkpoint,
-                           train)
+from s2ip.training import (ADAM_EPS, CHECKPOINT_MAGIC, AdamState, TrainConfig,
+                           TrainingError, adam_step, clip_gradients,
+                           load_checkpoint, save_checkpoint, train)
 
 
 def tiny_model(seed=0, **overrides):
@@ -66,7 +67,7 @@ def test_adam_first_step_hand_computed():
     named = [("p", p)]
     config = TrainConfig(learning_rate=0.1)
     adam_step(named, AdamState(named), config)
-    expected = -0.1 * 1.0 / (1.0 + config.adam_eps)
+    expected = -0.1 * 1.0 / (1.0 + ADAM_EPS)
     assert p.data[0] == pytest.approx(expected, abs=1e-15)
     assert p.grad is None  # cleared afterwards
 
@@ -325,26 +326,108 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_header_tensor_mismatch(tmp_path):
-    import json
-
-    from s2ip.training import CHECKPOINT_MAGIC
-
     model = tiny_model()
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
-    blob = path.read_bytes()
     # tamper with the header: claim a different embedding width
-    header_len = int.from_bytes(blob[len(CHECKPOINT_MAGIC):
-                                     len(CHECKPOINT_MAGIC) + 8], "little")
-    start = len(CHECKPOINT_MAGIC) + 8
-    header = json.loads(blob[start:start + header_len])
+    header = read_header(path)
     header["backbone.embed_dim"] = 32
-    header["backbone.heads" if "backbone.heads" in header
-           else "backbone.n_heads"] = 2
-    new_header = json.dumps(header, sort_keys=True).encode()
-    tampered = (blob[:len(CHECKPOINT_MAGIC)]
-                + len(new_header).to_bytes(8, "little") + new_header
-                + blob[start + header_len:])
-    path.write_bytes(tampered)
+    header["backbone.n_heads"] = 2
+    write_header(path, header)
     with pytest.raises((TrainingError, ValueError)):
+        load_checkpoint(path)
+
+
+def read_header(path):
+    blob = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    size = int.from_bytes(blob[len(CHECKPOINT_MAGIC):start], "little")
+    return json.loads(blob[start:start + size])
+
+
+def write_header(path, header):
+    """Replace a checkpoint's JSON header, keeping its tensor records."""
+    blob = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    size = int.from_bytes(blob[len(CHECKPOINT_MAGIC):start], "little")
+    encoded = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + len(encoded).to_bytes(8, "little")
+                     + encoded + blob[start + size:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: [1],
+    lambda h: {**h, "window.lookback": None},
+    lambda h: {**h, "decomposition.enabled": "false"},
+    lambda h: {**h, "prompt_k": True},
+    lambda h: {**h, "pooling": 3},
+    lambda h: {k: v for k, v in h.items() if k != "n_anchors"},
+], ids=["not_an_object", "null_int", "str_bool", "bool_int", "int_str",
+        "missing_key"])
+def test_checkpoint_malformed_header_raises(tmp_path, edit):
+    model = tiny_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    write_header(path, edit(read_header(path)))
+    with pytest.raises(TrainingError, match="invalid checkpoint config"):
+        load_checkpoint(path)
+
+
+# the header as the first S2IP1 writer spelled it: 23 keys, among them
+# ``patch.length`` and two settings the model no longer has
+PARENT_HEADER = {
+    "window.lookback": 32, "window.horizon": 8, "window.stride": 1,
+    "patch.length": 8, "patch.stride": 4,
+    "decomposition.enabled": True, "decomposition.period": 8,
+    "decomposition.trend_window": 9, "decomposition.method": "classical",
+    "decomposition.stl_inner": 2,
+    "backbone.embed_dim": 16, "backbone.n_layers": 1, "backbone.n_heads": 2,
+    "backbone.max_seq_len": 16, "backbone.ffn_mult": 4,
+    "backbone.dropout": 0.0,
+    "prompt_k": 2, "n_anchors": 8, "alignment_weight": 0.01,
+    "include_prompt_in_output": False, "pooling": "mean", "n_channels": 1,
+    "revin_epsilon": 1e-05,
+}
+
+
+def test_checkpoint_with_parent_header_loads_bit_exact(tmp_path):
+    model = tiny_model(seed=5)
+    train(model, sine_windows(20, seed=6), [],
+          TrainConfig(epochs=1, batch_size=8, seed=0))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    renamed = {"patch.length": "patch.patch_length"}
+    dropped = {"backbone.dropout", "revin_epsilon"}
+    assert read_header(path) == {renamed.get(k, k): v
+                                 for k, v in PARENT_HEADER.items()
+                                 if k not in dropped}
+    write_header(path, PARENT_HEADER)
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    x = np.random.default_rng(7).normal(size=32)
+    assert np.array_equal(loaded.forward_forecast(x, 0).forecast,
+                          model.forward_forecast(x, 0).forecast)
+
+
+def test_checkpoint_duplicate_tensor_rejected(tmp_path):
+    model = tiny_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    with open(path, "ab") as fh:
+        ad.write_named_array(fh, "revin.gamma", np.array([7.0]))
+    with pytest.raises(TrainingError, match="duplicate tensor 'revin.gamma'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_tensor_name_not_utf8_is_corrupt(tmp_path):
+    model = tiny_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    blob = bytearray(path.read_bytes())
+    start = len(CHECKPOINT_MAGIC) + 8
+    first_name = start + int.from_bytes(blob[len(CHECKPOINT_MAGIC):start],
+                                        "little") + 8
+    blob[first_name] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(TrainingError, match="corrupt checkpoint"):
         load_checkpoint(path)
