@@ -1,0 +1,177 @@
+"""Alternating parent/change pairs of the benchmark, written to one JSON file.
+
+    python3 scripts/bench_pairs.py --parent HEAD --workload train \
+        --workload infer --pairs 10 --seconds 50 --first-seed 101 \
+        --traced 1 --out BENCH_6.json
+
+Run from the root of a source checkout. The *change* side is this checkout's
+working tree; the *parent* side is ``--parent``, unpacked with
+``git archive`` into a temporary directory. Pair ``i`` runs
+``python3 perfbench/run.py --workload W --seed first_seed+i --seconds S
+--trace 0`` once per side, the parent first in even pairs and the change
+first in odd ones. Each run's end-to-end metrics, correctness checks, minor
+page faults and kernel/user seconds (``getrusage(RUSAGE_CHILDREN)`` around
+the child) are recorded; per side the median and quartiles of every metric,
+and per metric the pairs the change won. ``--traced N`` adds N traced runs
+per side (``--trace 1``) with their per-layer metrics. Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD",
+                        help="git revision of the parent side (default HEAD)")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--traced", type=int, default=0,
+                        help="traced runs per side and workload")
+    parser.add_argument("--out", required=True)
+    return parser.parse_args(argv)
+
+
+def unpack(rev: str, dest: Path) -> str:
+    """Unpack ``rev`` of this repository into ``dest``; returns its hash."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
+                         cwd=ROOT, check=True, capture_output=True,
+                         text=True).stdout.strip()
+    blob = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:  # pragma: no cover - Python without extraction filters
+            tar.extractall(dest)
+    return sha
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: bool) -> dict:
+    """One benchmark run in ``checkout``, with the resources it used."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", repr(seconds),
+               "--trace", str(int(trace))]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    started = time.perf_counter()
+    proc = subprocess.run(command, cwd=checkout, capture_output=True,
+                          text=True)
+    wall = time.perf_counter() - started
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"error: {' '.join(command)} in {checkout} exited "
+                         f"{proc.returncode}:\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    env = next((json.loads(line[4:]) for line in lines
+                if line.startswith("env ")), {})
+    return {
+        "seed": seed,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "checks": [line for line in lines if line.startswith("check ")],
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "kernel_s": after.ru_stime - before.ru_stime,
+        "user_s": after.ru_utime - before.ru_utime,
+        "wall_s": wall,
+        "env": env,
+    }
+
+
+def summarize(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "iqr": q3 - q1}
+
+
+def compare(pairs: list[dict], better: dict) -> dict:
+    """Per side the spread of every metric and resource count, and per
+    metric how many pairs the change won."""
+    out = {"sides": {}, "wins": {}, "median_gap": {}}
+    names = list(better) + ["minor_faults", "kernel_s", "user_s"]
+    for side in SIDES:
+        runs = [pair[side] for pair in pairs]
+        out["sides"][side] = {
+            name: summarize([run["metrics"].get(name, run.get(name))
+                             for run in runs]) for name in names}
+    for name, direction in better.items():
+        sign = 1.0 if direction == "higher" else -1.0
+        out["wins"][name] = sum(
+            sign * (pair["change"]["metrics"][name]
+                    - pair["parent"]["metrics"][name]) > 0 for pair in pairs)
+        out["median_gap"][name] = (out["sides"]["change"][name]["median"]
+                                   - out["sides"]["parent"][name]["median"])
+    return out
+
+
+def machine() -> dict:
+    return {"platform": platform.platform(),
+            "python": platform.python_version(),
+            "cores": os.cpu_count(),
+            "cores_usable": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else None}
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    report = {"parent": None, "pairs": args.pairs, "seconds": args.seconds,
+              "machine": machine(), "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        checkouts = {"parent": Path(tmp), "change": ROOT}
+        report["parent"] = unpack(args.parent, checkouts["parent"])
+        for workload in args.workload:
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.first_seed + i
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(checkouts[side], workload, seed,
+                                          args.seconds, False)
+                    m = pair[side]["metrics"]
+                    print(f"{workload} pair {i} seed {seed} {side}: "
+                          f"windows/s {m['windows_per_s']:.1f} p50 "
+                          f"{m['latency_ms.p50']:.2f} ms faults "
+                          f"{pair[side]['minor_faults']}", file=sys.stderr)
+                pairs.append(pair)
+            entry = {"runs": pairs, "summary": compare(pairs, better)}
+            traced = {side: [] for side in SIDES}
+            for i in range(args.traced):
+                for side in SIDES:
+                    traced[side].append(run_once(
+                        checkouts[side], workload, args.first_seed + i,
+                        args.seconds, True))
+            if args.traced:
+                entry["traced"] = traced
+            report["workloads"][workload] = entry
+            # written after every workload, so a cut session keeps its pairs
+            Path(args.out).write_text(json.dumps(report, indent=1,
+                                                 sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

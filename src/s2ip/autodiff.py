@@ -11,8 +11,10 @@ shape.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
+import os
 import struct
 from typing import BinaryIO, Callable, Sequence
 
@@ -21,6 +23,38 @@ import numpy as np
 # tanh GELU approximation, cubic term coefficient
 GELU_CUBIC_COEFF = 0.044715
 _GELU_SCALE = np.sqrt(2.0 / np.pi)
+
+# glibc mallopt parameters and the values this process runs with
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20    # the dynamic threshold's 64-bit maximum
+_TRIM_THRESHOLD_BYTES = 256 << 20
+
+
+def _keep_step_buffers_on_heap() -> None:
+    """Keep freed activation and gradient buffers in glibc's heap.
+
+    A training step allocates and frees many ~1 MiB float64 arrays. Under
+    glibc's defaults such a buffer may be mmapped, or trimmed from the top of
+    the heap when freed, so the next step faults its pages in afresh.
+    Fixing the mmap threshold at 32 MiB and then raising the trim threshold
+    keeps them in the heap for reuse. The trim threshold is set only once
+    the mmap threshold is: set alone, it disables the dynamic mmap threshold
+    and every such buffer is mmapped. Outside glibc nothing is done.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+_keep_step_buffers_on_heap()
 
 
 class ShapeError(ValueError):

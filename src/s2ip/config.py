@@ -7,6 +7,7 @@ key has a documented default, so an empty file is a valid configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .backbone import BackboneConfig, BackboneError, TrainabilityPolicy
@@ -112,13 +113,20 @@ SCHEMA: dict[str, tuple[str, object, object]] = {
 }
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _parse_value(key: str, kind: str, text: str):
     text = text.strip()
     try:
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            return _finite_float(text)
         if kind == "bool":
             lowered = text.lower()
             if lowered in ("true", "1", "yes", "on"):
@@ -131,7 +139,8 @@ def _parse_value(key: str, kind: str, text: str):
         if kind == "ints":
             return [int(p) for p in text.split(",") if p.strip()] if text else []
         if kind == "floats":
-            return [float(p) for p in text.split(",") if p.strip()] if text else []
+            return ([_finite_float(p) for p in text.split(",") if p.strip()]
+                    if text else [])
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {text!r} as {kind}") from None
     raise ConfigError(f"{key}: unknown value kind {kind}")  # pragma: no cover

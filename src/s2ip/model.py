@@ -163,6 +163,9 @@ def _build(cls, d: dict, prefix: str):
         # an int is a valid float; a bool is not a valid int
         if type(value) is not kind and not (kind is float and type(value) is int):
             raise ModelError(f"{key}: expected {kind.__name__}, got {value!r}")
+        # json reads NaN and Infinity, which pass every range check
+        if kind is float and not np.isfinite(value):
+            raise ModelError(f"{key}: expected a finite float, got {value!r}")
         kwargs[f.name] = kind(value)
     return cls(**kwargs)
 

@@ -213,6 +213,22 @@ def test_removed_dropout_key_exit_code(tmp_path, capsys):
     assert "unknown configuration key 'backbone.dropout'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["model.alignment_weight = nan",
+                                  "train.learning_rate = inf",
+                                  "train.clip_norm = -inf",
+                                  "synthetic.trend_slope = NaN",
+                                  "ablate.lambdas = 0.1,inf"])
+def test_non_finite_float_exit_code(tmp_path, line, capsys):
+    # nan passes every range check (nan < 0 is false), so it is refused
+    # when the value is parsed
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["train", "--config", path.as_posix(), "--out", str(out)]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["decomposition.period = 60",
                                   "prompt.anchors = 400",
                                   "backbone.heads = 5"])

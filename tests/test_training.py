@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +256,102 @@ def test_constant_window_keeps_loss_and_training_finite():
 
 
 # ---------------------------------------------------------------------------
+# allocator setting
+# ---------------------------------------------------------------------------
+
+def _has_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+# default model, batch 32: warm-up steps, then minor page faults per step
+STEP_FAULTS_SCRIPT = """
+import resource
+import s2ip
+import numpy as np
+from s2ip.autodiff import Tape, backward
+from s2ip.config import RunConfig
+from s2ip.harness import build_model
+from s2ip.training import AdamState, adam_step, clip_gradients
+
+config = RunConfig({})
+model = build_model(config, 1, seed=0)
+train_config = config.train_config()
+named = model.named_parameters()
+state = AdamState(named)
+rng = np.random.default_rng(0)
+batch = [(0, rng.normal(size=96), rng.normal(size=24)) for _ in range(32)]
+
+def step():
+    with Tape() as tape:
+        loss = model.joint_loss(batch)
+    backward(loss)
+    tape.nodes.clear()
+    clip_gradients(named, train_config.clip_norm)
+    adam_step(named, state, train_config)
+
+for _ in range(5):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(30):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
+"""
+
+
+@pytest.mark.skipif(not _has_glibc(), reason="the setting is glibc-only")
+def test_training_step_reuses_heap_pages():
+    # with glibc's default thresholds a step faults in ~4000-5000 fresh
+    # pages, as its ~1 MiB buffers go back to the OS after every step
+    src = str(Path(ad.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", STEP_FAULTS_SCRIPT], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert float(out) < 100
+
+
+class FakeLibc:
+    """Stands in for ``ctypes.CDLL(None)``; records the mallopt calls."""
+
+    def __init__(self, mmap_result=1):
+        self.calls = []
+        self.mmap_result = mmap_result
+        self.mallopt = self
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.mmap_result if param == ad._M_MMAP_THRESHOLD else 1
+
+
+def test_allocator_setter_without_glibc_does_nothing(monkeypatch):
+    def no_glibc(name):
+        raise ValueError("unrecognized configuration name")
+
+    libc = FakeLibc()
+    monkeypatch.setattr(ad.os, "confstr", no_glibc)
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: libc)
+    ad._keep_step_buffers_on_heap()
+    assert libc.calls == []
+
+
+@pytest.mark.parametrize("mmap_result, calls", [
+    (1, [(-3, 32 << 20), (-1, 256 << 20)]),
+    (0, [(-3, 32 << 20)]),
+], ids=["both", "trim_only_after_mmap"])
+def test_allocator_setter_sets_trim_only_after_mmap(monkeypatch, mmap_result,
+                                                    calls):
+    libc = FakeLibc(mmap_result)
+    monkeypatch.setattr(ad.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: libc)
+    ad._keep_step_buffers_on_heap()
+    assert libc.calls == calls
+
+
+# ---------------------------------------------------------------------------
 # freeze soundness
 # ---------------------------------------------------------------------------
 
@@ -362,8 +462,10 @@ def write_header(path, header):
     lambda h: {**h, "prompt_k": True},
     lambda h: {**h, "pooling": 3},
     lambda h: {k: v for k, v in h.items() if k != "n_anchors"},
+    lambda h: {**h, "alignment_weight": float("nan")},
+    lambda h: {**h, "alignment_weight": float("inf")},
 ], ids=["not_an_object", "null_int", "str_bool", "bool_int", "int_str",
-        "missing_key"])
+        "missing_key", "nan_float", "inf_float"])
 def test_checkpoint_malformed_header_raises(tmp_path, edit):
     model = tiny_model()
     path = tmp_path / "model.ckpt"
