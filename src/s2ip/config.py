@@ -10,40 +10,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .backbone import BackboneConfig, BackboneError, TrainabilityPolicy
-from .model import DecompositionConfig, ModelConfig, ModelError
-from .preprocess import PatchSpec, PreprocessError
-from .series import SeriesError, SplitSpec, WindowSpec
-from .training import TrainConfig
+from .backbone import TrainabilityPolicy
+from .model import (ModelConfig, ModelError, build_dataclass,
+                    flatten_dataclass, typed_value)
+from .series import SplitSpec
+from .training import TrainConfig, TrainingError
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _positive_int(key, value):
-    if value < 1:
-        raise ConfigError(f"{key}: must be a positive integer, got {value}")
-
-
-def _nonneg_int(key, value):
-    if value < 0:
-        raise ConfigError(f"{key}: must be >= 0, got {value}")
-
-
-def _nonneg_float(key, value):
-    if value < 0:
-        raise ConfigError(f"{key}: must be >= 0, got {value}")
-
-
-def _positive_float(key, value):
-    if value <= 0:
-        raise ConfigError(f"{key}: must be > 0, got {value}")
-
-
-def _fraction(key, value):
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{key}: must lie in [0, 1], got {value}")
+def _within(low, high=math.inf):
+    def check(key, value):
+        if not low <= value <= high:
+            raise ConfigError(f"{key}: must lie in [{low}, {high}], got {value}")
+    return check
 
 
 def _choice(*options):
@@ -53,64 +35,92 @@ def _choice(*options):
     return check
 
 
-def _no_check(key, value):
-    pass
-
-
-# key -> (type tag, default, validator)
-SCHEMA: dict[str, tuple[str, object, object]] = {
-    "data.path": ("str", "", _no_check),
-    "data.forward_fill": ("bool", False, _no_check),
-    "data.standardize": ("bool", True, _no_check),
-    "synthetic.length": ("int", 2000, _positive_int),
-    "synthetic.channels": ("int", 2, _positive_int),
-    "synthetic.periods": ("ints", [24, 96], _no_check),
-    "synthetic.trend_slope": ("float", 0.01, _no_check),
-    "synthetic.noise_sigma": ("float", 0.1, _nonneg_float),
-    "split.train": ("float", 0.7, _fraction),
-    "split.val": ("float", 0.1, _fraction),
-    "split.test": ("float", 0.2, _fraction),
-    "split.few_shot": ("float", 0.0, _fraction),  # 0 disables
-    "window.lookback": ("int", 96, _positive_int),
-    "window.horizon": ("int", 24, _positive_int),
-    "window.stride": ("int", 1, _positive_int),
-    "patch.length": ("int", 16, _positive_int),
-    "patch.stride": ("int", 8, _positive_int),
-    "decomposition.enabled": ("bool", True, _no_check),
-    "decomposition.period": ("int", 24, _positive_int),
-    "decomposition.trend_window": ("int", 25, _positive_int),
-    "decomposition.method": ("str", "classical", _choice("classical", "stl")),
-    "decomposition.stl_inner": ("int", 2, _positive_int),
-    "backbone.embed_dim": ("int", 64, _positive_int),
-    "backbone.layers": ("int", 2, _positive_int),
-    "backbone.heads": ("int", 4, _positive_int),
-    "backbone.ffn_mult": ("int", 4, _positive_int),
-    "backbone.max_seq_len": ("int", 128, _positive_int),
-    "backbone.train_positional": ("bool", True, _no_check),
-    "backbone.train_layer_norms": ("bool", True, _no_check),
-    "backbone.train_attention": ("bool", False, _no_check),
-    "backbone.train_ffn": ("bool", False, _no_check),
-    "prompt.k": ("int", 4, _nonneg_int),
-    "prompt.anchors": ("int", 32, _positive_int),
-    "prompt.vocab_size": ("int", 500, _positive_int),
-    "prompt.clusters": ("int", 8, _positive_int),
-    "prompt.pooling": ("str", "mean", _choice("mean", "per_patch")),
-    "prompt.embedding_path": ("str", "", _no_check),
-    "model.alignment_weight": ("float", 0.01, _nonneg_float),
-    "model.include_prompt_in_output": ("bool", False, _no_check),
-    "train.learning_rate": ("float", 1e-3, _positive_float),
-    "train.epochs": ("int", 10, _positive_int),
-    "train.batch_size": ("int", 32, _positive_int),
-    "train.patience": ("int", 5, _nonneg_int),
-    "train.seed": ("int", 0, _nonneg_int),
-    "train.clip_norm": ("float", 1.0, _nonneg_float),
-    "eval.mode": ("str", "long", _choice("long", "short")),
-    "eval.seasonality": ("int", 1, _positive_int),
-    "ablate.lambdas": ("floats", [], _no_check),
-    "ablate.ks": ("ints", [], _no_check),
-    "ablate.anchor_counts": ("ints", [], _no_check),
-    "export.max_windows": ("int", 256, _positive_int),
+# key -> (dataclass, dotted field): the dataclass holds the key's default,
+# its type and its range check
+FIELDS: dict[str, tuple[type, str]] = {
+    "split.train": (SplitSpec, "train_fraction"),
+    "split.val": (SplitSpec, "val_fraction"),
+    "split.test": (SplitSpec, "test_fraction"),
+    "window.lookback": (ModelConfig, "window.lookback"),
+    "window.horizon": (ModelConfig, "window.horizon"),
+    "window.stride": (ModelConfig, "window.stride"),
+    "patch.length": (ModelConfig, "patch.patch_length"),
+    "patch.stride": (ModelConfig, "patch.stride"),
+    "decomposition.enabled": (ModelConfig, "decomposition.enabled"),
+    "decomposition.period": (ModelConfig, "decomposition.period"),
+    "decomposition.trend_window": (ModelConfig, "decomposition.trend_window"),
+    "decomposition.method": (ModelConfig, "decomposition.method"),
+    "decomposition.stl_inner": (ModelConfig, "decomposition.stl_inner"),
+    "backbone.embed_dim": (ModelConfig, "backbone.embed_dim"),
+    "backbone.layers": (ModelConfig, "backbone.n_layers"),
+    "backbone.heads": (ModelConfig, "backbone.n_heads"),
+    "backbone.ffn_mult": (ModelConfig, "backbone.ffn_mult"),
+    "backbone.max_seq_len": (ModelConfig, "backbone.max_seq_len"),
+    "backbone.train_positional": (TrainabilityPolicy, "positional_embedding"),
+    "backbone.train_layer_norms": (TrainabilityPolicy, "layer_norms"),
+    "backbone.train_attention": (TrainabilityPolicy, "attention"),
+    "backbone.train_ffn": (TrainabilityPolicy, "ffn"),
+    "prompt.k": (ModelConfig, "prompt_k"),
+    "prompt.anchors": (ModelConfig, "n_anchors"),
+    "prompt.pooling": (ModelConfig, "pooling"),
+    "model.alignment_weight": (ModelConfig, "alignment_weight"),
+    "model.include_prompt_in_output": (ModelConfig, "include_prompt_in_output"),
+    "train.learning_rate": (TrainConfig, "learning_rate"),
+    "train.epochs": (TrainConfig, "epochs"),
+    "train.batch_size": (TrainConfig, "batch_size"),
+    "train.patience": (TrainConfig, "early_stop_patience"),
+    "train.seed": (TrainConfig, "seed"),
+    "train.clip_norm": (TrainConfig, "clip_norm"),
 }
+
+# key -> (type tag, default, validator), for the keys no dataclass holds
+OTHER_KEYS: dict[str, tuple[str, object, object]] = {
+    "data.path": ("str", "", None),
+    "data.forward_fill": ("bool", False, None),
+    "data.standardize": ("bool", True, None),
+    "synthetic.length": ("int", 2000, _within(1)),
+    "synthetic.channels": ("int", 2, _within(1)),
+    "synthetic.periods": ("ints", [24, 96], None),
+    "synthetic.trend_slope": ("float", 0.01, None),
+    "synthetic.noise_sigma": ("float", 0.1, _within(0)),
+    "split.few_shot": ("float", 0.0, _within(0, 1)),  # 0 disables
+    "prompt.vocab_size": ("int", 500, _within(1)),
+    "prompt.clusters": ("int", 8, _within(1)),
+    "prompt.embedding_path": ("str", "", None),
+    "eval.mode": ("str", "long", _choice("long", "short")),
+    "eval.seasonality": ("int", 1, _within(1)),
+    "ablate.lambdas": ("floats", [], None),
+    "ablate.ks": ("ints", [], None),
+    "ablate.anchor_counts": ("ints", [], None),
+    "export.max_windows": ("int", 256, _within(1)),
+}
+
+_DEFAULTS = {cls: flatten_dataclass(cls())
+             for cls in {cls for cls, _ in FIELDS.values()}}
+
+
+def _tagged(default) -> tuple[str, object]:
+    return type(default).__name__, default
+
+
+# key -> (type tag, default) for every key
+SCHEMA: dict[str, tuple[str, object]] = {
+    **{key: _tagged(_DEFAULTS[cls][path]) for key, (cls, path) in FIELDS.items()},
+    **{key: spec[:2] for key, spec in OTHER_KEYS.items()},
+}
+
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _check_type(key: str, kind: str, value) -> None:
+    many = kind in ("ints", "floats")
+    if many and not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list, got {value!r}")
+    try:
+        for item in value if many else [value]:
+            typed_value(key, _TYPES[kind.removesuffix("s")], item)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _finite_float(text: str) -> float:
@@ -158,8 +168,8 @@ def _format_value(kind: str, value) -> str:
 
 @dataclass
 class RunConfig:
-    """Validated configuration values plus typed accessors for the
-    sub-systems they configure."""
+    """Validated configuration values plus the config dataclasses built
+    from them."""
 
     values: dict = field(default_factory=dict)
 
@@ -170,18 +180,20 @@ class RunConfig:
                 raise ConfigError(f"unknown configuration key {key!r}")
             merged[key] = value
         for key, value in merged.items():
-            SCHEMA[key][2](key, value)
-        total = merged["split.train"] + merged["split.val"] + merged["split.test"]
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"split.train/val/test: fractions sum to {total}, "
-                              "expected 1")
+            _check_type(key, SCHEMA[key][0], value)
+        for key, (_, _, check) in OTHER_KEYS.items():
+            if check:
+                check(key, merged[key])
         self.values = merged
-        # cross-key constraints: the model must be buildable from these
-        # values (the channel count only sizes parameters)
+        # the dataclasses check the ranges of their fields and the
+        # cross-key constraints (the channel count only sizes parameters)
         try:
             self.model_config(1)
-        except (ModelError, BackboneError, PreprocessError, SeriesError) as exc:
-            raise ConfigError(f"model configuration: {exc}") from None
+            self.train_config()
+            self.policy()
+            self.split_spec()
+        except (ValueError, TrainingError) as exc:
+            raise ConfigError(str(exc)) from None
         if not merged["prompt.embedding_path"]:
             most = merged["prompt.vocab_size"] // 2
             if merged["prompt.anchors"] > most:
@@ -192,62 +204,23 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    # -- typed views ---------------------------------------------------------
+    def _build(self, cls, **fixed):
+        d = {path: self.values[key] for key, (owner, path) in FIELDS.items()
+             if owner is cls}
+        return build_dataclass(cls, {**d, **fixed})
 
     def split_spec(self) -> SplitSpec:
-        return SplitSpec(self.values["split.train"], self.values["split.val"],
-                         self.values["split.test"])
-
-    def window_spec(self) -> WindowSpec:
-        return WindowSpec(self.values["window.lookback"],
-                          self.values["window.horizon"],
-                          self.values["window.stride"])
-
-    def patch_spec(self) -> PatchSpec:
-        return PatchSpec(self.values["patch.length"], self.values["patch.stride"])
-
-    def backbone_config(self) -> BackboneConfig:
-        return BackboneConfig(embed_dim=self.values["backbone.embed_dim"],
-                              n_layers=self.values["backbone.layers"],
-                              n_heads=self.values["backbone.heads"],
-                              max_seq_len=self.values["backbone.max_seq_len"],
-                              ffn_mult=self.values["backbone.ffn_mult"])
+        return self._build(SplitSpec)
 
     def policy(self) -> TrainabilityPolicy:
-        return TrainabilityPolicy(
-            positional_embedding=self.values["backbone.train_positional"],
-            layer_norms=self.values["backbone.train_layer_norms"],
-            attention=self.values["backbone.train_attention"],
-            ffn=self.values["backbone.train_ffn"])
-
-    def decomposition_config(self) -> DecompositionConfig:
-        return DecompositionConfig(
-            enabled=self.values["decomposition.enabled"],
-            period=self.values["decomposition.period"],
-            trend_window=self.values["decomposition.trend_window"],
-            method=self.values["decomposition.method"],
-            stl_inner=self.values["decomposition.stl_inner"])
+        return self._build(TrainabilityPolicy)
 
     def model_config(self, n_channels: int) -> ModelConfig:
-        return ModelConfig(window=self.window_spec(),
-                           patch=self.patch_spec(),
-                           decomposition=self.decomposition_config(),
-                           backbone=self.backbone_config(),
-                           prompt_k=self.values["prompt.k"],
-                           n_anchors=self.values["prompt.anchors"],
-                           alignment_weight=self.values["model.alignment_weight"],
-                           include_prompt_in_output=self.values[
-                               "model.include_prompt_in_output"],
-                           pooling=self.values["prompt.pooling"],
-                           n_channels=n_channels)
+        return self._build(ModelConfig, n_channels=n_channels)
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(learning_rate=self.values["train.learning_rate"],
-                           epochs=self.values["train.epochs"],
-                           batch_size=self.values["train.batch_size"],
-                           early_stop_patience=self.values["train.patience"],
-                           seed=self.values["train.seed"] if seed is None else seed,
-                           clip_norm=self.values["train.clip_norm"])
+        return self._build(TrainConfig,
+                           **({} if seed is None else {"seed": seed}))
 
     def override(self, items: dict) -> "RunConfig":
         """New config with the given dotted keys replaced."""

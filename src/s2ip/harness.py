@@ -91,6 +91,10 @@ def load_frame(config: RunConfig, seed: int) -> SeriesFrame:
     path = config["data.path"]
     if path:
         return load_csv(path, forward_fill=config["data.forward_fill"])
+    return _synthetic(config, seed)
+
+
+def _synthetic(config: RunConfig, seed: int) -> SeriesFrame:
     return synthetic_frame(config["synthetic.length"],
                            config["synthetic.channels"],
                            config["synthetic.periods"],
@@ -120,7 +124,7 @@ def build_pipeline(config: RunConfig, seed: int) -> Pipeline:
         train_f = standardizer.transform(train_f)
         val_f = standardizer.transform(val_f) if val_f.length else val_f
         test_f = standardizer.transform(test_f) if test_f.length else test_f
-    spec = config.window_spec()
+    spec = config.model_config(frame.n_channels).window
     split_windows = {}
     for name, frame_part in (("train", train_f), ("val", val_f),
                              ("test", test_f)):
@@ -164,14 +168,8 @@ def build_model(config: RunConfig, n_channels: int, seed: int) -> ForecastModel:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(config: RunConfig, seed: int, outdir: str) -> list[str]:
-    frame = synthetic_frame(config["synthetic.length"],
-                            config["synthetic.channels"],
-                            config["synthetic.periods"],
-                            config["synthetic.trend_slope"],
-                            config["synthetic.noise_sigma"],
-                            seed)
     path = os.path.join(outdir, "synthetic.csv")
-    write_frame_csv(frame, path)
+    write_frame_csv(_synthetic(config, seed), path)
     return [path]
 
 
@@ -201,12 +199,16 @@ def _metric_row(report, extra: dict | None = None) -> dict:
     return row
 
 
-def cmd_evaluate(config: RunConfig, seed: int, outdir: str,
-                 checkpoint: str | None = None) -> list[str]:
+def _load_model(outdir: str, checkpoint: str | None) -> ForecastModel:
     ckpt = checkpoint or os.path.join(outdir, "model.ckpt")
     if not os.path.exists(ckpt):
         raise HarnessError(f"checkpoint not found: {ckpt}")
-    model = load_checkpoint(ckpt)
+    return load_checkpoint(ckpt)
+
+
+def cmd_evaluate(config: RunConfig, seed: int, outdir: str,
+                 checkpoint: str | None = None) -> list[str]:
+    model = _load_model(outdir, checkpoint)
     pipeline = build_pipeline(config, seed)
     if not pipeline.test_windows:
         raise HarnessError("test split yields no windows")
@@ -233,10 +235,7 @@ def _next_timestamps(frame: SeriesFrame, horizon: int) -> list:
 
 def cmd_forecast(config: RunConfig, seed: int, outdir: str,
                  checkpoint: str | None = None) -> list[str]:
-    ckpt = checkpoint or os.path.join(outdir, "model.ckpt")
-    if not os.path.exists(ckpt):
-        raise HarnessError(f"checkpoint not found: {ckpt}")
-    model = load_checkpoint(ckpt)
+    model = _load_model(outdir, checkpoint)
     frame = load_frame(config, seed)
     lookback = config["window.lookback"]
     if frame.length < lookback:
@@ -317,10 +316,7 @@ def cmd_export_embeddings(config: RunConfig, seed: int, outdir: str,
                           checkpoint: str | None = None) -> list[str]:
     """Dump anchors, pooled window embeddings, and pooled prefix-prompted
     embeddings as named tensors for external projection/plotting."""
-    ckpt = checkpoint or os.path.join(outdir, "model.ckpt")
-    if not os.path.exists(ckpt):
-        raise HarnessError(f"checkpoint not found: {ckpt}")
-    model = load_checkpoint(ckpt)
+    model = _load_model(outdir, checkpoint)
     pipeline = build_pipeline(config, seed)
     selected = pipeline.test_windows[:config["export.max_windows"]]
     if not selected:

@@ -82,10 +82,10 @@ class SplitSpec:
 
     def __post_init__(self):
         for name in ("train_fraction", "val_fraction", "test_fraction"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise SeriesError(f"{name} must be nonnegative")
         total = self.train_fraction + self.val_fraction + self.test_fraction
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise SeriesError(f"split fractions sum to {total}, expected 1")
 
 

@@ -36,13 +36,18 @@ class TrainConfig:
     clip_norm: float = 1.0  # 0 disables clipping
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # written so that nan fails them
+        if not self.learning_rate > 0:
             raise TrainingError("learning_rate must be positive")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
-        if self.clip_norm < 0:
+        if self.early_stop_patience < 0:
+            raise TrainingError("early_stop_patience must be >= 0")
+        if self.seed < 0:
+            raise TrainingError("seed must be >= 0")
+        if not self.clip_norm >= 0:
             raise TrainingError("clip_norm must be >= 0 (0 disables)")
 
 
@@ -206,6 +211,27 @@ def save_checkpoint(model: ForecastModel, path) -> None:
             ad.write_named_array(fh, name, arrays[name])
 
 
+def _check_header_sizes(path, config: ModelConfig, arrays: dict) -> None:
+    """Refuse a header whose sizes disagree with the records read, before
+    the model is built: the header alone would size its allocation."""
+    b, d = config.backbone, config.backbone.embed_dim
+    found = {name: arr.shape for name, arr in arrays.items()}
+    found["backbone layers"] = sum(name.endswith(".ln1.gain") for name in arrays)
+    claimed = {
+        "backbone layers": b.n_layers,
+        "backbone.positional": (b.max_seq_len, d),
+        "backbone.layer.0.ffn.w1": (d, b.ffn_mult * d),
+        "anchor_map.weight": (config.n_anchors,) + found["embedding.values"][:1],
+        "revin.gamma": (config.n_channels,),
+        "input_projection.weight": (config.meta_width, d),
+        "output_projection.weight": (config.flattened_width, config.output_dim),
+    }
+    for name, size in claimed.items():
+        if found.get(name) != size:
+            raise TrainingError(f"{path}: the header claims {name} {size}, "
+                                f"the records hold {found.get(name)}")
+
+
 def load_checkpoint(path) -> ForecastModel:
     """Rebuild a model from a checkpoint, bit-exactly."""
     with open(path, "rb") as fh:
@@ -238,6 +264,7 @@ def load_checkpoint(path) -> ForecastModel:
 
     if "embedding.values" not in arrays:
         raise TrainingError(f"{path}: checkpoint lacks the embedding matrix")
+    _check_header_sizes(path, config, arrays)
     embedding = EmbeddingMatrix(arrays["embedding.values"])
     model = ForecastModel(config, embedding, seed=0)
     try:

@@ -8,12 +8,12 @@ import pytest
 from s2ip.autodiff import read_named_array
 from s2ip.backbone import TrainabilityPolicy
 from s2ip.cli import main
-from s2ip.config import (SCHEMA, ConfigError, RunConfig, parse_config,
+from s2ip.config import (FIELDS, SCHEMA, ConfigError, RunConfig, parse_config,
                          parse_config_text, serialize_config)
 from s2ip.harness import synthetic_frame
-from s2ip.model import ModelConfig
-from s2ip.series import SplitSpec
-from s2ip.training import TrainConfig
+from s2ip.model import ModelConfig, ModelError, flatten_dataclass
+from s2ip.series import SeriesError, SplitSpec
+from s2ip.training import TrainConfig, TrainingError
 
 TINY = """
 synthetic.length = 200
@@ -88,6 +88,48 @@ def test_readme_config_table_lists_exactly_the_schema_keys():
             keys.update(line.split("|")[1].replace("`", "").replace(" ", "")
                         .split("/"))
     assert keys == set(SCHEMA)
+
+
+def test_every_dataclass_field_has_exactly_one_config_key():
+    named = list(FIELDS.values())
+    assert len(named) == len(set(named))
+    fields = {(cls, path)
+              for cls in (ModelConfig, TrainConfig, TrainabilityPolicy, SplitSpec)
+              for path in flatten_dataclass(cls())}
+    # the channel count comes from the data, not from the configuration
+    assert set(named) == fields - {(ModelConfig, "n_channels")}
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: RunConfig({"window.lookback": "96"}), ConfigError),
+    (lambda: RunConfig().override({"window.lookback": "96"}), ConfigError),
+    (lambda: RunConfig({"prompt.k": True}), ConfigError),
+    (lambda: RunConfig().override({"train.epochs": 2.5}), ConfigError),
+    (lambda: RunConfig({"data.standardize": 1}), ConfigError),
+    (lambda: RunConfig({"synthetic.periods": 24}), ConfigError),
+    (lambda: RunConfig().override({"ablate.ks": [1.5]}), ConfigError),
+    (lambda: RunConfig({"train.learning_rate": NAN}), ConfigError),
+    (lambda: RunConfig().override({"model.alignment_weight": INF}), ConfigError),
+    (lambda: RunConfig({"synthetic.trend_slope": NAN}), ConfigError),
+    (lambda: RunConfig().override({"split.few_shot": NAN}), ConfigError),
+    (lambda: RunConfig({"ablate.lambdas": [0.1, INF]}), ConfigError),
+    (lambda: TrainConfig(learning_rate=NAN), TrainingError),
+    (lambda: TrainConfig(clip_norm=NAN), TrainingError),
+    (lambda: ModelConfig(alignment_weight=NAN), ModelError),
+    (lambda: SplitSpec(NAN, 0.5, 0.5), SeriesError),
+], ids=["str_for_int", "str_for_int_override", "bool_for_int",
+        "float_for_int_override", "int_for_bool", "int_for_ints",
+        "float_in_ints_override", "nan_learning_rate",
+        "inf_alignment_weight_override", "nan_synthetic", "nan_few_shot_override",
+        "inf_in_lambdas", "train_config_nan_learning_rate",
+        "train_config_nan_clip_norm", "model_config_nan_alignment_weight",
+        "split_spec_nan"])
+def test_wrong_type_or_non_finite_value_refused(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_negative_prompt_k_rejected():

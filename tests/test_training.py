@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,28 @@ def test_checkpoint_malformed_header_raises(tmp_path, edit):
     write_header(path, edit(read_header(path)))
     with pytest.raises(TrainingError, match="invalid checkpoint config"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [{"backbone.max_seq_len": 200000},
+                                  {"backbone.embed_dim": 4000},
+                                  {"backbone.n_layers": 300},
+                                  {"backbone.ffn_mult": 4000},
+                                  {"n_anchors": 25},
+                                  {"n_channels": 200000}])
+def test_checkpoint_header_cannot_size_the_allocation(tmp_path, edit):
+    # each edit claims sizes the records do not hold; the load is refused
+    # before the model is built, so the header sizes no allocation
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model(), path)
+    write_header(path, {**read_header(path), **edit})
+    tracemalloc.start()
+    try:
+        with pytest.raises(TrainingError, match="header claims"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size
 
 
 # the header as the first S2IP1 writer spelled it: 23 keys, among them
