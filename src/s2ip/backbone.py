@@ -51,6 +51,21 @@ class TrainabilityPolicy:
     ffn: bool = False
 
 
+def parameter_shapes(config: BackboneConfig) -> dict[str, tuple[int, ...]]:
+    """Every backbone parameter's shape, in initialization order."""
+    d, hidden = config.embed_dim, config.ffn_mult * config.embed_dim
+    shapes = {"positional": (config.max_seq_len, d)}
+    for p in (f"layer.{i}" for i in range(config.n_layers)):
+        shapes.update({f"{p}.ln1.gain": (d,), f"{p}.ln1.bias": (d,)})
+        shapes.update({f"{p}.attn.w{n}": (d, d) for n in "qkvo"})
+        shapes.update({f"{p}.attn.b{n}": (d,) for n in "qkvo"})
+        shapes.update({f"{p}.ln2.gain": (d,), f"{p}.ln2.bias": (d,),
+                       f"{p}.ffn.w1": (d, hidden), f"{p}.ffn.b1": (hidden,),
+                       f"{p}.ffn.w2": (hidden, d), f"{p}.ffn.b2": (d,)})
+    shapes.update({"final_ln.gain": (d,), "final_ln.bias": (d,)})
+    return shapes
+
+
 class Backbone:
     """Stack of pre-norm blocks (causal multi-head attention, then a GELU
     feed-forward), with learned positional embeddings and a final layer norm."""
@@ -62,29 +77,12 @@ class Backbone:
         self._init_params(np.random.default_rng(seed))
 
     def _init_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        d, hidden = cfg.embed_dim, cfg.ffn_mult * cfg.embed_dim
-
-        def weight(shape):
-            return Tensor(rng.normal(0.0, 0.02, size=shape))
-
-        self.params["positional"] = weight((cfg.max_seq_len, d))
-        for i in range(cfg.n_layers):
-            p = f"layer.{i}"
-            self.params[f"{p}.ln1.gain"] = Tensor(np.ones(d))
-            self.params[f"{p}.ln1.bias"] = Tensor(np.zeros(d))
-            for name in ("wq", "wk", "wv", "wo"):
-                self.params[f"{p}.attn.{name}"] = weight((d, d))
-            for name in ("bq", "bk", "bv", "bo"):
-                self.params[f"{p}.attn.{name}"] = Tensor(np.zeros(d))
-            self.params[f"{p}.ln2.gain"] = Tensor(np.ones(d))
-            self.params[f"{p}.ln2.bias"] = Tensor(np.zeros(d))
-            self.params[f"{p}.ffn.w1"] = weight((d, hidden))
-            self.params[f"{p}.ffn.b1"] = Tensor(np.zeros(hidden))
-            self.params[f"{p}.ffn.w2"] = weight((hidden, d))
-            self.params[f"{p}.ffn.b2"] = Tensor(np.zeros(d))
-        self.params["final_ln.gain"] = Tensor(np.ones(d))
-        self.params["final_ln.bias"] = Tensor(np.zeros(d))
+        for name, shape in parameter_shapes(self.config).items():
+            if len(shape) == 2:  # a weight matrix
+                self.params[name] = Tensor(rng.normal(0.0, 0.02, size=shape))
+            else:  # gains start at one, biases at zero
+                self.params[name] = Tensor(np.ones(shape) if name.endswith("gain")
+                                           else np.zeros(shape))
 
     # -- trainability -------------------------------------------------------
 

@@ -8,7 +8,7 @@ key has a documented default, so an empty file is a valid configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .backbone import TrainabilityPolicy
 from .model import (ModelConfig, ModelError, build_dataclass,
@@ -95,17 +95,11 @@ OTHER_KEYS: dict[str, tuple[str, object, object]] = {
     "export.max_windows": ("int", 256, _within(1)),
 }
 
-_DEFAULTS = {cls: flatten_dataclass(cls())
-             for cls in {cls for cls, _ in FIELDS.values()}}
-
-
-def _tagged(default) -> tuple[str, object]:
-    return type(default).__name__, default
-
-
 # key -> (type tag, default) for every key
 SCHEMA: dict[str, tuple[str, object]] = {
-    **{key: _tagged(_DEFAULTS[cls][path]) for key, (cls, path) in FIELDS.items()},
+    **{key: (type(default).__name__, default)
+       for key, (cls, path) in FIELDS.items()
+       for default in [flatten_dataclass(cls())[path]]},
     **{key: spec[:2] for key, spec in OTHER_KEYS.items()},
 }
 
@@ -130,40 +124,35 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+_PARSERS = {"int": int, "float": _finite_float, "bool": _bool, "str": str}
+
+
 def _parse_value(key: str, kind: str, text: str):
     text = text.strip()
+    parse = _PARSERS[kind.removesuffix("s")]
     try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return _finite_float(text)
-        if kind == "bool":
-            lowered = text.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(text)
-        if kind == "str":
-            return text
-        if kind == "ints":
-            return [int(p) for p in text.split(",") if p.strip()] if text else []
-        if kind == "floats":
-            return ([_finite_float(p) for p in text.split(",") if p.strip()]
-                    if text else [])
+        if kind in ("ints", "floats"):
+            return [parse(p) for p in text.split(",") if p.strip()]
+        return parse(text)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {text!r} as {kind}") from None
-    raise ConfigError(f"{key}: unknown value kind {kind}")  # pragma: no cover
 
 
 def _format_value(kind: str, value) -> str:
+    if kind in ("ints", "floats"):
+        return ",".join(_format_value(kind[:-1], v) for v in value)
     if kind == "bool":
         return "true" if value else "false"
-    if kind in ("ints", "floats"):
-        return ",".join(repr(v) if kind == "floats" else str(v) for v in value)
-    if kind == "float":
-        return repr(float(value))
-    return str(value)
+    return repr(float(value)) if kind == "float" else str(value)
 
 
 @dataclass
@@ -179,19 +168,20 @@ class RunConfig:
             if key not in SCHEMA:
                 raise ConfigError(f"unknown configuration key {key!r}")
             merged[key] = value
-        for key, value in merged.items():
-            _check_type(key, SCHEMA[key][0], value)
-        for key, (_, _, check) in OTHER_KEYS.items():
+        for key, (kind, _, check) in OTHER_KEYS.items():
+            _check_type(key, kind, merged[key])
             if check:
                 check(key, merged[key])
         self.values = merged
-        # the dataclasses check the ranges of their fields and the
-        # cross-key constraints (the channel count only sizes parameters)
+        # build_dataclass checks the types of the FIELDS keys, the
+        # dataclasses their ranges and the cross-key constraints; the
+        # channel count only sizes parameters and model_config sets it
+        fields_of = {ModelConfig: {"n_channels": 1}}
+        for key, (cls, path) in FIELDS.items():
+            fields_of.setdefault(cls, {})[path] = merged[key]
         try:
-            self.model_config(1)
-            self.train_config()
-            self.policy()
-            self.split_spec()
+            self._built = {cls: build_dataclass(cls, d)
+                           for cls, d in fields_of.items()}
         except (ValueError, TrainingError) as exc:
             raise ConfigError(str(exc)) from None
         if not merged["prompt.embedding_path"]:
@@ -204,23 +194,18 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def _build(self, cls, **fixed):
-        d = {path: self.values[key] for key, (owner, path) in FIELDS.items()
-             if owner is cls}
-        return build_dataclass(cls, {**d, **fixed})
-
     def split_spec(self) -> SplitSpec:
-        return self._build(SplitSpec)
+        return self._built[SplitSpec]
 
     def policy(self) -> TrainabilityPolicy:
-        return self._build(TrainabilityPolicy)
+        return self._built[TrainabilityPolicy]
 
     def model_config(self, n_channels: int) -> ModelConfig:
-        return self._build(ModelConfig, n_channels=n_channels)
+        return replace(self._built[ModelConfig], n_channels=n_channels)
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
-        return self._build(TrainConfig,
-                           **({} if seed is None else {"seed": seed}))
+        config = self._built[TrainConfig]
+        return config if seed is None else replace(config, seed=seed)
 
     def override(self, items: dict) -> "RunConfig":
         """New config with the given dotted keys replaced."""

@@ -134,12 +134,8 @@ def build_pipeline(config: RunConfig, seed: int) -> Pipeline:
                           f"than lookback+horizon = "
                           f"{spec.lookback + spec.horizon}; it yields no "
                           "windows", stacklevel=2)
-    return Pipeline(frame=frame, train_frame=train_f, val_frame=val_f,
-                    test_frame=test_f,
-                    train_windows=split_windows["train"],
-                    val_windows=split_windows["val"],
-                    test_windows=split_windows["test"],
-                    standardizer=standardizer)
+    return Pipeline(frame, train_f, val_f, test_f, split_windows["train"],
+                    split_windows["val"], split_windows["test"], standardizer)
 
 
 def load_embedding(config: RunConfig, seed: int) -> EmbeddingMatrix:
@@ -184,19 +180,11 @@ def cmd_train(config: RunConfig, seed: int, outdir: str) -> list[str]:
     ckpt = os.path.join(outdir, "model.ckpt")
     save_checkpoint(model, ckpt)
     report_path = os.path.join(outdir, "train_report.csv")
-    rows = []
-    for i, loss in enumerate(report.train_losses):
-        rows.append({"epoch": i + 1, "train_loss": loss,
-                     "val_mse": report.val_mses[i] if i < len(report.val_mses)
-                     else None})
+    rows = [{"epoch": i + 1, "train_loss": loss,
+             "val_mse": report.val_mses[i] if i < len(report.val_mses) else None}
+            for i, loss in enumerate(report.train_losses)]
     _write_csv(report_path, ["epoch", "train_loss", "val_mse"], rows)
     return [ckpt, report_path]
-
-
-def _metric_row(report, extra: dict | None = None) -> dict:
-    row = dict(extra or {})
-    row.update(report.as_row())
-    return row
 
 
 def _load_model(outdir: str, checkpoint: str | None) -> ForecastModel:
@@ -218,9 +206,8 @@ def cmd_evaluate(config: RunConfig, seed: int, outdir: str,
                             seasonality=config["eval.seasonality"],
                             dump_path=dump_path)
     metrics_path = os.path.join(outdir, "metrics.csv")
-    fields = ["mse", "mae", "smape", "mape", "mase", "owa", "horizon",
-              "seasonality", "n_windows"]
-    _write_csv(metrics_path, fields, [report.as_row()])
+    row = report.as_row()
+    _write_csv(metrics_path, list(row), [row])
     return [metrics_path, dump_path]
 
 
@@ -299,16 +286,14 @@ def cmd_ablate(cells: list[tuple[str, RunConfig]], seed: int,
         report = evaluate_model(model, pipeline.test_windows,
                                 mode=cell_config["eval.mode"],
                                 seasonality=cell_config["eval.seasonality"])
-        rows.append(_metric_row(report, {
-            "setting": name,
-            "lambda": cell_config["model.alignment_weight"],
-            "k": cell_config["prompt.k"],
-            "anchors": cell_config["prompt.anchors"],
-        }))
+        rows.append({"setting": name,
+                     "lambda": cell_config["model.alignment_weight"],
+                     "k": cell_config["prompt.k"],
+                     "anchors": cell_config["prompt.anchors"],
+                     **report.as_row()})
     path = os.path.join(outdir, "ablation.csv")
-    fields = ["setting", "lambda", "k", "anchors", "mse", "mae", "smape",
-              "mape", "mase", "owa", "horizon", "seasonality", "n_windows"]
-    _write_csv(path, fields, rows)
+    # every ablation has the three feature settings, so rows is never empty
+    _write_csv(path, list(rows[0]), rows)
     return [path]
 
 

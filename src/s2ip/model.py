@@ -25,6 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import Backbone, BackboneConfig, TrainabilityPolicy
+from .backbone import parameter_shapes as backbone_shapes
 from .preprocess import (DEFAULT_EPSILON, PatchSpec, RevInState, decompose,
                          patch, patch_count)
 from .prompt import (AnchorBank, EmbeddingMatrix, PromptSelection,
@@ -59,6 +60,9 @@ class DecompositionConfig:
     def __post_init__(self):
         if self.method not in ("classical", "stl"):
             raise ModelError(f"unknown decomposition method {self.method!r}")
+        if min(self.period, self.trend_window, self.stl_inner) < 1:
+            raise ModelError("decomposition period, trend_window and stl_inner "
+                             "must be positive integers")
 
 
 @dataclass(frozen=True)
@@ -181,6 +185,44 @@ def typed_value(key: str, kind: type, value):
     return kind(value)
 
 
+def parameter_shapes(config: ModelConfig, vocab_size: int
+                     ) -> dict[str, tuple[int, ...]]:
+    """The shape of every array in :meth:`ForecastModel.all_arrays`, for a
+    ``vocab_size``-row embedding; nothing is allocated."""
+    d = config.backbone.embed_dim
+    return {
+        "input_projection.weight": (config.meta_width, d),
+        "input_projection.bias": (d,),
+        "output_projection.weight": (config.flattened_width, config.output_dim),
+        "output_projection.bias": (config.output_dim,),
+        "revin.gamma": (config.n_channels,),
+        "revin.beta": (config.n_channels,),
+        "anchor_map.weight": (config.n_anchors, vocab_size),
+        "embedding.values": (vocab_size, d),
+        **{f"backbone.{name}": shape
+           for name, shape in backbone_shapes(config.backbone).items()},
+    }
+
+
+def check_arrays(config: ModelConfig, vocab_size: int, arrays: dict) -> None:
+    """ModelError unless ``arrays`` matches :func:`parameter_shapes`."""
+    # every layer holds arrays, so this bounds the table of shapes
+    if config.backbone.n_layers > len(arrays):
+        raise ModelError(f"{config.backbone.n_layers} backbone layers in "
+                         f"{len(arrays)} tensors")
+    expected = parameter_shapes(config, vocab_size)
+    missing = sorted(set(expected) - set(arrays))
+    if missing:
+        raise ModelError(f"checkpoint is missing tensors: {missing}")
+    extra = sorted(set(arrays) - set(expected))
+    if extra:
+        raise ModelError(f"checkpoint has unexpected tensors: {extra}")
+    for name, arr in arrays.items():
+        if arr.shape != expected[name]:
+            raise ModelError(f"checkpoint tensor {name!r} has shape "
+                             f"{arr.shape}, expected {expected[name]}")
+
+
 @dataclass
 class ForecastResult:
     """One window's forecast, unpacked from a batch of one."""
@@ -218,21 +260,14 @@ class ForecastModel:
         self.backbone = Backbone(config.backbone, seed=int(rng.integers(2 ** 31)))
         self._backbone_trainable = self.backbone.apply_policy(self.policy)
         self.bank = AnchorBank(embedding, config.n_anchors, rng=rng)
-        d = config.backbone.embed_dim
+        # the model allocates the projections and the affine pair itself
         self.params: dict[str, Tensor] = {
-            "input_projection.weight": Tensor(
-                rng.normal(0.0, 0.02, size=(config.meta_width, d)),
-                requires_grad=True),
-            "input_projection.bias": Tensor(np.zeros(d), requires_grad=True),
-            "output_projection.weight": Tensor(
-                rng.normal(0.0, 0.02, size=(config.flattened_width,
-                                            config.output_dim)),
-                requires_grad=True),
-            "output_projection.bias": Tensor(np.zeros(config.output_dim),
-                                             requires_grad=True),
-            "revin.gamma": Tensor(np.ones(config.n_channels), requires_grad=True),
-            "revin.beta": Tensor(np.zeros(config.n_channels), requires_grad=True),
-        }
+            name: Tensor(rng.normal(0.0, 0.02, size=shape) if len(shape) == 2
+                         else np.ones(shape) if name == "revin.gamma"
+                         else np.zeros(shape), requires_grad=True)
+            for name, shape in parameter_shapes(config, embedding.vocab_size).items()
+            if name.startswith(("input_projection.", "output_projection.",
+                                "revin."))}
 
     # -- parameter bookkeeping ----------------------------------------------
 
@@ -256,17 +291,7 @@ class ForecastModel:
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        expected = self.all_arrays()
-        missing = sorted(set(expected) - set(arrays))
-        if missing:
-            raise ModelError(f"checkpoint is missing tensors: {missing}")
-        extra = sorted(set(arrays) - set(expected))
-        if extra:
-            raise ModelError(f"checkpoint has unexpected tensors: {extra}")
-        for name, arr in arrays.items():
-            if arr.shape != expected[name].shape:
-                raise ModelError(f"checkpoint tensor {name!r} has shape "
-                                 f"{arr.shape}, expected {expected[name].shape}")
+        check_arrays(self.config, self.embedding.vocab_size, arrays)
         for name, tensor in self.params.items():
             tensor.data = np.ascontiguousarray(arrays[name])
         self.bank.map_weights.data = np.ascontiguousarray(arrays["anchor_map.weight"])

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, backward
-from .model import ForecastModel, ModelConfig
+from .model import ForecastModel, ModelConfig, ModelError, check_arrays
 from .prompt import EmbeddingMatrix
 
 CHECKPOINT_MAGIC = b"S2IP1\n"
@@ -211,27 +211,6 @@ def save_checkpoint(model: ForecastModel, path) -> None:
             ad.write_named_array(fh, name, arrays[name])
 
 
-def _check_header_sizes(path, config: ModelConfig, arrays: dict) -> None:
-    """Refuse a header whose sizes disagree with the records read, before
-    the model is built: the header alone would size its allocation."""
-    b, d = config.backbone, config.backbone.embed_dim
-    found = {name: arr.shape for name, arr in arrays.items()}
-    found["backbone layers"] = sum(name.endswith(".ln1.gain") for name in arrays)
-    claimed = {
-        "backbone layers": b.n_layers,
-        "backbone.positional": (b.max_seq_len, d),
-        "backbone.layer.0.ffn.w1": (d, b.ffn_mult * d),
-        "anchor_map.weight": (config.n_anchors,) + found["embedding.values"][:1],
-        "revin.gamma": (config.n_channels,),
-        "input_projection.weight": (config.meta_width, d),
-        "output_projection.weight": (config.flattened_width, config.output_dim),
-    }
-    for name, size in claimed.items():
-        if found.get(name) != size:
-            raise TrainingError(f"{path}: the header claims {name} {size}, "
-                                f"the records hold {found.get(name)}")
-
-
 def load_checkpoint(path) -> ForecastModel:
     """Rebuild a model from a checkpoint, bit-exactly."""
     with open(path, "rb") as fh:
@@ -264,11 +243,13 @@ def load_checkpoint(path) -> ForecastModel:
 
     if "embedding.values" not in arrays:
         raise TrainingError(f"{path}: checkpoint lacks the embedding matrix")
-    _check_header_sizes(path, config, arrays)
     embedding = EmbeddingMatrix(arrays["embedding.values"])
-    model = ForecastModel(config, embedding, seed=0)
+    # checked before the model is built, so a header cannot size its allocation
     try:
-        model.load_arrays(arrays)
-    except ValueError as exc:
-        raise TrainingError(f"{path}: {exc}") from exc
+        check_arrays(config, embedding.vocab_size, arrays)
+    except ModelError as exc:
+        raise TrainingError(f"{path}: the header claims sizes the records do "
+                            f"not hold: {exc}") from exc
+    model = ForecastModel(config, embedding, seed=0)
+    model.load_arrays(arrays)
     return model

@@ -285,6 +285,26 @@ def test_cross_key_config_error_exit_code(tmp_path, line, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines", [["decomposition.trend_window = -1"],
+                                   ["decomposition.method = stl",
+                                    "decomposition.stl_inner = 0"],
+                                   ["decomposition.enabled = false",
+                                    "decomposition.period = 0"],
+                                   ["train.patience = -1"],
+                                   ["window.lookback = 0"]],
+                         ids=["trend_window", "stl_inner", "period_unused",
+                              "patience", "lookback"])
+def test_out_of_range_value_exit_code(tmp_path, lines, capsys):
+    # the dataclasses hold the range checks; a value out of range stops the
+    # run before it writes or reads anything, even where decomposition is off
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["train", "--config", path.as_posix(), "--out", str(out)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sweep", [{"ablate.anchor_counts": "4,40"},
                                    {"ablate.ks": "9"}])
 def test_invalid_ablation_cell_exits_2_before_io(tmp_path, sweep, capsys):

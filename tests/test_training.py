@@ -479,6 +479,7 @@ def test_checkpoint_malformed_header_raises(tmp_path, edit):
 @pytest.mark.parametrize("edit", [{"backbone.max_seq_len": 200000},
                                   {"backbone.embed_dim": 4000},
                                   {"backbone.n_layers": 300},
+                                  {"backbone.n_layers": 10 ** 9},
                                   {"backbone.ffn_mult": 4000},
                                   {"n_anchors": 25},
                                   {"n_channels": 200000}])
