@@ -2,7 +2,7 @@
 
     python3 scripts/bench_pairs.py --parent HEAD --workload train \
         --workload infer --pairs 10 --seconds 50 --first-seed 101 \
-        --traced 1 --out BENCH_6.json
+        --traced 1 --suite --out BENCH_8.json
 
 Run from the root of a source checkout. The *change* side is this checkout's
 working tree; the *parent* side is ``--parent``, unpacked with
@@ -13,7 +13,10 @@ first in odd ones. Each run's end-to-end metrics, correctness checks, minor
 page faults and kernel/user seconds (``getrusage(RUSAGE_CHILDREN)`` around
 the child) are recorded; per side the median and quartiles of every metric,
 and per metric the pairs the change won. ``--traced N`` adds N traced runs
-per side (``--trace 1``) with their per-layer metrics. Stdlib only.
+per side (``--trace 1``), in the same alternating order, with their
+per-layer metrics. ``--suite`` runs the
+tier-1 test suite once per side, after the pairs, and records its wall
+seconds and outcome counts. Stdlib only.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import io
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -46,6 +50,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--traced", type=int, default=0,
                         help="traced runs per side and workload")
+    parser.add_argument("--suite", action="store_true",
+                        help="also time one tier-1 test suite run per side")
     parser.add_argument("--out", required=True)
     return parser.parse_args(argv)
 
@@ -97,6 +103,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
         "wall_s": wall,
         "env": env,
     }
+
+
+def run_suite(checkout: Path) -> dict:
+    """One run of the tier-1 test suite in ``checkout``: its wall seconds,
+    exit code and outcome counts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        ["src"] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    command = [sys.executable, "-m", "pytest", "-q",
+               "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+    started = time.perf_counter()
+    proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True,
+                          text=True)
+    wall = time.perf_counter() - started
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {outcome: int(n) for n, outcome in re.findall(
+        r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)", summary)}
+    print(f"suite in {checkout}: {summary}", file=sys.stderr)
+    return {"wall_s": wall, "returncode": proc.returncode,
+            "passed": counts.get("passed", 0), "counts": counts,
+            "summary": summary}
 
 
 def summarize(values: list[float]) -> dict:
@@ -160,7 +188,7 @@ def main(argv=None) -> int:
             entry = {"runs": pairs, "summary": compare(pairs, better)}
             traced = {side: [] for side in SIDES}
             for i in range(args.traced):
-                for side in SIDES:
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     traced[side].append(run_once(
                         checkouts[side], workload, args.first_seed + i,
                         args.seconds, True))
@@ -168,9 +196,16 @@ def main(argv=None) -> int:
                 entry["traced"] = traced
             report["workloads"][workload] = entry
             # written after every workload, so a cut session keeps its pairs
-            Path(args.out).write_text(json.dumps(report, indent=1,
-                                                 sort_keys=True) + "\n")
+            write_report(args.out, report)
+        if args.suite:
+            report["suite"] = {side: run_suite(checkouts[side])
+                               for side in SIDES}
+            write_report(args.out, report)
     return 0
+
+
+def write_report(path: str, report: dict) -> None:
+    Path(path).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

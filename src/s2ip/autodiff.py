@@ -95,6 +95,7 @@ class Tape:
 
 
 _TAPE_STACK: list[Tape] = []
+_FLOAT64 = np.dtype(np.float64)
 
 
 def active_tape() -> Tape | None:
@@ -112,12 +113,16 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        # np.asarray with order="C" keeps 0-d arrays 0-d (ascontiguousarray
-        # silently promotes them to 1-d)
-        arr = np.asarray(data, dtype=np.float64, order="C")
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        # a float64 C-contiguous ndarray is kept as is, the same object
+        # np.asarray would return; anything else is copied. np.asarray with
+        # order="C" keeps 0-d arrays 0-d (ascontiguousarray silently promotes
+        # them to 1-d)
+        if not (type(data) is np.ndarray and data.dtype == _FLOAT64
+                and data.flags.c_contiguous):
+            data = np.asarray(data, dtype=np.float64, order="C")
+            if not data.flags.c_contiguous:
+                data = np.ascontiguousarray(data)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.tape: Tape | None = None
@@ -184,7 +189,7 @@ def as_tensor(value) -> Tensor:
 def _record(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
             backward_fn: Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]) -> Tensor:
     out = Tensor(out_data)
-    tape = active_tape()
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.tape = tape
@@ -200,7 +205,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
     if grad.shape == shape:
         return grad
-    if int(np.prod(shape)) == 1:
+    if math.prod(shape) == 1:
         return np.sum(grad).reshape(shape)
     lead = grad.ndim - len(shape)
     if lead > 0:
@@ -214,11 +219,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _binary(kind: str, a, b, forward, da, db) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
+        out = forward(a.data, b.data)
+    except ValueError:  # float64 arithmetic raises it only for broadcasting
         raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not "
                          "broadcast") from None
-    out = forward(a.data, b.data)
 
     def backward_fn(g):
         grads = []
@@ -379,7 +383,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     axes = _normalize_axes(axis, a.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes])) if a.ndim else 1
+    count = math.prod(a.shape[ax] for ax in axes)
     out = a.data.mean(axis=axes, keepdims=keepdims)
     kept = _kept_shape(a.shape, axes)
 
@@ -391,15 +395,21 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Shift-by-max stabilized softmax along ``axis``."""
+    # shift, exponentiate and normalize in one buffer; the backward forms
+    # (g - sum(g * out)) * out in the buffer of g * out. Both round as the
+    # plain expressions do, operation for operation
     a = as_tensor(a)
     ax = axis % a.ndim if a.ndim else 0
-    shifted = a.data - a.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
+    out = a.data - a.data.max(axis=ax, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=ax, keepdims=True)
 
     def backward_fn(g, _out=out):
-        dot = (g * _out).sum(axis=ax, keepdims=True)
-        return [(a, (g - dot) * _out)]
+        dx = g * _out
+        dot = dx.sum(axis=ax, keepdims=True)
+        np.subtract(g, dot, out=dx)
+        dx *= _out
+        return [(a, dx)]
 
     return _record("softmax", (a,), out, backward_fn)
 
@@ -412,20 +422,32 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine params must be ({d},), got "
                          f"{gain.shape} and {bias.shape}")
+    # x is centered once: the variance is the mean of the centered squares,
+    # the arithmetic np.var does, and the squares' buffer then holds the
+    # output. Every step rounds as (x - mu) / sqrt(var + eps) * gain + bias
+    # does
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    out = xhat * xhat
+    var = np.add.reduce(out, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def backward_fn(g):
         grads = []
         if x.requires_grad:
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built
+            # in dxhat's buffer with one scratch buffer
             dxhat = g * gain.data
-            dx = inv * (dxhat
-                        - dxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-            grads.append((x, dx))
+            scratch = dxhat * xhat
+            proj = scratch.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, proj, out=scratch)
+            dxhat -= dxhat.mean(axis=-1, keepdims=True)
+            dxhat -= scratch
+            dxhat *= inv
+            grads.append((x, dxhat))
         lead = tuple(range(g.ndim - 1))
         if gain.requires_grad:
             grads.append((gain, (g * xhat).sum(axis=lead)))
@@ -455,7 +477,9 @@ def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     perm = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
     out = np.transpose(a.data, perm)
-    inv = tuple(np.argsort(perm))
+    inv = [0] * len(perm)
+    for i, ax in enumerate(perm):
+        inv[ax % len(perm)] = i
 
     def backward_fn(g):
         return [(a, np.transpose(g, inv))]

@@ -40,6 +40,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
+    if args.seed is not None and args.seed < 0:
+        print(f"error: invalid configuration: --seed must be >= 0, got "
+              f"{args.seed}", file=sys.stderr)
+        return 2
     seed = args.seed if args.seed is not None else config["train.seed"]
     try:
         artifacts = run(args.command, config, seed, args.out, args.checkpoint)

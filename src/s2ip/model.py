@@ -389,19 +389,22 @@ class ForecastModel:
         parts = [ad.narrow(y_out, 1, i * h, h) for i in range(3)]
         return ad.add(ad.add(parts[0], parts[1]), parts[2])
 
-    def forward(self, x: np.ndarray, channels) -> ForwardPass:
+    def forward(self, x: np.ndarray, channels,
+                anchors: Tensor | None = None) -> ForwardPass:
         """Forecast a ``(B, lookback)`` batch of windows, one channel per
         row: tokenize, retrieve and prepend the top-K anchors, run the
         backbone, project, recombine the components, and invert each
-        window's normalization."""
+        window's normalization. ``anchors`` are derived from the anchor map
+        unless given."""
         cfg = self.config
         channels = np.asarray(channels, dtype=np.int64)
         ts_embed, state = self.tokenize_and_embed(x, channels)
         batch = ts_embed.shape[0]
-        z_in, anchors = ts_embed, None
+        z_in = ts_embed
         selections = [PromptSelection((), ())] * batch
         if cfg.prompt_k > 0:
-            anchors = self.bank.anchors_tensor()
+            if anchors is None:
+                anchors = self.bank.anchors_tensor()
             selections = retrieve_topk(ts_embed.data, self.bank, cfg.prompt_k,
                                        pooling=cfg.pooling, anchors=anchors.data)
             indices = np.array([s.indices for s in selections])
@@ -431,19 +434,21 @@ class ForecastModel:
     def predict(self, x: np.ndarray, channels) -> np.ndarray:
         """Denormalized ``(N, horizon)`` forecasts of an ``(N, lookback)``
         batch of windows, one channel per row: :meth:`forward` over
-        consecutive chunks of :data:`FORECAST_CHUNK` windows. Called with no
-        active tape, as evaluation does, it records nothing, and each
-        chunk's activations are freed before the next chunk runs."""
+        consecutive chunks of :data:`FORECAST_CHUNK` windows, with the
+        anchors derived once for all of them. Called with no active tape,
+        as evaluation does, it records nothing, and each chunk's activations
+        are freed before the next chunk runs."""
         x = np.asarray(x, dtype=np.float64)
         channels = np.asarray(channels, dtype=np.int64)
         if channels.shape != (len(x),):
             raise ModelError(f"need one channel per window, got shape "
                              f"{channels.shape} for {len(x)} windows")
         out = np.empty((len(x), self.config.window.horizon))
+        anchors = self.bank.anchors_tensor() if self.config.prompt_k > 0 else None
         for start in range(0, len(x), FORECAST_CHUNK):
             stop = start + FORECAST_CHUNK
-            out[start:stop] = self.forward(x[start:stop],
-                                           channels[start:stop]).forecast.data
+            out[start:stop] = self.forward(x[start:stop], channels[start:stop],
+                                           anchors).forecast.data
         return out
 
     def joint_loss(self, batch, alignment_weight: float | None = None) -> Tensor:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -72,8 +73,8 @@ class AdamState:
 
 
 def clip_gradients(named_params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``;
-    returns the pre-clip norm."""
+    """Scale all gradients, in place, so their global L2 norm is at most
+    ``max_norm``; returns the pre-clip norm."""
     total = 0.0
     for _, t in named_params:
         if t.grad is not None:
@@ -83,14 +84,17 @@ def clip_gradients(named_params, max_norm: float) -> float:
         scale = max_norm / norm
         for _, t in named_params:
             if t.grad is not None:
-                t.grad = t.grad * scale
+                t.grad *= scale
     return norm
 
 
 def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
     """One Adam update over every parameter with a populated gradient;
     gradients are cleared afterwards. Every gradient is checked before any
-    parameter moves, so a non-finite one leaves the model untouched."""
+    parameter or moment moves, so a non-finite one leaves the model and the
+    state untouched. The moments are updated in place with one scratch
+    buffer; each parameter gets a fresh array (it may alias a snapshot), and
+    every value rounds as the textbook expressions do."""
     for name, tensor in named_params:
         g = tensor.grad
         if g is not None and not np.all(np.isfinite(g)):
@@ -103,12 +107,24 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
         g = tensor.grad
         if g is None:
             continue
-        m = state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        tensor.data = tensor.data - config.learning_rate * m_hat / (
-            np.sqrt(v_hat) + ADAM_EPS)
+        m, v = state.m[name], state.v[name]
+        # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g
+        scratch = g * (1 - b1)
+        m *= b1
+        m += scratch
+        np.multiply(g, 1 - b2, out=scratch)
+        scratch *= g
+        v *= b2
+        v += scratch
+        # data - lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(v, 1 - b2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        data = m / (1 - b1 ** t)
+        data *= config.learning_rate
+        data /= scratch
+        np.subtract(tensor.data, data, out=data)
+        tensor.data = data
         tensor.grad = None
 
 
@@ -241,6 +257,14 @@ def load_checkpoint(path) -> ForecastModel:
     except IOError as exc:
         raise TrainingError(f"{path}: corrupt checkpoint: {exc}") from exc
 
+    # x @ x is finite only if every x is: one pass without a temporary; a
+    # record of huge finite values that overflows it is checked by value
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, arr in arrays.items():
+            flat = arr.reshape(-1)
+            if not math.isfinite(flat @ flat) and not np.isfinite(flat).all():
+                raise TrainingError(f"{path}: corrupt checkpoint: tensor "
+                                    f"{name!r} holds nan or inf")
     if "embedding.values" not in arrays:
         raise TrainingError(f"{path}: checkpoint lacks the embedding matrix")
     embedding = EmbeddingMatrix(arrays["embedding.values"])
@@ -250,6 +274,10 @@ def load_checkpoint(path) -> ForecastModel:
     except ModelError as exc:
         raise TrainingError(f"{path}: the header claims sizes the records do "
                             f"not hold: {exc}") from exc
+    # forecasts divide by each channel's gamma
+    if not arrays["revin.gamma"].all():
+        raise TrainingError(f"{path}: corrupt checkpoint: revin.gamma holds "
+                            "a zero")
     model = ForecastModel(config, embedding, seed=0)
     model.load_arrays(arrays)
     return model

@@ -6,6 +6,7 @@ import pytest
 
 import s2ip.autodiff as ad
 from s2ip.autodiff import Tape, Tensor, backward, grad_check
+from s2ip.backbone import MASK_FILL
 
 
 def central_diff(f, arrays, eps=1e-6):
@@ -52,8 +53,31 @@ def test_trailing_row_broadcast():
 
 
 def test_incompatible_shapes_rejected():
-    with pytest.raises(ad.ShapeError):
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+    for op in (ad.add, ad.sub, ad.mul, ad.div):
+        name = op.__name__
+        with pytest.raises(ad.ShapeError, match=rf"^{name}: shapes \(2, 3\) "
+                           r"and \(3, 2\) do not broadcast$"):
+            op(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+
+
+@pytest.mark.parametrize("data", [
+    np.arange(6, dtype=np.float32).reshape(2, 3),
+    [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]],
+    np.arange(12.0).reshape(3, 4)[:, ::2],
+    np.arange(6.0).reshape(3, 2).T,
+], ids=["float32", "list", "strided", "transposed"])
+def test_tensor_copies_to_float64_c_contiguous(data):
+    t = Tensor(data)
+    assert t.data.dtype == np.float64 and t.data.flags.c_contiguous
+    assert np.array_equal(t.data, np.asarray(data))
+    if isinstance(data, np.ndarray):
+        assert not np.shares_memory(t.data, data)
+
+
+def test_tensor_keeps_float64_c_contiguous_array():
+    for arr in (np.ones((2, 3)), np.array(2.5), np.arange(4.0)[1:]):
+        assert Tensor(arr).data is arr
+    assert Tensor(np.float64(2.5)).data.shape == ()
 
 
 def test_div_by_zero_propagates_inf():
@@ -512,3 +536,72 @@ def test_truncated_record_raises(tmp_path):
     with open(path, "rb") as fh:
         with pytest.raises(IOError):
             ad.read_array(fh)
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against the plain expressions they replaced
+# ---------------------------------------------------------------------------
+
+def plain_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Forward value and (x, gain, bias) gradients as plain expressions."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    out = xhat * gain + bias
+    dxhat = g * gain
+    dx = inv * (dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    lead = tuple(range(g.ndim - 1))
+    return out, [dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
+
+
+def plain_softmax(a, g, axis=-1):
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+    dot = (g * out).sum(axis=axis, keepdims=True)
+    return out, [(g - dot) * out]
+
+
+def node_outputs(op, *arrays):
+    """The op's forward value and the gradients its node hands back for a
+    random upstream gradient, which is returned too."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*tensors)
+    g = np.random.default_rng(out.size).normal(size=out.shape)
+    grads = tape.nodes[-1].backward_fn(g)
+    assert [t for t, _ in grads] == tensors
+    return out.data, [dx for _, dx in grads], g
+
+
+KERNEL_SHAPES = [(2, 3, 8), (32, 15, 64), (32, 4, 15, 15)]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_layer_norm_bit_identical_to_plain_expressions(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(3.0, 2.0, size=shape)
+    x[0, 0] = 1.5  # a constant row: var 0, xhat 0
+    gain = rng.normal(1.0, 0.3, size=shape[-1])
+    bias = rng.normal(0.0, 0.3, size=shape[-1])
+    out, grads, g = node_outputs(ad.layer_norm, x, gain, bias)
+    expected, expected_grads = plain_layer_norm(x, gain, bias, g)
+    assert np.array_equal(out, expected)
+    for got, want in zip(grads, expected_grads):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_softmax_bit_identical_to_plain_expressions(shape, masked):
+    a = np.random.default_rng(sum(shape)).normal(0.0, 4.0, size=shape)
+    if masked:
+        a += np.triu(np.full(shape[-2:], MASK_FILL), k=1)
+    out, grads, g = node_outputs(ad.softmax, a)
+    expected, expected_grads = plain_softmax(a, g)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(grads[0], expected_grads[0])
+    if masked:
+        assert not np.triu(out[(0,) * (out.ndim - 2)], k=1).any()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import s2ip.autodiff as ad
+from s2ip import prompt
 from s2ip.autodiff import Tape, Tensor, active_tape, backward
 from s2ip.backbone import BackboneConfig
 from s2ip.model import (FORECAST_CHUNK, DecompositionConfig, ForecastModel,
@@ -277,6 +278,24 @@ def test_predict_runs_tape_free_chunks():
     assert active_tape() is None
     with pytest.raises(ModelError, match="one channel per window"):
         model.predict(x, [0] * (len(batch) + 1))
+
+
+@pytest.mark.parametrize("name", ["classical-mean", "no-prompt"])
+def test_predict_derives_the_anchors_once_per_call(name, monkeypatch):
+    model = make_model(**CONFIGS[name])
+    batch = make_batch(2 * FORECAST_CHUNK + 3, seed=6)
+    x = np.stack([x for _, x, _ in batch])
+    channels = np.array([channel for channel, _, _ in batch])
+    # what predict computed when each chunk's forward derived its own anchors
+    expected = np.concatenate([
+        model.forward(x[start:start + FORECAST_CHUNK],
+                      channels[start:start + FORECAST_CHUNK]).forecast.data
+        for start in range(0, len(x), FORECAST_CHUNK)])
+    calls, derive = [], prompt.derive_anchors
+    monkeypatch.setattr(prompt, "derive_anchors",
+                        lambda *args: calls.append(args) or derive(*args))
+    assert np.array_equal(model.predict(x, channels), expected)
+    assert len(calls) == (1 if model.config.prompt_k > 0 else 0)
 
 
 def tape_nodes(model, batch):

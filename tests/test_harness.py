@@ -13,7 +13,8 @@ from s2ip.config import (FIELDS, SCHEMA, ConfigError, RunConfig, parse_config,
 from s2ip.harness import synthetic_frame
 from s2ip.model import ModelConfig, ModelError, flatten_dataclass
 from s2ip.series import SeriesError, SplitSpec
-from s2ip.training import TrainConfig, TrainingError
+from s2ip.training import (TrainConfig, TrainingError, load_checkpoint,
+                           save_checkpoint)
 
 TINY = """
 synthetic.length = 200
@@ -231,6 +232,30 @@ def test_metric_csvs_reproducible(tmp_path):
                      "--out", str(out)]) == 0
         outputs.append((out / "metrics.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, command):
+    cfg = tiny_config_file(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_refuses_a_checkpoint_with_zero_gamma(tmp_path, capsys):
+    cfg = tiny_config_file(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--seed", "3",
+                 "--out", str(out)]) == 0
+    model = load_checkpoint(out / "model.ckpt")
+    model.params["revin.gamma"].data[:] = 0.0
+    save_checkpoint(model, out / "model.ckpt")
+    (out / "metrics.csv").unlink(missing_ok=True)
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 1
+    assert "corrupt checkpoint" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 def test_evaluate_without_checkpoint_fails(tmp_path):

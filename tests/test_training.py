@@ -378,6 +378,76 @@ def test_frozen_backbone_untouched_by_training():
         assert not np.array_equal(tensor.data, trainable_before[name]), name
 
 
+def plain_clip_gradients(named_params, max_norm):
+    """clip_gradients as plain, allocating expressions."""
+    total = 0.0
+    for _, t in named_params:
+        if t.grad is not None:
+            total += float(np.sum(t.grad * t.grad))
+    norm = float(np.sqrt(total))
+    if max_norm > 0 and norm > max_norm:
+        for _, t in named_params:
+            if t.grad is not None:
+                t.grad = t.grad * (max_norm / norm)
+    return norm
+
+
+def plain_adam_step(named_params, state, config):
+    """adam_step's update as the textbook expressions."""
+    b1, b2 = 0.9, 0.999
+    state.step += 1
+    t = state.step
+    for name, tensor in named_params:
+        g = tensor.grad
+        if g is None:
+            continue
+        m = state.m[name] = b1 * state.m[name] + (1 - b1) * g
+        v = state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        tensor.data = tensor.data - config.learning_rate * m_hat / (
+            np.sqrt(v_hat) + ADAM_EPS)
+        tensor.grad = None
+
+
+def test_adam_and_clip_bit_identical_to_plain_expressions():
+    shapes = {"a": (4, 3), "b": (7,), "c": (2, 3, 5)}
+
+    def params():
+        return [(name, Tensor(np.random.default_rng(i).normal(size=shape),
+                              requires_grad=True))
+                for i, (name, shape) in enumerate(shapes.items())]
+
+    fast, plain = params(), params()
+    fast_state, plain_state = AdamState(fast), AdamState(plain)
+    config = TrainConfig(learning_rate=0.01)
+    rng = np.random.default_rng(40)
+    norms = []
+    for step, scale in enumerate([0.05, 0.1, 0.3, 0.02, 1.0]):
+        for (name, f), (_, p) in zip(fast, plain):
+            g = None if (step, name) == (2, "b") else rng.normal(
+                0.0, scale, size=f.shape)
+            f.grad = None if g is None else g.copy()
+            p.grad = None if g is None else g.copy()
+        norm = clip_gradients(fast, 1.0)
+        assert norm == plain_clip_gradients(plain, 1.0)
+        norms.append(norm)
+        for (_, f), (_, p) in zip(fast, plain):
+            assert (f.grad is None) == (p.grad is None)
+            assert f.grad is None or np.array_equal(f.grad, p.grad)
+        # a parameter's array may alias a snapshot: it is replaced, not written
+        before = [(f.data, f.data.copy()) for _, f in fast]
+        adam_step(fast, fast_state, config)
+        plain_adam_step(plain, plain_state, config)
+        for (name, f), (_, p), (old, old_copy) in zip(fast, plain, before):
+            assert np.array_equal(f.data, p.data), (step, name)
+            assert np.array_equal(fast_state.m[name], plain_state.m[name])
+            assert np.array_equal(fast_state.v[name], plain_state.v[name])
+            assert np.array_equal(old, old_copy)
+            assert f.grad is None
+    assert min(norms) < 1.0 < max(norms)  # some steps clip, some do not
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
@@ -557,3 +627,33 @@ def test_checkpoint_tensor_name_not_utf8_is_corrupt(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(TrainingError, match="corrupt checkpoint"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda model: model.bank.map_weights.data.__setitem__((3, 5), np.nan),
+    lambda model: model.backbone.params["positional"].data.__setitem__(
+        (1, 2), -np.inf),
+    lambda model: model.params["revin.gamma"].data.__setitem__(0, 0.0),
+], ids=["nan", "inf", "zero-gamma"])
+def test_checkpoint_with_nonfinite_value_or_zero_gamma_is_corrupt(tmp_path,
+                                                                  tamper):
+    model = tiny_model()
+    tamper(model)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(TrainingError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_huge_finite_values_loads(tmp_path):
+    # 1e200 squared overflows; the values themselves are finite
+    model = tiny_model()
+    model.params["revin.beta"].data[0] = 1e200
+    model.bank.map_weights.data[0, :3] = [-1e300, 1e300, 5e-324]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert np.array_equal(loaded.all_arrays()["revin.beta"],
+                          model.all_arrays()["revin.beta"])
+    assert np.array_equal(loaded.bank.map_weights.data,
+                          model.bank.map_weights.data)
