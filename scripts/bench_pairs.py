@@ -12,10 +12,11 @@ working tree; the *parent* side is ``--parent``, unpacked with
 first in odd ones. Each run's end-to-end metrics, correctness checks, minor
 page faults and kernel/user seconds (``getrusage(RUSAGE_CHILDREN)`` around
 the child) are recorded; per side the median and quartiles of every metric,
-and per metric the pairs the change won. ``--traced N`` adds N traced runs
-per side (``--trace 1``), in the same alternating order, with their
-per-layer metrics. ``--suite`` runs the
-tier-1 test suite once per side, after the pairs, and records its wall
+and per metric the pairs the change won and a verdict, ``gain``,
+``worse`` or ``unresolved`` (see :func:`verdict`); runs whose checks failed
+are listed. ``--traced N`` adds N traced runs per side (``--trace 1``), in
+the same alternating order, with their per-layer metrics. ``--suite`` runs
+the tier-1 test suite once per side, after the pairs, and records its wall
 seconds and outcome counts. Stdlib only.
 """
 
@@ -133,23 +134,47 @@ def summarize(values: list[float]) -> dict:
             "iqr": q3 - q1}
 
 
-def compare(pairs: list[dict], better: dict) -> dict:
-    """Per side the spread of every metric and resource count, and per
-    metric how many pairs the change won."""
-    out = {"sides": {}, "wins": {}, "median_gap": {}}
-    names = list(better) + ["minor_faults", "kernel_s", "user_s"]
+def verdict(parent: dict, change: dict, wins: int, pairs: int,
+            better: str, bound: float) -> str:
+    """``gain`` when the change won at least nine tenths of the pairs and
+    its median is better than the parent's by more than the parent's IQR;
+    ``worse`` when its median is worse than the parent's by more than
+    ``bound`` times the parent's median; else ``unresolved``."""
+    sign = 1.0 if better == "higher" else -1.0
+    gap = sign * (change["median"] - parent["median"])
+    if 10 * wins >= 9 * pairs and gap > parent["iqr"]:
+        return "gain"
+    if -gap > bound * abs(parent["median"]):
+        return "worse"
+    return "unresolved"
+
+
+def compare(pairs: list[dict], metrics: dict) -> dict:
+    """Per side the spread of every metric and resource count; per metric
+    how many pairs the change won, the gap between the medians and the
+    :func:`verdict`; and the runs whose checks failed. ``metrics`` maps each
+    end-to-end metric to its ``(better, bound)`` from BENCHMARK.json."""
+    out = {"sides": {}, "wins": {}, "median_gap": {}, "verdict": {},
+           "incorrect_runs": [
+               {"side": side, "seed": pair[side]["seed"],
+                "failed": pair[side]["failed"]}
+               for pair in pairs for side in SIDES
+               if not pair[side]["correct"]]}
+    names = list(metrics) + ["minor_faults", "kernel_s", "user_s"]
     for side in SIDES:
         runs = [pair[side] for pair in pairs]
         out["sides"][side] = {
             name: summarize([run["metrics"].get(name, run.get(name))
                              for run in runs]) for name in names}
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         sign = 1.0 if direction == "higher" else -1.0
         out["wins"][name] = sum(
             sign * (pair["change"]["metrics"][name]
                     - pair["parent"]["metrics"][name]) > 0 for pair in pairs)
-        out["median_gap"][name] = (out["sides"]["change"][name]["median"]
-                                   - out["sides"]["parent"][name]["median"])
+        parent, change = (out["sides"][side][name] for side in SIDES)
+        out["median_gap"][name] = change["median"] - parent["median"]
+        out["verdict"][name] = verdict(parent, change, out["wins"][name],
+                                       len(pairs), direction, bound)
     return out
 
 
@@ -164,7 +189,7 @@ def machine() -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     report = {"parent": None, "pairs": args.pairs, "seconds": args.seconds,
               "machine": machine(), "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -185,7 +210,9 @@ def main(argv=None) -> int:
                           f"{m['latency_ms.p50']:.2f} ms faults "
                           f"{pair[side]['minor_faults']}", file=sys.stderr)
                 pairs.append(pair)
-            entry = {"runs": pairs, "summary": compare(pairs, better)}
+            entry = {"runs": pairs, "summary": compare(pairs, metrics)}
+            for name, result in entry["summary"]["verdict"].items():
+                print(f"{workload} {name}: {result}", file=sys.stderr)
             traced = {side: [] for side in SIDES}
             for i in range(args.traced):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:

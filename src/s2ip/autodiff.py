@@ -116,8 +116,9 @@ class Tensor:
         # a float64 C-contiguous ndarray is kept as is, the same object
         # np.asarray would return; anything else is copied. np.asarray with
         # order="C" keeps 0-d arrays 0-d (ascontiguousarray silently promotes
-        # them to 1-d)
-        if not (type(data) is np.ndarray and data.dtype == _FLOAT64
+        # them to 1-d). An equal dtype that is not the canonical float64
+        # object takes the np.asarray path, which keeps the array too
+        if not (type(data) is np.ndarray and data.dtype is _FLOAT64
                 and data.flags.c_contiguous):
             data = np.asarray(data, dtype=np.float64, order="C")
             if not data.flags.c_contiguous:
@@ -189,11 +190,14 @@ def as_tensor(value) -> Tensor:
 def _record(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
             backward_fn: Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]) -> Tensor:
     out = Tensor(out_data)
-    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out.tape = tape
-        tape.nodes.append(_Node(kind, tuple(inputs), out, backward_fn))
+    if _TAPE_STACK:
+        for t in inputs:
+            if t.requires_grad:
+                tape = _TAPE_STACK[-1]
+                out.requires_grad = True
+                out.tape = tape
+                tape.nodes.append(_Node(kind, tuple(inputs), out, backward_fn))
+                break
     return out
 
 
@@ -217,12 +221,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _binary(kind: str, a, b, forward, da, db) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    if type(a) is not Tensor:
+        a = as_tensor(a)
+    if type(b) is not Tensor:
+        b = as_tensor(b)
     try:
         out = forward(a.data, b.data)
     except ValueError:  # float64 arithmetic raises it only for broadcasting
         raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not "
                          "broadcast") from None
+    if not (_TAPE_STACK and (a.requires_grad or b.requires_grad)):
+        return Tensor(out)      # nothing to record, as in a tape-free forward
 
     def backward_fn(g):
         grads = []
@@ -240,17 +249,17 @@ def _binary(kind: str, a, b, forward, da, db) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    return _binary("add", a, b, lambda x, y: x + y,
+    return _binary("add", a, b, np.add,
                    lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, lambda x, y: x - y,
+    return _binary("sub", a, b, np.subtract,
                    lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary("mul", a, b, lambda x, y: x * y,
+    return _binary("mul", a, b, np.multiply,
                    lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
@@ -330,14 +339,15 @@ def matmul(a, b) -> Tensor:
     """Matrix product with optional equal leading batch dims (or a 2-D side
     shared over the batch)."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    la, lb = a.shape[:-2], b.shape[:-2]
+    x, y = a.data, b.data
+    if x.ndim < 2 or y.ndim < 2:
+        raise ShapeError(f"matmul needs >=2-D operands, got {x.shape} @ {y.shape}")
+    if x.shape[-1] != y.shape[-2]:
+        raise ShapeError(f"matmul inner dims disagree: {x.shape} @ {y.shape}")
+    la, lb = x.shape[:-2], y.shape[:-2]
     if la and lb and la != lb:
-        raise ShapeError(f"matmul batch dims disagree: {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
+        raise ShapeError(f"matmul batch dims disagree: {x.shape} @ {y.shape}")
+    out = np.matmul(x, y)
 
     def backward_fn(g):
         grads = []
@@ -418,15 +428,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last dimension to zero mean / unit variance, then apply
     the affine map ``gain * xhat + bias``."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm affine params must be ({d},), got "
                          f"{gain.shape} and {bias.shape}")
     # x is centered once: the variance is the mean of the centered squares,
     # the arithmetic np.var does, and the squares' buffer then holds the
     # output. Every step rounds as (x - mu) / sqrt(var + eps) * gain + bias
-    # does
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # does; each mean is the sum over d then a division by d, which is what
+    # np.mean computes
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xhat = x.data - mu
     out = xhat * xhat
     var = np.add.reduce(out, axis=-1, keepdims=True) / d
@@ -442,9 +453,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             # in dxhat's buffer with one scratch buffer
             dxhat = g * gain.data
             scratch = dxhat * xhat
-            proj = scratch.mean(axis=-1, keepdims=True)
+            proj = np.add.reduce(scratch, axis=-1, keepdims=True) / d
             np.multiply(xhat, proj, out=scratch)
-            dxhat -= dxhat.mean(axis=-1, keepdims=True)
+            dxhat -= np.add.reduce(dxhat, axis=-1, keepdims=True) / d
             dxhat -= scratch
             dxhat *= inv
             grads.append((x, dxhat))
@@ -476,13 +487,13 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     perm = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
-    out = np.transpose(a.data, perm)
+    out = a.data.transpose(perm)
     inv = [0] * len(perm)
     for i, ax in enumerate(perm):
         inv[ax % len(perm)] = i
 
     def backward_fn(g):
-        return [(a, np.transpose(g, inv))]
+        return [(a, g.transpose(inv))]
 
     return _record("transpose", (a,), out, backward_fn)
 

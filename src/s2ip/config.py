@@ -168,14 +168,16 @@ class RunConfig:
             if key not in SCHEMA:
                 raise ConfigError(f"unknown configuration key {key!r}")
             merged[key] = value
-        for key, (kind, _, check) in OTHER_KEYS.items():
+        # types first, so a type error names the config key
+        for key, (kind, _) in SCHEMA.items():
             _check_type(key, kind, merged[key])
+        for key, (_, _, check) in OTHER_KEYS.items():
             if check:
                 check(key, merged[key])
         self.values = merged
-        # build_dataclass checks the types of the FIELDS keys, the
-        # dataclasses their ranges and the cross-key constraints; the
-        # channel count only sizes parameters and model_config sets it
+        # the dataclasses check the ranges of the FIELDS keys and the
+        # cross-key constraints; the channel count only sizes parameters
+        # and model_config sets it
         fields_of = {ModelConfig: {"n_channels": 1}}
         for key, (cls, path) in FIELDS.items():
             fields_of.setdefault(cls, {})[path] = merged[key]

@@ -187,14 +187,19 @@ def evaluate_forecasts(pairs, mode: str = "long", seasonality: int = 1,
     pairs = list(pairs)
     if not pairs:
         raise MetricError("no forecasts to evaluate")
+    return _aggregate(pairs, None, mode, seasonality, insamples)
+
+
+def _aggregate(pairs: list, errors: list | None, mode: str, seasonality: int,
+               insamples) -> MetricReport:
+    """:func:`evaluate_forecasts` over nonempty ``pairs``, whose per-window
+    ``mse_mae`` values are ``errors`` when the caller already has them."""
     if mode not in ("long", "short"):
         raise MetricError(f"unknown metrics mode {mode!r}")
     horizon = len(pairs[0][0])
-    mses, maes = [], []
-    for y, yhat in pairs:
-        m, a = mse_mae(y, yhat)
-        mses.append(m)
-        maes.append(a)
+    if errors is None:
+        errors = [mse_mae(y, yhat) for y, yhat in pairs]
+    mses, maes = zip(*errors)
     report = MetricReport(mse=float(np.mean(mses)), mae=float(np.mean(maes)),
                           horizon=horizon, seasonality=seasonality,
                           n_windows=len(pairs))
@@ -233,10 +238,11 @@ def evaluate_model(model, test_windows, mode: str = "long",
         raise MetricError("test set is empty")
     channels, insamples, _ = zip(*test_windows)
     forecasts = model.predict(np.stack(insamples), channels)
-    pairs, rows = [], []
+    pairs, errors, rows = [], [], []
     for i, ((channel, x, y), yhat) in enumerate(zip(test_windows, forecasts)):
         pairs.append((y, yhat))
-        m, a = mse_mae(y, yhat)
+        errors.append(mse_mae(y, yhat))
+        m, a = errors[-1]
         row = {"window_id": i, "channel": channel, "mse": m, "mae": a}
         if mode == "short":
             row["smape"] = smape(y, yhat)
@@ -249,5 +255,5 @@ def evaluate_model(model, test_windows, mode: str = "long",
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
-    return evaluate_forecasts(pairs, mode=mode, seasonality=seasonality,
-                              insamples=insamples if mode == "short" else None)
+    return _aggregate(pairs, errors, mode, seasonality,
+                      insamples if mode == "short" else None)

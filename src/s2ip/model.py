@@ -268,6 +268,12 @@ class ForecastModel:
             for name, shape in parameter_shapes(config, embedding.vocab_size).items()
             if name.startswith(("input_projection.", "output_projection.",
                                 "revin."))}
+        # the RevIN shift lands on the first patch_length columns of each
+        # (N_P, meta_width) token block: the trend patches, or the whole
+        # block without decomposition
+        mask = np.zeros((config.n_patches, config.meta_width))
+        mask[:, :config.patch.patch_length] = 1.0
+        self._shift_mask = Tensor(mask)
 
     # -- parameter bookkeeping ----------------------------------------------
 
@@ -330,32 +336,36 @@ class ForecastModel:
         if channels.min() < 0 or channels.max() >= cfg.n_channels:
             raise ModelError(f"channel out of range [0, {cfg.n_channels}): "
                              f"{channels.tolist()}")
-        state = RevInState(mean=x.mean(axis=1), variance=x.var(axis=1),
+        # np.mean and np.var, written out as the reductions they run, so
+        # the centered windows are formed once
+        mean = np.add.reduce(x, axis=1) / x.shape[1]
+        centered = x - mean[:, None]
+        state = RevInState(mean=mean,
+                           variance=np.add.reduce(centered * centered, axis=1)
+                           / x.shape[1],
                            gamma=self.params["revin.gamma"].data[channels],
                            beta=self.params["revin.beta"].data[channels],
                            epsilon=DEFAULT_EPSILON)
-        z = (x - state.mean[:, None]) / state.scale[:, None]
+        z = centered / state.scale[:, None]
 
-        lp = cfg.patch.patch_length
         if cfg.decomposition.enabled:
             dec = decompose(z, cfg.decomposition.period,
                             cfg.decomposition.trend_window,
                             method=cfg.decomposition.method,
                             **({"inner_iterations": cfg.decomposition.stl_inner}
                                if cfg.decomposition.method == "stl" else {}))
-            meta_z = np.concatenate([patch(dec.trend, cfg.patch),
-                                     patch(dec.seasonal, cfg.patch),
-                                     patch(dec.residual, cfg.patch)], axis=-1)
-            # the shift parameter lands on the trend block only
-            shift_mask = np.zeros(meta_z.shape[1:])
-            shift_mask[:, :lp] = 1.0
+            # one patch call for the three components: (3, B, N_P, L_P) ->
+            # (B, N_P, 3 * L_P), trend block first
+            patches = patch(np.stack([dec.trend, dec.seasonal, dec.residual]),
+                            cfg.patch)
+            meta_z = patches.transpose(1, 2, 0, 3).reshape(
+                len(x), cfg.n_patches, cfg.meta_width)
         else:
             meta_z = patch(z, cfg.patch)
-            shift_mask = np.ones(meta_z.shape[1:])
 
         gamma_t, beta_t = self._revin_affine(channels, (len(channels), 1, 1))
         meta = ad.add(ad.mul(Tensor(meta_z), gamma_t),
-                      ad.mul(Tensor(shift_mask), beta_t))
+                      ad.mul(self._shift_mask, beta_t))
         ts_embed = ad.add(ad.matmul(meta, self.params["input_projection.weight"]),
                           self.params["input_projection.bias"])
         return ts_embed, state
@@ -389,22 +399,22 @@ class ForecastModel:
         parts = [ad.narrow(y_out, 1, i * h, h) for i in range(3)]
         return ad.add(ad.add(parts[0], parts[1]), parts[2])
 
-    def forward(self, x: np.ndarray, channels,
-                anchors: Tensor | None = None) -> ForwardPass:
+    def forward(self, x: np.ndarray, channels) -> ForwardPass:
         """Forecast a ``(B, lookback)`` batch of windows, one channel per
         row: tokenize, retrieve and prepend the top-K anchors, run the
         backbone, project, recombine the components, and invert each
-        window's normalization. ``anchors`` are derived from the anchor map
-        unless given."""
+        window's normalization. The anchors come from
+        :meth:`AnchorBank.anchors_tensor`: derived on the active tape, or
+        reused with no tape while the anchor map is unchanged."""
         cfg = self.config
         channels = np.asarray(channels, dtype=np.int64)
         ts_embed, state = self.tokenize_and_embed(x, channels)
         batch = ts_embed.shape[0]
         z_in = ts_embed
         selections = [PromptSelection((), ())] * batch
+        anchors = None
         if cfg.prompt_k > 0:
-            if anchors is None:
-                anchors = self.bank.anchors_tensor()
+            anchors = self.bank.anchors_tensor()
             selections = retrieve_topk(ts_embed.data, self.bank, cfg.prompt_k,
                                        pooling=cfg.pooling, anchors=anchors.data)
             indices = np.array([s.indices for s in selections])
@@ -434,9 +444,9 @@ class ForecastModel:
     def predict(self, x: np.ndarray, channels) -> np.ndarray:
         """Denormalized ``(N, horizon)`` forecasts of an ``(N, lookback)``
         batch of windows, one channel per row: :meth:`forward` over
-        consecutive chunks of :data:`FORECAST_CHUNK` windows, with the
-        anchors derived once for all of them. Called with no active tape,
-        as evaluation does, it records nothing, and each chunk's activations
+        consecutive chunks of :data:`FORECAST_CHUNK` windows. Called with no
+        active tape, as evaluation does, it records nothing, the chunks
+        share one derivation of the anchors, and each chunk's activations
         are freed before the next chunk runs."""
         x = np.asarray(x, dtype=np.float64)
         channels = np.asarray(channels, dtype=np.int64)
@@ -444,11 +454,10 @@ class ForecastModel:
             raise ModelError(f"need one channel per window, got shape "
                              f"{channels.shape} for {len(x)} windows")
         out = np.empty((len(x), self.config.window.horizon))
-        anchors = self.bank.anchors_tensor() if self.config.prompt_k > 0 else None
         for start in range(0, len(x), FORECAST_CHUNK):
             stop = start + FORECAST_CHUNK
-            out[start:stop] = self.forward(x[start:stop], channels[start:stop],
-                                           anchors).forecast.data
+            out[start:stop] = self.forward(x[start:stop],
+                                           channels[start:stop]).forecast.data
         return out
 
     def joint_loss(self, batch, alignment_weight: float | None = None) -> Tensor:

@@ -13,6 +13,7 @@ formula. Decomposition and patching work along the last axis, so a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -88,6 +89,16 @@ def _validate_decomposition_args(n: int, period: int, trend_window: int) -> None
         raise PreprocessError(f"trend_window must be odd and <= {n}, got {trend_window}")
 
 
+@cache
+def _window_index(n: int, width: int, step: int) -> np.ndarray:
+    """Gather table of :func:`_windows`: row i holds the positions i * step
+    to i * step + width - 1. Read-only, since it is shared."""
+    starts = np.arange(0, n - width + 1, step)
+    index = starts[:, None] + np.arange(width)
+    index.flags.writeable = False
+    return index
+
+
 def _windows(x: np.ndarray, width: int, step: int = 1) -> np.ndarray:
     """Copies of the full ``width``-wide windows along the last axis, at
     offsets 0, step, 2 * step, ...; shape ``(..., count, width)``.
@@ -96,22 +107,33 @@ def _windows(x: np.ndarray, width: int, step: int = 1) -> np.ndarray:
     every view made through ``as_strided`` leaves a little memory behind,
     which adds up on the per-window forecast path.
     """
-    starts = np.arange(0, x.shape[-1] - width + 1, step)
-    return x[..., starts[:, None] + np.arange(width)]
+    return x[..., _window_index(x.shape[-1], width, step)]
 
 
 def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
     """Mean of every full ``window`` along the last axis (n - window + 1
     values per row)."""
-    return _windows(x, window).mean(axis=-1)
+    # np.mean's arithmetic, without its wrapper
+    return np.add.reduce(_windows(x, window), axis=-1) / window
 
 
 def moving_average_trend(x: np.ndarray, trend_window: int) -> np.ndarray:
     """Centered moving average along the last axis with replicate-extended
     edges, so a constant series has itself as trend."""
     half = trend_window // 2
-    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)], mode="edge")
+    padded = np.concatenate([np.repeat(x[..., :1], half, axis=-1), x,
+                             np.repeat(x[..., -1:], half, axis=-1)], axis=-1)
     return _moving_average(padded, trend_window)
+
+
+@cache
+def _phase_table(n: int, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phase of each of ``n`` positions and the count of each phase;
+    read-only, since they are shared."""
+    phases = np.arange(n) % period
+    counts = np.bincount(phases)
+    phases.flags.writeable = counts.flags.writeable = False
+    return phases, counts
 
 
 def classical_decompose(x: np.ndarray, period: int, trend_window: int
@@ -130,10 +152,10 @@ def classical_decompose(x: np.ndarray, period: int, trend_window: int
     cycles = -(-n // period)
     padded = np.zeros(x.shape[:-1] + (cycles * period,))
     padded[..., :n] = x - trend
-    phases = np.arange(n) % period
+    phases, counts = _phase_table(n, period)
     phase_means = (padded.reshape(x.shape[:-1] + (cycles, period)).sum(axis=-2)
-                   / np.bincount(phases))
-    phase_means -= phase_means.mean(axis=-1, keepdims=True)
+                   / counts)
+    phase_means -= np.add.reduce(phase_means, axis=-1, keepdims=True) / period
     seasonal = phase_means[..., phases]
     residual = x - trend - seasonal
     return DecompositionResult(trend, seasonal, residual)

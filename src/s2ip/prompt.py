@@ -60,8 +60,9 @@ class EmbeddingMatrix:
 class AnchorBank:
     """Trainable compression of an embedding matrix into a few anchors.
 
-    ``map_weights`` is a (V', V) tensor; the anchors are map_weights @ E and
-    are re-derived whenever needed so they track the trained map.
+    ``map_weights`` is a (V', V) tensor; the anchors are map_weights @ E.
+    On a tape they are derived afresh, so the map trains; with no tape they
+    are reused while the map holds the contents they were derived from.
     """
 
     def __init__(self, embedding: EmbeddingMatrix, n_anchors: int,
@@ -83,9 +84,25 @@ class AnchorBank:
             raise PromptError(f"map_weights must be ({n_anchors}, "
                               f"{embedding.vocab_size}), got {map_weights.shape}")
         self.map_weights = Tensor(map_weights, requires_grad=True)
+        # the tape-free anchors and a copy of the map they were derived from
+        self._anchors: Tensor | None = None
+        self._derived_from: np.ndarray | None = None
 
     def anchors_tensor(self) -> Tensor:
-        return derive_anchors(self.embedding, self.map_weights)
+        """The anchors as a tensor. With a tape active they are derived on
+        it. Without one, the last tape-free derivation is returned while the
+        map's contents equal those it was derived from; the contents are
+        compared, not the array's identity, because ``grad_check`` perturbs
+        the map in place."""
+        if ad.active_tape() is not None:
+            return derive_anchors(self.embedding, self.map_weights)
+        weights = self.map_weights.data
+        if self._derived_from is None or not np.array_equal(self._derived_from,
+                                                            weights):
+            self._anchors = derive_anchors(self.embedding, self.map_weights)
+            self._anchors.data.flags.writeable = False  # every caller shares it
+            self._derived_from = weights.copy()
+        return self._anchors
 
     def anchors(self) -> np.ndarray:
         return self.map_weights.data @ self.embedding.values
@@ -136,12 +153,15 @@ def score_all(ts_embed: np.ndarray, anchors: np.ndarray,
         raise PromptError(f"expected an (N_P, D) or (B, N_P, D) embedding, "
                           f"got {ts_embed.shape}")
     anchors = np.asarray(anchors, dtype=np.float64)
-    anchor_norms = np.linalg.norm(anchors, axis=1)
+    # np.mean and np.linalg.norm written out as the sums they compute, so
+    # they round the same and skip the wrappers
+    anchor_norms = np.sqrt(np.add.reduce(anchors * anchors, axis=1))
     degenerate = anchor_norms < DEGENERATE_NORM
     safe_anchor = np.where(degenerate, 1.0, anchor_norms)
     if pooling == "mean":
-        pooled = ts_embed.mean(axis=-2)
-        p_norm = np.linalg.norm(pooled, axis=-1, keepdims=True)
+        pooled = np.add.reduce(ts_embed, axis=-2) / ts_embed.shape[-2]
+        p_norm = np.sqrt(np.add.reduce(pooled * pooled, axis=-1,
+                                       keepdims=True))
         flat = p_norm < DEGENERATE_NORM
         scores = pooled @ anchors.T / (safe_anchor * np.where(flat, 1.0, p_norm))
         scores = np.where(flat, 0.0, scores)
@@ -149,7 +169,8 @@ def score_all(ts_embed: np.ndarray, anchors: np.ndarray,
         _degenerate_events += int(flat.sum())
         windows_scored = int(flat.size - flat.sum())
     elif pooling == "per_patch":
-        row_norms = np.linalg.norm(ts_embed, axis=-1, keepdims=True)
+        row_norms = np.sqrt(np.add.reduce(ts_embed * ts_embed, axis=-1,
+                                          keepdims=True))
         flat = row_norms < DEGENERATE_NORM
         cosines = ((ts_embed / np.where(flat, 1.0, row_norms))
                    @ (anchors / safe_anchor[:, None]).T)

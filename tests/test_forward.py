@@ -19,6 +19,7 @@ from s2ip.model import (FORECAST_CHUNK, DecompositionConfig, ForecastModel,
 from s2ip.preprocess import DEFAULT_EPSILON, PatchSpec, decompose, patch
 from s2ip.prompt import clustered_vocabulary
 from s2ip.series import WindowSpec
+from s2ip.training import AdamState, TrainConfig, adam_step
 
 DEGENERATE_NORM = 1e-12
 
@@ -282,20 +283,104 @@ def test_predict_runs_tape_free_chunks():
 
 @pytest.mark.parametrize("name", ["classical-mean", "no-prompt"])
 def test_predict_derives_the_anchors_once_per_call(name, monkeypatch):
+    """Tape-free, the bank derives the anchors on a cold cache, reuses them
+    while the map is unchanged, and derives again after an in-place write."""
     model = make_model(**CONFIGS[name])
     batch = make_batch(2 * FORECAST_CHUNK + 3, seed=6)
     x = np.stack([x for _, x, _ in batch])
     channels = np.array([channel for channel, _, _ in batch])
-    # what predict computed when each chunk's forward derived its own anchors
-    expected = np.concatenate([
-        model.forward(x[start:start + FORECAST_CHUNK],
-                      channels[start:start + FORECAST_CHUNK]).forecast.data
-        for start in range(0, len(x), FORECAST_CHUNK)])
+    # what predict computes when each chunk's forward derives its own anchors
+    with Tape():
+        expected = np.concatenate([
+            model.forward(x[start:start + FORECAST_CHUNK],
+                          channels[start:start + FORECAST_CHUNK]).forecast.data
+            for start in range(0, len(x), FORECAST_CHUNK)])
     calls, derive = [], prompt.derive_anchors
     monkeypatch.setattr(prompt, "derive_anchors",
                         lambda *args: calls.append(args) or derive(*args))
+    prompted = model.config.prompt_k > 0
     assert np.array_equal(model.predict(x, channels), expected)
-    assert len(calls) == (1 if model.config.prompt_k > 0 else 0)
+    assert len(calls) == (1 if prompted else 0)
+    assert np.array_equal(model.predict(x, channels), expected)
+    assert len(calls) == (1 if prompted else 0)
+    model.bank.map_weights.data[0, 0] += 0.5
+    model.predict(x, channels)
+    assert len(calls) == (2 if prompted else 0)
+
+
+def cold_forecast(model, x):
+    """``forward_forecast`` of a fresh model holding ``model``'s arrays, so
+    no anchors are reused."""
+    fresh = make_model()
+    fresh.load_arrays({name: arr.copy() for name, arr in model.all_arrays().items()})
+    return fresh.forward_forecast(x).forecast
+
+
+def test_in_place_map_write_changes_the_next_forecast():
+    model = make_model()
+    x = make_batch(1, seed=7)[0][1]
+    model.bank.map_weights.data[0, 0] = -0.5
+    before = model.forward_forecast(x).forecast
+    model.bank.map_weights.data *= -1.0     # in place: the array is the same
+    after = model.forward_forecast(x).forecast
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, cold_forecast(model, x))
+
+
+def test_load_arrays_and_adam_step_invalidate_the_anchors():
+    model = make_model()
+    x = make_batch(1, seed=8)[0][1]
+    model.forward_forecast(x)
+    arrays = {name: arr.copy() for name, arr in model.all_arrays().items()}
+    arrays["anchor_map.weight"] = -arrays["anchor_map.weight"]
+    model.load_arrays(arrays)
+    loaded = model.forward_forecast(x).forecast
+    assert np.array_equal(loaded, cold_forecast(model, x))
+
+    with Tape() as tape:
+        loss = model.joint_loss(make_batch(4, seed=9))
+    backward(loss)
+    assert len(tape) > 0
+    named = model.named_parameters()
+    adam_step(named, AdamState(named), TrainConfig(learning_rate=0.05))
+    stepped = model.forward_forecast(x).forecast
+    assert not np.array_equal(stepped, loaded)
+    assert np.array_equal(stepped, cold_forecast(model, x))
+
+
+def test_anchors_on_an_active_tape_are_derived_and_train(monkeypatch):
+    model = make_model()
+    batch = make_batch(4, seed=10)
+    model.forward_forecast(batch[0][1])     # warms the tape-free cache
+    calls, derive = [], prompt.derive_anchors
+    monkeypatch.setattr(prompt, "derive_anchors",
+                        lambda *args: calls.append(args) or derive(*args))
+    with Tape():
+        out = model.forward(np.stack([x for _, x, _ in batch]), [0, 1, 0, 1])
+        loss = model.joint_loss(batch)
+    assert len(calls) == 2
+    assert out.anchors.tape is not None and out.anchors.requires_grad
+    model.bank.map_weights.grad = None
+    backward(loss)
+    assert model.bank.map_weights.grad is not None
+    assert np.any(model.bank.map_weights.grad != 0.0)
+
+
+def test_grad_check_of_the_anchor_map_through_a_tape_free_forward():
+    """grad_check perturbs the map in place and evaluates tape-free, so a
+    cache that missed in-place writes would read a zero numeric gradient."""
+    model = make_model()
+    batch = make_batch(3, seed=11)
+    x = np.stack([x for _, x, _ in batch])
+    target = Tensor(np.stack([y for _, _, y in batch]))
+
+    def loss():
+        err = ad.sub(model.forward(x, [0, 1, 0]).forecast, target)
+        return ad.tmean(ad.mul(err, err))
+
+    full = model.bank.map_weights
+    model.forward_forecast(x[0])            # warms the tape-free cache
+    assert ad.grad_check(loss, [full]) < 1e-3
 
 
 def tape_nodes(model, batch):
@@ -308,3 +393,69 @@ def tape_nodes(model, batch):
 def test_tape_nodes_do_not_depend_on_batch_size(name):
     model = make_model(**CONFIGS[name])
     assert tape_nodes(model, make_batch(2)) == tape_nodes(model, make_batch(16))
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the tokenization with the expressions it replaced
+# ---------------------------------------------------------------------------
+
+def old_tokenize(model, x, channels):
+    """np.mean / np.var statistics, one patch call per component joined by
+    concatenate, and a shift mask built per call."""
+    cfg = model.config
+    mean, variance = x.mean(axis=1), x.var(axis=1)
+    scale = np.sqrt(variance + DEFAULT_EPSILON)
+    z = (x - mean[:, None]) / scale[:, None]
+    lp = cfg.patch.patch_length
+    if cfg.decomposition.enabled:
+        dec = decompose(z, cfg.decomposition.period,
+                        cfg.decomposition.trend_window,
+                        method=cfg.decomposition.method,
+                        **({"inner_iterations": cfg.decomposition.stl_inner}
+                           if cfg.decomposition.method == "stl" else {}))
+        meta_z = np.concatenate([patch(dec.trend, cfg.patch),
+                                 patch(dec.seasonal, cfg.patch),
+                                 patch(dec.residual, cfg.patch)], axis=-1)
+        shift_mask = np.zeros(meta_z.shape[1:])
+        shift_mask[:, :lp] = 1.0
+    else:
+        meta_z = patch(z, cfg.patch)
+        shift_mask = np.ones(meta_z.shape[1:])
+    gamma = model.params["revin.gamma"].data[channels][:, None, None]
+    beta = model.params["revin.beta"].data[channels][:, None, None]
+    meta = meta_z * gamma + shift_mask * beta
+    embed = (meta @ model.params["input_projection.weight"].data
+             + model.params["input_projection.bias"].data)
+    return embed, mean, variance
+
+
+TOKENIZE_CASES = {
+    "classical-96": dict(window=WindowSpec(96, 24), patch=PatchSpec(16, 8),
+                         decomposition=DecompositionConfig(period=24,
+                                                           trend_window=25),
+                         backbone=BackboneConfig(embed_dim=16, n_layers=1,
+                                                 n_heads=2, max_seq_len=16)),
+    "plain-96": dict(window=WindowSpec(96, 24), patch=PatchSpec(16, 8),
+                     decomposition=DecompositionConfig(enabled=False),
+                     backbone=BackboneConfig(embed_dim=16, n_layers=1,
+                                             n_heads=2, max_seq_len=16)),
+    "stl-40": dict(window=WindowSpec(40, 8), patch=PatchSpec(8, 4),
+                   decomposition=STL),
+}
+
+
+@pytest.mark.parametrize("name, batch", [("classical-96", 1),
+                                         ("classical-96", 32),
+                                         ("plain-96", 32), ("stl-40", 5)])
+def test_tokenize_bit_identical_to_per_component_patching(name, batch):
+    model = make_model(**TOKENIZE_CASES[name])
+    lookback = model.config.window.lookback
+    x = np.cumsum(np.random.default_rng(batch).normal(size=(batch, lookback)),
+                  axis=1)
+    channels = np.arange(batch) % 2
+    embed, mean, variance = old_tokenize(model, x, channels)
+    for _ in range(2):  # the second call reads the tables the first built
+        ts_embed, state = model.tokenize_and_embed(x, channels)
+        assert np.array_equal(ts_embed.data, embed)
+        assert np.array_equal(state.mean, mean)
+        assert np.array_equal(state.variance, variance)

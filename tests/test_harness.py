@@ -133,6 +133,19 @@ def test_wrong_type_or_non_finite_value_refused(build, error):
         build()
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"prompt.k": True}, "prompt.k: expected int, got True"),
+    ({"patch.length": 2.5}, "patch.length: expected int, got 2.5"),
+])
+def test_type_errors_name_the_config_key(values, message):
+    with pytest.raises(ConfigError) as info:
+        RunConfig(values)
+    assert str(info.value) == message
+    with pytest.raises(ConfigError) as info:
+        RunConfig().override(values)
+    assert str(info.value) == message
+
+
 def test_negative_prompt_k_rejected():
     with pytest.raises(ConfigError, match="prompt.k"):
         parse_config_text("prompt.k = -1")

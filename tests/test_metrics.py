@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from s2ip import metrics
 from s2ip.backbone import BackboneConfig
 from s2ip.metrics import (MetricError, evaluate_forecasts, evaluate_model,
                           mape, mase, mse_mae, naive2_forecast, owa,
@@ -310,3 +311,21 @@ def test_evaluate_real_model_matches_per_window_forecasts(tmp_path, mode):
         if mode == "short":
             assert abs(float(row["smape"]) - smape(y, f)) <= 1e-12
             assert abs(float(row["mase"]) - mase(y, f, x, 8)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["long", "short"])
+def test_evaluate_model_scores_each_window_once(mode, monkeypatch):
+    rng = np.random.default_rng(9)
+    windows = [(i % 2, 10.0 + rng.normal(size=12), 10.0 + rng.normal(size=4))
+               for i in range(7)]
+    model = OracleModel(lambda x, c: x[-4:] + 0.1 * c)
+    pairs = [(y, x[-4:] + 0.1 * c) for c, x, y in windows]
+    expected = evaluate_forecasts(
+        pairs, mode=mode, seasonality=2,
+        insamples=[x for _, x, _ in windows] if mode == "short" else None)
+    calls, score = [], metrics.mse_mae
+    monkeypatch.setattr(metrics, "mse_mae",
+                        lambda *args: calls.append(args) or score(*args))
+    report = evaluate_model(model, windows, mode=mode, seasonality=2)
+    assert len(calls) == len(windows)
+    assert report.as_row() == expected.as_row()

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from s2ip.preprocess import (PatchSpec, PreprocessError, RevInState,
-                             _loess_at_batch, _loess_batch, decompose, patch,
-                             patch_count, revin_denormalize, revin_normalize)
+                             _loess_at_batch, _loess_batch, decompose,
+                             moving_average_trend, patch, patch_count,
+                             revin_denormalize, revin_normalize)
 
 
 def oracle_classical(x, period, trend_window):
@@ -292,3 +293,45 @@ def test_patch_spec_validation():
         PatchSpec(4, 8)  # stride larger than patch
     with pytest.raises(PreprocessError):
         PatchSpec(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the expressions the batched decomposition replaced
+# ---------------------------------------------------------------------------
+
+def old_moving_average_trend(x, trend_window):
+    """Edge padding by np.pad and a per-call gather table."""
+    half = trend_window // 2
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)], mode="edge")
+    n = padded.shape[-1] - trend_window + 1
+    return padded[..., np.arange(n)[:, None] + np.arange(trend_window)].mean(
+        axis=-1)
+
+
+def old_classical(x, period, trend_window):
+    n = x.shape[-1]
+    trend = old_moving_average_trend(x, trend_window)
+    cycles = -(-n // period)
+    padded = np.zeros(x.shape[:-1] + (cycles * period,))
+    padded[..., :n] = x - trend
+    phases = np.arange(n) % period
+    phase_means = (padded.reshape(x.shape[:-1] + (cycles, period)).sum(axis=-2)
+                   / np.bincount(phases))
+    phase_means -= phase_means.mean(axis=-1, keepdims=True)
+    seasonal = phase_means[..., phases]
+    return trend, seasonal, x - trend - seasonal
+
+
+@pytest.mark.parametrize("shape", [(96,), (1, 96), (32, 96)])
+@pytest.mark.parametrize("trend_window", [1, 25])
+def test_classical_bit_identical_to_padded_expressions(shape, trend_window):
+    x = np.cumsum(np.random.default_rng(len(shape) + trend_window).normal(
+        size=shape), axis=-1)
+    assert np.array_equal(moving_average_trend(x, trend_window),
+                          old_moving_average_trend(x, trend_window))
+    # twice: the second call reads the tables the first one built
+    for _ in range(2):
+        dec = decompose(x, period=24, trend_window=trend_window)
+        for got, want in zip((dec.trend, dec.seasonal, dec.residual),
+                             old_classical(x, 24, trend_window)):
+            assert np.array_equal(got, want)

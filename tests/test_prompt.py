@@ -341,3 +341,25 @@ def test_clustered_vocabulary_deterministic():
 def test_embedding_rejects_nonfinite():
     with pytest.raises(PromptError):
         EmbeddingMatrix(np.array([[1.0, np.inf]]))
+
+
+def norm_score_all(ts_embed, anchors, pooling):
+    """``score_all`` written with np.linalg.norm, without degenerate rows."""
+    anchor_norms = np.linalg.norm(anchors, axis=1)
+    if pooling == "mean":
+        pooled = ts_embed.mean(axis=-2)
+        p_norm = np.linalg.norm(pooled, axis=-1, keepdims=True)
+        return pooled @ anchors.T / (anchor_norms * p_norm)
+    row_norms = np.linalg.norm(ts_embed, axis=-1, keepdims=True)
+    return ((ts_embed / row_norms) @ (anchors / anchor_norms[:, None]).T
+            ).mean(axis=-2)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "per_patch"])
+@pytest.mark.parametrize("shape", [(15, 64), (1, 15, 64), (32, 15, 64)])
+def test_score_all_bit_identical_to_linalg_norm(shape, pooling):
+    rng = np.random.default_rng(len(shape) + shape[0])
+    ts_embed = rng.normal(size=shape)
+    anchors = rng.normal(size=(32, 64))
+    assert np.array_equal(score_all(ts_embed, anchors, pooling=pooling),
+                          norm_score_all(ts_embed, anchors, pooling))
