@@ -9,12 +9,15 @@ working tree; the *parent* side is ``--parent``, unpacked with
 ``git archive`` into a temporary directory. Pair ``i`` runs
 ``python3 perfbench/run.py --workload W --seed first_seed+i --seconds S
 --trace 0`` once per side, the parent first in even pairs and the change
-first in odd ones. Each run's end-to-end metrics, correctness checks, minor
-page faults and kernel/user seconds (``getrusage(RUSAGE_CHILDREN)`` around
-the child) are recorded; per side the median and quartiles of every metric,
-and per metric the pairs the change won and a verdict, ``gain``,
-``worse`` or ``unresolved`` (see :func:`verdict`); runs whose checks failed
-are listed. ``--traced N`` adds N traced runs per side (``--trace 1``), in
+first in odd ones. Each side compiles into its own bytecode cache
+(``PYTHONPYCACHEPREFIX``) under the temporary directory, which one discarded
+warm-up run per side and workload fills first, so no run reads bytecode
+that the other side or an earlier build left behind. Each run's end-to-end
+metrics, correctness checks, minor page faults and kernel/user seconds
+(``getrusage(RUSAGE_CHILDREN)`` around the child) are recorded; per side
+the median and quartiles of every metric, and per metric the pairs the
+change won and a verdict, ``gain``, ``worse`` or ``unresolved`` (see
+:func:`verdict`); runs whose checks failed are listed. ``--traced N`` adds N traced runs per side (``--trace 1``), in
 the same alternating order, with their per-layer metrics. ``--suite`` runs
 the tier-1 test suite once per side, after the pairs, and records its wall
 seconds and outcome counts. Stdlib only.
@@ -39,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+WARM_UP_SECONDS = 1.0   # a discarded run that fills a side's bytecode cache
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -72,15 +76,26 @@ def unpack(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float,
-             trace: bool) -> dict:
+def side_env(cache_root: Path, side: str) -> dict:
+    """The environment of one side's runs: this process's, with bytecode
+    read from and written to that side's own cache under ``cache_root``.
+    Otherwise what a run compiles at import, and so its peak RSS, depends
+    on the ``__pycache__`` directories a checkout happens to hold."""
+    env = dict(os.environ)
+    env["PYTHONPYCACHEPREFIX"] = str(cache_root / f"pycache-{side}")
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_once(checkout: Path, env: dict, workload: str, seed: int,
+             seconds: float, trace: bool) -> dict:
     """One benchmark run in ``checkout``, with the resources it used."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", repr(seconds),
                "--trace", str(int(trace))]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     started = time.perf_counter()
-    proc = subprocess.run(command, cwd=checkout, capture_output=True,
+    proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True,
                           text=True)
     wall = time.perf_counter() - started
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -106,10 +121,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     }
 
 
-def run_suite(checkout: Path) -> dict:
+def run_suite(checkout: Path, env: dict) -> dict:
     """One run of the tier-1 test suite in ``checkout``: its wall seconds,
     exit code and outcome counts."""
-    env = dict(os.environ)
+    env = dict(env)
     env["PYTHONPATH"] = os.pathsep.join(
         ["src"] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     command = [sys.executable, "-m", "pytest", "-q",
@@ -192,18 +207,23 @@ def main(argv=None) -> int:
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     report = {"parent": None, "pairs": args.pairs, "seconds": args.seconds,
               "machine": machine(), "workloads": {}}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        checkouts = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        checkouts = {"parent": Path(tmp) / "parent", "change": ROOT}
+        checkouts["parent"].mkdir()
+        envs = {side: side_env(Path(tmp), side) for side in SIDES}
         report["parent"] = unpack(args.parent, checkouts["parent"])
         for workload in args.workload:
+            for side in SIDES:
+                run_once(checkouts[side], envs[side], workload,
+                         args.first_seed, WARM_UP_SECONDS, False)
             pairs = []
             for i in range(args.pairs):
                 seed = args.first_seed + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(checkouts[side], workload, seed,
-                                          args.seconds, False)
+                    pair[side] = run_once(checkouts[side], envs[side],
+                                          workload, seed, args.seconds, False)
                     m = pair[side]["metrics"]
                     print(f"{workload} pair {i} seed {seed} {side}: "
                           f"windows/s {m['windows_per_s']:.1f} p50 "
@@ -217,15 +237,15 @@ def main(argv=None) -> int:
             for i in range(args.traced):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     traced[side].append(run_once(
-                        checkouts[side], workload, args.first_seed + i,
-                        args.seconds, True))
+                        checkouts[side], envs[side], workload,
+                        args.first_seed + i, args.seconds, True))
             if args.traced:
                 entry["traced"] = traced
             report["workloads"][workload] = entry
             # written after every workload, so a cut session keeps its pairs
             write_report(args.out, report)
         if args.suite:
-            report["suite"] = {side: run_suite(checkouts[side])
+            report["suite"] = {side: run_suite(checkouts[side], envs[side])
                                for side in SIDES}
             write_report(args.out, report)
     return 0

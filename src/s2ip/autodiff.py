@@ -366,6 +366,114 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", (a, b), out, backward_fn)
 
 
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for a ``(..., k)`` input, a ``(k, n)`` weight and an
+    ``(n,)`` bias, as one tape node.
+
+    The bias is added in place into the product, which rounds as the two
+    separate operations do. The backward folds the leading dims into rows,
+    so each operand's gradient is one 2-D product (or sum) over all rows.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] \
+            or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: input {x.shape}, weight {w.shape} and "
+                         f"bias {b.shape} do not fit")
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        grads = []
+        if x.requires_grad:
+            grads.append((x, np.matmul(g2, w.data.T).reshape(x.shape)))
+        if w.requires_grad:
+            rows = x.data.reshape(-1, x.shape[-1])
+            grads.append((w, np.matmul(rows.T, g2)))
+        if b.requires_grad:
+            grads.append((b, np.add.reduce(g2, axis=0)))
+        return grads
+
+    return _record("linear", (x, w, b), out, backward_fn)
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """A ``(B, L, H * hd)`` array as a ``(B, H, L, hd)`` view."""
+    b, length, d = x.shape
+    return x.reshape(b, length, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """A ``(B, H, L, hd)`` array as a new ``(B, L, H * hd)`` array."""
+    b, heads, length, hd = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, length, heads * hd)
+
+
+def _check_heads(kind: str, shape: tuple[int, ...], heads: int) -> None:
+    if len(shape) != 3 or heads < 1 or shape[-1] % heads:
+        raise ShapeError(f"{kind}: need (B, L, D) with D divisible by "
+                         f"{heads} heads, got {shape}")
+
+
+def attention_scores(q, k, mask, heads: int) -> Tensor:
+    """Scaled dot-product scores ``q kᵀ / sqrt(hd) + mask`` per head, as one
+    tape node.
+
+    ``q`` and ``k`` are ``(B, L, D)``, split into ``heads`` heads of width
+    ``hd = D / heads``; the output is ``(B, heads, L, L)``. ``mask`` is a
+    constant that broadcasts against it (an ``(L, L)`` causal mask, say)
+    and gets no gradient. Scale and mask are applied in place on the
+    product, which rounds as the separate operations do.
+    """
+    q, k = as_tensor(q), as_tensor(k)
+    _check_heads("attention_scores", q.shape, heads)
+    if k.shape != q.shape:
+        raise ShapeError(f"attention_scores: q {q.shape} and k {k.shape} differ")
+    scale = 1.0 / np.sqrt(q.shape[-1] // heads)
+    q4, k4 = _split_heads(q.data, heads), _split_heads(k.data, heads)
+    out = np.matmul(q4, np.swapaxes(k4, -1, -2))
+    out *= scale
+    out += as_tensor(mask).data
+
+    def backward_fn(g):
+        gs = g * scale
+        grads = []
+        if q.requires_grad:
+            grads.append((q, _merge_heads(np.matmul(gs, k4))))
+        if k.requires_grad:
+            grads.append((k, _merge_heads(np.matmul(np.swapaxes(gs, -1, -2),
+                                                    q4))))
+        return grads
+
+    return _record("attention_scores", (q, k), out, backward_fn)
+
+
+def attention_context(weights, v, heads: int) -> Tensor:
+    """Attention ``weights @ v`` per head, merged back to ``(B, L, D)``, as
+    one tape node; ``weights`` is ``(B, heads, L, L)`` and ``v`` is
+    ``(B, L, D)``."""
+    weights, v = as_tensor(weights), as_tensor(v)
+    _check_heads("attention_context", v.shape, heads)
+    b, length, _ = v.shape
+    if weights.shape != (b, heads, length, length):
+        raise ShapeError(f"attention_context: weights {weights.shape} do not "
+                         f"fit v {v.shape} with {heads} heads")
+    v4 = _split_heads(v.data, heads)
+    out = _merge_heads(np.matmul(weights.data, v4))
+
+    def backward_fn(g):
+        g4 = _split_heads(g, heads)
+        grads = []
+        if weights.requires_grad:
+            grads.append((weights, np.matmul(g4, np.swapaxes(v4, -1, -2))))
+        if v.requires_grad:
+            grads.append((v, _merge_heads(np.matmul(
+                np.swapaxes(weights.data, -1, -2), g4))))
+        return grads
+
+    return _record("attention_context", (weights, v), out, backward_fn)
+
+
 def _normalize_axes(axis, ndim) -> tuple[int, ...]:
     if axis is None:
         return tuple(range(ndim))

@@ -112,14 +112,14 @@ class Backbone:
         shape. Position t only attends to positions <= t."""
         if x.ndim != 3:
             raise BackboneError(f"expected (B, L, D) input, got shape {x.shape}")
-        b, length, d = x.shape
+        _, length, d = x.shape
         cfg = self.config
         if d != cfg.embed_dim:
             raise BackboneError(f"embedding width {d} != configured {cfg.embed_dim}")
         if length > cfg.max_seq_len:
             raise BackboneError(f"sequence length {length} exceeds max_seq_len "
                                 f"{cfg.max_seq_len}")
-        heads, head_dim = cfg.n_heads, d // cfg.n_heads
+        heads = cfg.n_heads
 
         # the (L, D) positional table and the (L, L) causal mask broadcast
         # over the batch (and the heads); the mask is built once per length
@@ -133,30 +133,20 @@ class Backbone:
             p = f"layer.{i}"
             h = ad.layer_norm(x, self.params[f"{p}.ln1.gain"],
                               self.params[f"{p}.ln1.bias"])
-            qkv = []
-            for w, bias in (("wq", "bq"), ("wk", "bk"), ("wv", "bv")):
-                proj = ad.add(ad.matmul(h, self.params[f"{p}.attn.{w}"]),
-                              self.params[f"{p}.attn.{bias}"])
-                proj = ad.transpose(ad.reshape(proj, (b, length, heads, head_dim)),
-                                    (0, 2, 1, 3))
-                qkv.append(proj)
-            q, k, v = qkv
-            scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                            1.0 / np.sqrt(head_dim))
-            weights = ad.softmax(ad.add(scores, mask), axis=-1)
-            context = ad.matmul(weights, v)
-            context = ad.reshape(ad.transpose(context, (0, 2, 1, 3)),
-                                 (b, length, d))
-            attn_out = ad.add(ad.matmul(context, self.params[f"{p}.attn.wo"]),
-                              self.params[f"{p}.attn.bo"])
+            q, k, v = (ad.linear(h, self.params[f"{p}.attn.w{n}"],
+                                 self.params[f"{p}.attn.b{n}"]) for n in "qkv")
+            weights = ad.softmax(ad.attention_scores(q, k, mask, heads), axis=-1)
+            attn_out = ad.linear(ad.attention_context(weights, v, heads),
+                                 self.params[f"{p}.attn.wo"],
+                                 self.params[f"{p}.attn.bo"])
             x = ad.add(x, attn_out)
 
             h = ad.layer_norm(x, self.params[f"{p}.ln2.gain"],
                               self.params[f"{p}.ln2.bias"])
-            inner = ad.gelu(ad.add(ad.matmul(h, self.params[f"{p}.ffn.w1"]),
-                                   self.params[f"{p}.ffn.b1"]))
-            ffn_out = ad.add(ad.matmul(inner, self.params[f"{p}.ffn.w2"]),
-                             self.params[f"{p}.ffn.b2"])
+            inner = ad.gelu(ad.linear(h, self.params[f"{p}.ffn.w1"],
+                                      self.params[f"{p}.ffn.b1"]))
+            ffn_out = ad.linear(inner, self.params[f"{p}.ffn.w2"],
+                                self.params[f"{p}.ffn.b2"])
             x = ad.add(x, ffn_out)
 
         return ad.layer_norm(x, self.params["final_ln.gain"],

@@ -366,8 +366,8 @@ class ForecastModel:
         gamma_t, beta_t = self._revin_affine(channels, (len(channels), 1, 1))
         meta = ad.add(ad.mul(Tensor(meta_z), gamma_t),
                       ad.mul(self._shift_mask, beta_t))
-        ts_embed = ad.add(ad.matmul(meta, self.params["input_projection.weight"]),
-                          self.params["input_projection.bias"])
+        ts_embed = ad.linear(meta, self.params["input_projection.weight"],
+                             self.params["input_projection.bias"])
         return ts_embed, state
 
     # -- forward -------------------------------------------------------------
@@ -387,8 +387,8 @@ class ForecastModel:
             start, length = 0, z_out.shape[1]
         kept = ad.narrow(z_out, 1, start, length)
         flat = ad.reshape(kept, (batch, length * cfg.backbone.embed_dim))
-        return ad.add(ad.matmul(flat, self.params["output_projection.weight"]),
-                      self.params["output_projection.bias"])
+        return ad.linear(flat, self.params["output_projection.weight"],
+                         self.params["output_projection.bias"])
 
     def _recombine(self, y_out: Tensor) -> Tensor:
         """Sum the trend, seasonal and residual horizon segments."""

@@ -6,7 +6,8 @@ import pytest
 
 import s2ip.autodiff as ad
 from s2ip.autodiff import Tape, Tensor, backward, grad_check
-from s2ip.backbone import MASK_FILL
+from s2ip.backbone import (MASK_FILL, Backbone, BackboneConfig,
+                           TrainabilityPolicy)
 
 
 def central_diff(f, arrays, eps=1e-6):
@@ -605,3 +606,168 @@ def test_softmax_bit_identical_to_plain_expressions(shape, masked):
     assert np.array_equal(grads[0], expected_grads[0])
     if masked:
         assert not np.triu(out[(0,) * (out.ndim - 2)], k=1).any()
+
+
+# ---------------------------------------------------------------------------
+# fused linear and attention ops against the compositions they replaced
+# ---------------------------------------------------------------------------
+
+def composed_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def split_heads(x, heads):
+    b, length, d = x.shape
+    return ad.transpose(ad.reshape(x, (b, length, heads, d // heads)),
+                        (0, 2, 1, 3))
+
+
+def composed_scores(q, k, mask, heads):
+    scores = ad.matmul(split_heads(q, heads),
+                       ad.transpose(split_heads(k, heads), (0, 1, 3, 2)))
+    return ad.add(ad.mul(scores, 1.0 / np.sqrt(q.shape[-1] // heads)), mask)
+
+
+def composed_context(weights, v, heads):
+    b, length, d = v.shape
+    context = ad.matmul(weights, split_heads(v, heads))
+    return ad.reshape(ad.transpose(context, (0, 2, 1, 3)), (b, length, d))
+
+
+def tape_gradients(op, arrays):
+    """The op's forward value and the gradient of sum(out * g) with respect
+    to each operand, through a full backward, for a fixed random g."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape():
+        out = op(*tensors)
+        g = np.random.default_rng(out.size).normal(size=out.shape)
+        loss = ad.tsum(ad.mul(out, Tensor(g)))
+    backward(loss)
+    return out.data, [t.grad for t in tensors]
+
+
+def assert_grads_close(got, want):
+    # relative to the largest entry, with an absolute floor for gradients
+    # that are analytically zero and read ~1e-20 on both sides
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= max(1e-12 * np.max(np.abs(b)), 1e-15)
+
+
+def assert_matches_composition(fused, composed, arrays):
+    out, grads = tape_gradients(fused, arrays)
+    expected, expected_grads = tape_gradients(composed, arrays)
+    assert np.array_equal(out, expected)
+    assert_grads_close(grads, expected_grads)
+
+
+@pytest.mark.parametrize("x_shape, n", [((32, 15, 64), 64), ((2, 3, 8), 5),
+                                        ((32, 768), 72), ((4, 48), 64)])
+def test_linear_matches_matmul_plus_bias(x_shape, n):
+    rng = np.random.default_rng(sum(x_shape) + n)
+    arrays = [rng.normal(size=x_shape), rng.normal(0.0, 0.1, size=(x_shape[-1], n)),
+              rng.normal(size=n)]
+    assert_matches_composition(ad.linear, composed_linear, arrays)
+
+
+ATTENTION_SHAPES = [(32, 15, 64, 4), (2, 5, 8, 2), (1, 7, 6, 1)]
+
+
+@pytest.mark.parametrize("b, length, d, heads", ATTENTION_SHAPES)
+def test_attention_scores_match_composition(b, length, d, heads):
+    rng = np.random.default_rng(b + length + d)
+    mask = Tensor(np.triu(np.full((length, length), MASK_FILL), k=1))
+    arrays = [rng.normal(size=(b, length, d)), rng.normal(size=(b, length, d))]
+    assert_matches_composition(
+        lambda q, k: ad.attention_scores(q, k, mask, heads),
+        lambda q, k: composed_scores(q, k, mask, heads), arrays)
+
+
+@pytest.mark.parametrize("b, length, d, heads", ATTENTION_SHAPES)
+def test_attention_context_matches_composition(b, length, d, heads):
+    rng = np.random.default_rng(b + length + d)
+    weights = rng.uniform(size=(b, heads, length, length))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    arrays = [weights, rng.normal(size=(b, length, d))]
+    assert_matches_composition(
+        lambda w, v: ad.attention_context(w, v, heads),
+        lambda w, v: composed_context(w, v, heads), arrays)
+
+
+@pytest.mark.parametrize("op, shapes", [
+    (ad.linear, [(2, 3, 4), (5, 6), (6,)]),
+    (ad.linear, [(2, 3, 4), (4, 6), (4,)]),
+    (lambda q, k: ad.attention_scores(q, k, 0.0, 3), [(2, 3, 4), (2, 3, 4)]),
+    (lambda q, k: ad.attention_scores(q, k, 0.0, 2), [(2, 3, 4), (2, 4, 4)]),
+    (lambda w, v: ad.attention_context(w, v, 2), [(2, 2, 3, 3), (2, 4, 4)]),
+])
+def test_fused_ops_reject_mismatched_shapes(op, shapes):
+    with pytest.raises(ad.ShapeError):
+        op(*[Tensor(np.ones(s)) for s in shapes])
+
+
+ALL_TRAINABLE = TrainabilityPolicy(True, True, True, True)
+
+
+def composed_backbone_forward(model, x):
+    """Backbone.forward written with the composed ops: the reference for the
+    fused ones."""
+    _, length, _ = x.shape
+    heads = model.config.n_heads
+    p = model.params
+    mask = Tensor(np.triu(np.full((length, length), MASK_FILL), k=1))
+    x = ad.add(x, ad.narrow(p["positional"], 0, 0, length))
+    for i in range(model.config.n_layers):
+        h = ad.layer_norm(x, p[f"layer.{i}.ln1.gain"], p[f"layer.{i}.ln1.bias"])
+        q, k, v = (composed_linear(h, p[f"layer.{i}.attn.w{n}"],
+                                   p[f"layer.{i}.attn.b{n}"]) for n in "qkv")
+        weights = ad.softmax(composed_scores(q, k, mask, heads))
+        x = ad.add(x, composed_linear(composed_context(weights, v, heads),
+                                      p[f"layer.{i}.attn.wo"],
+                                      p[f"layer.{i}.attn.bo"]))
+        h = ad.layer_norm(x, p[f"layer.{i}.ln2.gain"], p[f"layer.{i}.ln2.bias"])
+        inner = ad.gelu(composed_linear(h, p[f"layer.{i}.ffn.w1"],
+                                        p[f"layer.{i}.ffn.b1"]))
+        x = ad.add(x, composed_linear(inner, p[f"layer.{i}.ffn.w2"],
+                                      p[f"layer.{i}.ffn.b2"]))
+    return ad.layer_norm(x, p["final_ln.gain"], p["final_ln.bias"])
+
+
+def backbone_gradients(model, forward, x, weight):
+    for tensor in model.params.values():
+        tensor.grad = None
+    with Tape():
+        out = forward(Tensor(x))
+        loss = ad.tsum(ad.mul(out, Tensor(weight)))
+    backward(loss)
+    return out.data, {name: t.grad for name, t in model.params.items()}
+
+
+def test_backbone_matches_the_composed_ops():
+    model = Backbone(BackboneConfig(embed_dim=64, n_layers=2, n_heads=4,
+                                    max_seq_len=20), seed=3)
+    model.apply_policy(ALL_TRAINABLE)
+    rng = np.random.default_rng(4)
+    for tensor in model.params.values():  # nonzero biases and gains
+        if tensor.ndim == 1:
+            tensor.data = tensor.data + rng.normal(0.0, 0.1, size=tensor.shape)
+    x, weight = rng.normal(size=(2, 2, 15, 64))
+    out, grads = backbone_gradients(model, model.forward, x, weight)
+    expected, expected_grads = backbone_gradients(
+        model, lambda t: composed_backbone_forward(model, t), x, weight)
+    assert np.array_equal(out, expected)
+    assert_grads_close([grads[n] for n in model.params],
+                       [expected_grads[n] for n in model.params])
+
+
+def test_backbone_grad_check_with_every_group_trainable():
+    model = Backbone(BackboneConfig(embed_dim=8, n_layers=1, n_heads=2,
+                                    max_seq_len=6, ffn_mult=2), seed=5)
+    trainable = [t for _, t in model.apply_policy(ALL_TRAINABLE)]
+    rng = np.random.default_rng(6)
+    x, weight = rng.normal(size=(2, 2, 5, 8))
+
+    def f():
+        return ad.tsum(ad.mul(model.forward(Tensor(x)), Tensor(weight)))
+
+    assert ad.grad_check(f, trainable, eps=1e-5) <= 1e-4

@@ -1,6 +1,8 @@
-"""``compare`` of scripts/bench_pairs.py on synthetic pairs; nothing runs."""
+"""``compare`` and the per-side run set-up of scripts/bench_pairs.py, on
+synthetic pairs and a stand-in child process; no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,32 @@ def test_incorrect_runs_are_listed():
     summary = bench_pairs.compare(pairs, METRICS)
     assert summary["incorrect_runs"] == [{"side": "change", "seed": 4,
                                           "failed": 3}]
+
+
+def test_each_side_compiles_into_its_own_bytecode_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    envs = {side: bench_pairs.side_env(tmp_path, side)
+            for side in bench_pairs.SIDES}
+    prefixes = {Path(env["PYTHONPYCACHEPREFIX"]) for env in envs.values()}
+    assert len(prefixes) == 2
+    assert all(prefix.parent == tmp_path for prefix in prefixes)
+    assert not any("PYTHONDONTWRITEBYTECODE" in env for env in envs.values())
+
+
+def test_run_once_runs_the_child_in_the_side_env(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_run(command, cwd, env, **kwargs):
+        seen.update(command=command, cwd=cwd, env=env)
+        result = {"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"peak_rss_mb": {"value": 70.0, "unit": "MiB"}}}
+        return bench_pairs.subprocess.CompletedProcess(
+            command, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    env = bench_pairs.side_env(tmp_path, "parent")
+    run = bench_pairs.run_once(tmp_path, env, "train", 7, 1.0, False)
+    assert seen["env"] is env and seen["cwd"] == tmp_path
+    assert seen["command"][-6:] == ["--seed", "7", "--seconds", "1.0",
+                                    "--trace", "0"]
+    assert run["metrics"] == {"peak_rss_mb": 70.0}

@@ -7,13 +7,17 @@ per window. The batched path must reproduce its forecasts, losses and
 gradients.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import s2ip.autodiff as ad
-from s2ip import prompt
+from s2ip import harness, prompt
 from s2ip.autodiff import Tape, Tensor, active_tape, backward
 from s2ip.backbone import BackboneConfig
+from s2ip.config import RunConfig
 from s2ip.model import (FORECAST_CHUNK, DecompositionConfig, ForecastModel,
                         ModelConfig, ModelError)
 from s2ip.preprocess import DEFAULT_EPSILON, PatchSpec, decompose, patch
@@ -393,6 +397,29 @@ def tape_nodes(model, batch):
 def test_tape_nodes_do_not_depend_on_batch_size(name):
     model = make_model(**CONFIGS[name])
     assert tape_nodes(model, make_batch(2)) == tape_nodes(model, make_batch(16))
+
+
+def load_spans():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_default_step_tape_size_and_node_buckets():
+    # the traced benchmark's span coverage needs a backward node in every
+    # bucket but "other"; a fusion that empties one fails that check
+    spans = load_spans()
+    config = RunConfig({})
+    pipeline = harness.build_pipeline(config, 0)
+    model = harness.build_model(config, pipeline.frame.n_channels, 0)
+    batch = pipeline.train_windows[:config.train_config(0).batch_size]
+    with Tape() as tape:
+        model.joint_loss(batch)
+    assert len(tape) == 77
+    buckets = {spans.node_bucket(node.kind) for node in tape.nodes}
+    assert set(spans.NODE_BUCKETS) - {"other"} <= buckets
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import s2ip.autodiff as ad
-from s2ip.backbone import BackboneConfig
+from s2ip.backbone import BackboneConfig, TrainabilityPolicy
 from s2ip.autodiff import Tensor
 from s2ip.model import DecompositionConfig, ForecastModel, ModelConfig, ModelError
 from s2ip.preprocess import DEFAULT_EPSILON, PatchSpec
@@ -258,7 +258,26 @@ def test_loss_differentiable_end_to_end():
     assert err <= 1e-4
 
 
-@pytest.mark.parametrize("pooling, nodes", [("mean", 82), ("per_patch", 83)])
+def test_loss_grad_check_with_every_backbone_group_trainable():
+    # attention and feed-forward weights are frozen by default, so only
+    # this policy checks their gradients through the whole model
+    config = tiny_config(backbone=BackboneConfig(embed_dim=8, n_layers=1,
+                                                 n_heads=2, max_seq_len=16,
+                                                 ffn_mult=2))
+    model = ForecastModel(config, clustered_vocabulary(50, 8, seed=1), seed=1,
+                          policy=TrainabilityPolicy(True, True, True, True))
+    batch = make_batch(model, 2, seed=13)
+    weights = [t for name, t in model.named_parameters()
+               if ".attn." in name or ".ffn." in name]
+    assert len(weights) == 12
+
+    def f():
+        return model.joint_loss(batch)
+
+    assert ad.grad_check(f, weights, eps=1e-5) <= 1e-4
+
+
+@pytest.mark.parametrize("pooling, nodes", [("mean", 63), ("per_patch", 64)])
 def test_step_computes_no_frozen_gradient(pooling, nodes):
     # one training step's backward computes a gradient for no tensor that
     # does not require one, on a tape of a fixed size
