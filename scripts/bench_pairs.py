@@ -17,10 +17,12 @@ metrics, correctness checks, minor page faults and kernel/user seconds
 (``getrusage(RUSAGE_CHILDREN)`` around the child) are recorded; per side
 the median and quartiles of every metric, and per metric the pairs the
 change won and a verdict, ``gain``, ``worse`` or ``unresolved`` (see
-:func:`verdict`); runs whose checks failed are listed. ``--traced N`` adds N traced runs per side (``--trace 1``), in
-the same alternating order, with their per-layer metrics. ``--suite`` runs
-the tier-1 test suite once per side, after the pairs, and records its wall
-seconds and outcome counts. Stdlib only.
+:func:`verdict`); runs whose checks failed are listed, and so is each
+side's line count of ``src/s2ip/*.py``. ``--traced N`` adds N traced runs
+per side (``--trace 1``), in the same alternating order, with their
+per-layer metrics. ``--suite`` runs the tier-1 test suite once per side,
+after the pairs, and records its wall seconds and outcome counts. Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -193,6 +195,12 @@ def compare(pairs: list[dict], metrics: dict) -> dict:
     return out
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines in ``checkout``'s ``src/s2ip/*.py``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "s2ip").glob("*.py"))
+
+
 def machine() -> dict:
     return {"platform": platform.platform(),
             "python": platform.python_version(),
@@ -212,6 +220,8 @@ def main(argv=None) -> int:
         checkouts["parent"].mkdir()
         envs = {side: side_env(Path(tmp), side) for side in SIDES}
         report["parent"] = unpack(args.parent, checkouts["parent"])
+        report["src_lines"] = {side: src_lines(checkouts[side])
+                               for side in SIDES}
         for workload in args.workload:
             for side in SIDES:
                 run_once(checkouts[side], envs[side], workload,

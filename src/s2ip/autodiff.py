@@ -148,37 +148,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; the module-level functions do the real work
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(value) -> Tensor:
     """Wrap a scalar or array as a constant (non-trainable) tensor."""
@@ -275,22 +244,14 @@ def div(a, b) -> Tensor:
                    lambda g, x, y: _quiet_div(-g * x, y * y))
 
 
-def _unary(kind: str, a, forward, dfn) -> Tensor:
-    a = as_tensor(a)
-    out = forward(a.data)
-
-    def backward_fn(g, _out=out):
-        return [(a, dfn(g, a.data, _out))]
-
-    return _record(kind, (a,), out, backward_fn)
-
-
-def neg(a) -> Tensor:
-    return _unary("neg", a, lambda x: -x, lambda g, x, o: -g)
-
-
 def sqrt(a) -> Tensor:
-    return _unary("sqrt", a, np.sqrt, lambda g, x, o: g * 0.5 / o)
+    a = as_tensor(a)
+    out = np.sqrt(a.data)
+
+    def backward_fn(g):
+        return [(a, g * 0.5 / out)]
+
+    return _record("sqrt", (a,), out, backward_fn)
 
 
 def gelu(a) -> Tensor:

@@ -34,9 +34,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.config) if args.config else RunConfig()
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 2
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

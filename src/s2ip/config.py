@@ -147,14 +147,6 @@ def _parse_value(key: str, kind: str, text: str):
         raise ConfigError(f"{key}: cannot parse {text!r} as {kind}") from None
 
 
-def _format_value(kind: str, value) -> str:
-    if kind in ("ints", "floats"):
-        return ",".join(_format_value(kind[:-1], v) for v in value)
-    if kind == "bool":
-        return "true" if value else "false"
-    return repr(float(value)) if kind == "float" else str(value)
-
-
 @dataclass
 class RunConfig:
     """Validated configuration values plus the config dataclasses built
@@ -192,6 +184,12 @@ class RunConfig:
                 raise ConfigError(f"prompt.anchors: must be at most "
                                   f"prompt.vocab_size // 2 = {most}, got "
                                   f"{merged['prompt.anchors']}")
+        # short-mode MASE needs a history longer than one season
+        if (merged["eval.mode"] == "short"
+                and merged["eval.seasonality"] >= merged["window.lookback"]):
+            raise ConfigError(f"eval.seasonality: must be below window.lookback"
+                              f" = {merged['window.lookback']} when eval.mode "
+                              f"= short, got {merged['eval.seasonality']}")
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -235,15 +233,11 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    """Parse and validate a configuration file; unknown keys are errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
-def serialize_config(config: RunConfig) -> str:
-    """Canonical text form; parsing it back yields an equal config."""
-    lines = []
-    for key in sorted(SCHEMA):
-        kind = SCHEMA[key][0]
-        lines.append(f"{key} = {_format_value(kind, config.values[key])}")
-    return "\n".join(lines) + "\n"
+    """Parse and validate a configuration file; unknown keys are errors, and
+    so is a file that cannot be read as UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_config_text(text)

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .config import RunConfig
 from .metrics import evaluate_model
 from .model import ForecastModel
-from .prompt import EmbeddingMatrix, clustered_vocabulary, retrieve_topk
+from .prompt import EmbeddingMatrix, clustered_vocabulary
 from .series import (SeriesFrame, Standardizer, chronological_split,
                      few_shot_truncate, load_csv, windows)
 from .training import load_checkpoint, save_checkpoint, train
@@ -307,19 +307,12 @@ def cmd_export_embeddings(config: RunConfig, seed: int, outdir: str,
     if not selected:
         raise HarnessError("no test windows to embed")
     channels, inputs, _ = zip(*selected)
-    ts_embed = model.tokenize_and_embed(np.stack(inputs), channels)[0].data
-    anchors = model.bank.anchors()
-    prompted = ts_embed
-    if model.config.prompt_k > 0:
-        selections = retrieve_topk(ts_embed, model.bank, model.config.prompt_k,
-                                   pooling=model.config.pooling,
-                                   anchors=anchors)
-        indices = np.array([s.indices for s in selections])
-        prompted = np.concatenate([anchors[indices], ts_embed], axis=1)
+    ts_embed = model.tokenize_and_embed(np.stack(inputs), channels)[0]
+    prompted = model.prompt(ts_embed)[0]
     paths = []
-    for name, arr in (("anchors", anchors),
-                      ("ts_embeddings", ts_embed.mean(axis=1)),
-                      ("prompted_embeddings", prompted.mean(axis=1))):
+    for name, arr in (("anchors", model.bank.anchors_tensor().data),
+                      ("ts_embeddings", ts_embed.data.mean(axis=1)),
+                      ("prompted_embeddings", prompted.data.mean(axis=1))):
         path = os.path.join(outdir, f"{name}.tensor")
         with open(path, "wb") as fh:
             ad.write_named_array(fh, name, arr)

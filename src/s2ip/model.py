@@ -284,9 +284,6 @@ class ForecastModel:
         out.extend((f"backbone.{name}", t) for name, t in self._backbone_trainable)
         return out
 
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
     def all_arrays(self) -> dict[str, np.ndarray]:
         """Every array needed to reproduce the model bit-for-bit."""
         out = {name: t.data for name, t in self.params.items()}
@@ -399,26 +396,32 @@ class ForecastModel:
         parts = [ad.narrow(y_out, 1, i * h, h) for i in range(3)]
         return ad.add(ad.add(parts[0], parts[1]), parts[2])
 
+    def prompt(self, ts_embed: Tensor
+               ) -> tuple[Tensor, list[PromptSelection], Tensor | None]:
+        """Retrieve each window's top-K anchors and prepend them to its
+        patch embeddings: the backbone's input sequence, one selection per
+        window, and the anchors (None without prompts). The anchors come
+        from :meth:`AnchorBank.anchors_tensor`: derived on the active tape,
+        or reused with no tape while the anchor map is unchanged."""
+        k = self.config.prompt_k
+        if k == 0:
+            return ts_embed, [PromptSelection((), ())] * ts_embed.shape[0], None
+        anchors = self.bank.anchors_tensor()
+        selections = retrieve_topk(ts_embed.data, self.bank, k,
+                                   pooling=self.config.pooling,
+                                   anchors=anchors.data)
+        indices = np.array([s.indices for s in selections])
+        return (prefix_concat(ad.gather_rows(anchors, indices), ts_embed),
+                selections, anchors)
+
     def forward(self, x: np.ndarray, channels) -> ForwardPass:
         """Forecast a ``(B, lookback)`` batch of windows, one channel per
-        row: tokenize, retrieve and prepend the top-K anchors, run the
-        backbone, project, recombine the components, and invert each
-        window's normalization. The anchors come from
-        :meth:`AnchorBank.anchors_tensor`: derived on the active tape, or
-        reused with no tape while the anchor map is unchanged."""
-        cfg = self.config
+        row: tokenize, :meth:`prompt`, run the backbone, project, recombine
+        the components, and invert each window's normalization."""
         channels = np.asarray(channels, dtype=np.int64)
         ts_embed, state = self.tokenize_and_embed(x, channels)
         batch = ts_embed.shape[0]
-        z_in = ts_embed
-        selections = [PromptSelection((), ())] * batch
-        anchors = None
-        if cfg.prompt_k > 0:
-            anchors = self.bank.anchors_tensor()
-            selections = retrieve_topk(ts_embed.data, self.bank, cfg.prompt_k,
-                                       pooling=cfg.pooling, anchors=anchors.data)
-            indices = np.array([s.indices for s in selections])
-            z_in = prefix_concat(ad.gather_rows(anchors, indices), ts_embed)
+        z_in, selections, anchors = self.prompt(ts_embed)
         components = self._head(self.backbone.forward(z_in))
         y_norm = self._recombine(components)
         gamma_t, beta_t = self._revin_affine(channels, (batch, 1))

@@ -7,7 +7,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +56,6 @@ class TrainReport:
     train_losses: list[float] = field(default_factory=list)
     val_mses: list[float] = field(default_factory=list)
     best_epoch: int = 0
-    wall_seconds: float = 0.0
 
     def epochs_run(self) -> int:
         return len(self.train_losses)
@@ -158,7 +156,6 @@ def train(model: ForecastModel, train_windows, val_windows,
     best = _snapshot(model)
     best_val = np.inf
     stale = 0
-    started = time.perf_counter()
 
     try:
         for epoch in range(config.epochs):
@@ -205,7 +202,6 @@ def train(model: ForecastModel, train_windows, val_windows,
         raise TrainingError(f"{exc}; best parameters restored") from exc
 
     model.load_arrays(best)
-    report.wall_seconds = time.perf_counter() - started
     return report
 
 

@@ -260,7 +260,6 @@ OPS = [
 ]
 
 UNARY_OPS = [
-    ("neg", ad.neg, lambda rng: rng.normal(size=(3, 3))),
     ("sqrt", ad.sqrt, lambda rng: rng.uniform(0.5, 3.0, size=(5,))),
     ("gelu", ad.gelu, lambda rng: rng.normal(size=(6,))),
     ("softmax", lambda t: ad.softmax(t, axis=-1),

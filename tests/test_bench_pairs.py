@@ -100,3 +100,15 @@ def test_run_once_runs_the_child_in_the_side_env(tmp_path, monkeypatch):
     assert seen["command"][-6:] == ["--seed", "7", "--seconds", "1.0",
                                     "--trace", "0"]
     assert run["metrics"] == {"peak_rss_mb": 70.0}
+
+
+def test_src_lines_counts_each_checkout_like_wc(tmp_path):
+    counts = {}
+    for side, files in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z\n"}),
+                        ("change", {"a.py": "x = 1\n", "notes.txt": "1\n2\n"})):
+        package = tmp_path / side / "src" / "s2ip"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+        counts[side] = bench_pairs.src_lines(tmp_path / side)
+    assert counts == {"parent": 3, "change": 1}

@@ -9,9 +9,10 @@ from s2ip.autodiff import read_named_array
 from s2ip.backbone import TrainabilityPolicy
 from s2ip.cli import main
 from s2ip.config import (FIELDS, SCHEMA, ConfigError, RunConfig, parse_config,
-                         parse_config_text, serialize_config)
-from s2ip.harness import synthetic_frame
+                         parse_config_text)
+from s2ip.harness import build_pipeline, synthetic_frame
 from s2ip.model import ModelConfig, ModelError, flatten_dataclass
+from s2ip.prompt import retrieve_topk
 from s2ip.series import SeriesError, SplitSpec
 from s2ip.training import (TrainConfig, TrainingError, load_checkpoint,
                            save_checkpoint)
@@ -166,12 +167,13 @@ def test_split_fractions_must_sum_to_one():
         parse_config_text("split.train = 0.5\nsplit.val = 0.1\nsplit.test = 0.1")
 
 
-def test_config_round_trip():
-    config = parse_config_text(TINY)
-    text = serialize_config(config)
-    again = parse_config_text(text)
-    assert again.values == config.values
-    assert serialize_config(again) == text
+def test_short_eval_seasonality_must_be_below_lookback():
+    # short-mode MASE needs a history longer than one season
+    lookback = RunConfig()["window.lookback"]
+    RunConfig({"eval.mode": "short", "eval.seasonality": lookback - 1})
+    RunConfig({"eval.mode": "long", "eval.seasonality": lookback})
+    with pytest.raises(ConfigError, match="eval.seasonality"):
+        RunConfig({"eval.mode": "short", "eval.seasonality": lookback})
 
 
 def test_comments_and_blank_lines_ignored():
@@ -309,6 +311,31 @@ def test_non_finite_float_exit_code(tmp_path, line, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+def test_short_eval_seasonality_exits_2_before_any_output(tmp_path, capsys,
+                                                         command):
+    cfg = tiny_config_file(tmp_path, {"eval.mode": "short",
+                                      "eval.seasonality": "32"})
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "eval.seasonality" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make", [lambda path: None,
+                                  lambda path: path.mkdir(),
+                                  lambda path: path.write_bytes(b"\xff\xfe")],
+                         ids=["missing", "directory", "not_utf8"])
+def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, make):
+    path = tmp_path / "run.cfg"
+    make(path)
+    out = tmp_path / "x"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["decomposition.period = 60",
                                   "prompt.anchors = 400",
                                   "backbone.heads = 5"])
@@ -418,6 +445,34 @@ def test_export_embeddings(tmp_path):
     assert ts.shape == prompted.shape
     assert ts.shape[1] == 16
     assert not np.allclose(ts, prompted)  # prompts shift the pooled rows
+
+
+@pytest.mark.parametrize("overrides", [{}, {"prompt.pooling": "per_patch"},
+                                       {"prompt.k": "0"}],
+                         ids=["mean", "per_patch", "k0"])
+def test_export_matches_numpy_prompt_step(tmp_path, overrides):
+    # the exported arrays equal the prompt step written out in numpy
+    cfg = tiny_config_file(tmp_path, {"train.epochs": "1", **overrides})
+    out = tmp_path / "exp"
+    for command in ("train", "export-embeddings"):
+        assert main([command, "--config", cfg, "--seed", "6",
+                     "--out", str(out)]) == 0
+    model = load_checkpoint(out / "model.ckpt")
+    channels, inputs, _ = zip(*build_pipeline(parse_config(cfg), 6).test_windows)
+    ts_embed = model.tokenize_and_embed(np.stack(inputs), channels)[0].data
+    anchors = model.bank.anchors()
+    prompted = ts_embed
+    if model.config.prompt_k > 0:
+        selections = retrieve_topk(ts_embed, model.bank, model.config.prompt_k,
+                                   pooling=model.config.pooling,
+                                   anchors=anchors)
+        indices = np.array([s.indices for s in selections])
+        prompted = np.concatenate([anchors[indices], ts_embed], axis=1)
+    expected = {"anchors": anchors, "ts_embeddings": ts_embed.mean(axis=1),
+                "prompted_embeddings": prompted.mean(axis=1)}
+    for name, arr in expected.items():
+        with open(out / f"{name}.tensor", "rb") as fh:
+            assert np.array_equal(read_named_array(fh)[1], arr), name
 
 
 def test_csv_data_path_pipeline(tmp_path):

@@ -249,7 +249,7 @@ def test_loss_empty_batch_rejected():
 def test_loss_differentiable_end_to_end():
     model = tiny_model(n_channels=1)
     batch = make_batch(model, 2, seed=11)
-    params = model.parameters()
+    params = [t for _, t in model.named_parameters()]
 
     def f():
         return model.joint_loss(batch)
