@@ -45,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 WARM_UP_SECONDS = 1.0   # a discarded run that fills a side's bytecode cache
+MIN_GAIN_PAIRS = 10     # fewer pairs than this support no claimed gain
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -146,20 +147,24 @@ def run_suite(checkout: Path, env: dict) -> dict:
 
 
 def summarize(values: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles; a single run is its own quartiles."""
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                 if len(values) > 1 else values * 3)
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "iqr": q3 - q1}
 
 
 def verdict(parent: dict, change: dict, wins: int, pairs: int,
             better: str, bound: float) -> str:
-    """``gain`` when the change won at least nine tenths of the pairs and
-    its median is better than the parent's by more than the parent's IQR;
-    ``worse`` when its median is worse than the parent's by more than
-    ``bound`` times the parent's median; else ``unresolved``."""
+    """``gain`` when, over at least ``MIN_GAIN_PAIRS`` pairs, the change won
+    at least nine tenths of them and its median is better than the parent's
+    by more than the parent's IQR; ``worse`` when its median is worse than
+    the parent's by more than ``bound`` times the parent's median; else
+    ``unresolved``."""
     sign = 1.0 if better == "higher" else -1.0
     gap = sign * (change["median"] - parent["median"])
-    if 10 * wins >= 9 * pairs and gap > parent["iqr"]:
+    if pairs >= MIN_GAIN_PAIRS and 10 * wins >= 9 * pairs \
+            and gap > parent["iqr"]:
         return "gain"
     if -gap > bound * abs(parent["median"]):
         return "worse"

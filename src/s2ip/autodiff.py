@@ -3,7 +3,8 @@
 A :class:`Tape` records every differentiable operation in execution order
 (define-by-run); :func:`backward` replays the tape once in reverse and
 accumulates into leaf tensors that require gradients; frozen operands get no
-gradient work. Everything is 64-bit. Elementwise operations broadcast by
+gradient work; a node keeps only the arrays its backward reads and drops
+them once run. Everything is 64-bit. Elementwise operations broadcast by
 NumPy rules, so a batch of windows runs through the same operations as a
 single one; the backward pass sums each gradient back down to its operand's
 shape.
@@ -66,13 +67,12 @@ class AutodiffError(ValueError):
 
 
 class _Node:
-    __slots__ = ("kind", "inputs", "output", "backward_fn")
+    """A recorded op, and the gradient key of the tensor it produced."""
+    __slots__ = ("kind", "inputs", "backward_fn")
+    requires_grad = True    # as the key of a recorded output
 
-    def __init__(self, kind, inputs, output, backward_fn):
-        self.kind = kind
-        self.inputs = inputs
-        self.output = output
-        self.backward_fn = backward_fn
+    def __init__(self, kind, inputs, backward_fn):
+        self.kind, self.inputs, self.backward_fn = kind, inputs, backward_fn
 
 
 class Tape:
@@ -106,11 +106,11 @@ class Tensor:
     """A dense float64 array plus gradient metadata.
 
     ``requires_grad`` marks trainable leaves; tensors produced by recorded
-    operations inherit it and remember the tape they were recorded on.
+    operations inherit it, with their tape and the node that recorded them.
     :func:`backward` writes ``grad`` into leaves only.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "tape", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         # a float64 C-contiguous ndarray is kept as is, the same object
@@ -127,6 +127,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.tape: Tape | None = None
+        self.node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -149,6 +150,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+_CONSTANT = Tensor(0.0)  # the tape key of every input that gets no gradient
+
+
 def as_tensor(value) -> Tensor:
     """Wrap a scalar or array as a constant (non-trainable) tensor."""
     if isinstance(value, Tensor):
@@ -156,17 +160,19 @@ def as_tensor(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
-def _record(kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-            backward_fn: Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]) -> Tensor:
-    out = Tensor(out_data)
-    if _TAPE_STACK:
-        for t in inputs:
-            if t.requires_grad:
-                tape = _TAPE_STACK[-1]
-                out.requires_grad = True
-                out.tape = tape
-                tape.nodes.append(_Node(kind, tuple(inputs), out, backward_fn))
-                break
+def _keys(*inputs: Tensor) -> tuple | None:
+    """Each input's key on the active tape (a trainable leaf itself, a
+    recorded output its node, else ``_CONSTANT``); None if not recorded."""
+    if _TAPE_STACK and any(t.requires_grad for t in inputs):
+        return tuple((t.node or t) if t.requires_grad else _CONSTANT for t in inputs)
+    return None
+
+
+def _record(kind: str, keys: tuple, out_data: np.ndarray,
+            backward_fn: Callable[[np.ndarray], list[tuple[object, np.ndarray]]]) -> Tensor:
+    out = Tensor(out_data, requires_grad=True)
+    out.tape, out.node = _TAPE_STACK[-1], _Node(kind, keys, backward_fn)
+    out.tape.nodes.append(out.node)
     return out
 
 
@@ -189,7 +195,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _binary(kind: str, a, b, forward, da, db) -> Tensor:
+def _binary(kind: str, a, b, forward, da, db, reads_operands=False) -> Tensor:
     if type(a) is not Tensor:
         a = as_tensor(a)
     if type(b) is not Tensor:
@@ -199,18 +205,20 @@ def _binary(kind: str, a, b, forward, da, db) -> Tensor:
     except ValueError:  # float64 arithmetic raises it only for broadcasting
         raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not "
                          "broadcast") from None
-    if not (_TAPE_STACK and (a.requires_grad or b.requires_grad)):
-        return Tensor(out)      # nothing to record, as in a tape-free forward
+    if (keys := _keys(a, b)) is None:
+        return Tensor(out)
+    ka, kb = keys
+    x, y = (a.data, b.data) if reads_operands else (None, None)
 
-    def backward_fn(g):
+    def backward_fn(g, sa=a.shape, sb=b.shape):
         grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(da(g, a.data, b.data), a.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(db(g, a.data, b.data), b.shape)))
+        if ka.requires_grad:
+            grads.append((ka, _unbroadcast(da(g, x, y), sa)))
+        if kb.requires_grad:
+            grads.append((kb, _unbroadcast(db(g, x, y), sb)))
         return grads
 
-    return _record(kind, (a, b), out, backward_fn)
+    return _record(kind, keys, out, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +237,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     return _binary("mul", a, b, np.multiply,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+                   lambda g, x, y: g * y, lambda g, x, y: g * x, True)
 
 
 def _quiet_div(x, y):
@@ -241,25 +249,26 @@ def div(a, b) -> Tensor:
     # division by exact zero propagates inf, as documented
     return _binary("div", a, b, _quiet_div,
                    lambda g, x, y: _quiet_div(g, y),
-                   lambda g, x, y: _quiet_div(-g * x, y * y))
+                   lambda g, x, y: _quiet_div(-g * x, y * y), True)
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)
+    if (keys := _keys(a)) is None:
+        return Tensor(out)
 
     def backward_fn(g):
-        return [(a, g * 0.5 / out)]
+        return [(keys[0], g * 0.5 / out)]
 
-    return _record("sqrt", (a,), out, backward_fn)
+    return _record("sqrt", keys, out, backward_fn)
 
 
 def gelu(a) -> Tensor:
-    # the cube is x2 * x: ``x ** 3`` goes through pow, about 100x slower on
-    # an activation-sized array; the backward reuses the forward's x2 and
-    # tanh. The forward runs in place on those two buffers plus the output,
-    # three live arrays; it rounds as 0.5 * x * (1 + tanh(s (x + c x^3)))
-    # does, since it only commutes products and scales by 0.5
+    # the cube is x2 * x (``x ** 3`` goes through pow, ~100x slower). In place
+    # on x2, tanh and out, it rounds as 0.5 * x * (1 + tanh(s (x + c x^3)))
+    # does: it only commutes products and scales by 0.5. The node keeps x and
+    # tanh; its backward recomputes x2 bit for bit rather than keep it
     a = as_tensor(a)
     x = a.data
     x2 = x * x
@@ -271,6 +280,8 @@ def gelu(a) -> Tensor:
     out = t + 1.0
     out *= x
     out *= 0.5
+    if (keys := _keys(a)) is None:
+        return Tensor(out)
 
     def backward_fn(g):
         # g * (0.5 (1 + t) + 0.5 x (1 - t^2) dinner), evaluated in place on
@@ -279,7 +290,8 @@ def gelu(a) -> Tensor:
         np.subtract(1.0, slope, out=slope)
         slope *= x
         slope *= 0.5
-        dinner = x2 * (3.0 * GELU_CUBIC_COEFF)
+        dinner = x * x
+        dinner *= 3.0 * GELU_CUBIC_COEFF
         dinner += 1.0
         dinner *= _GELU_SCALE
         slope *= dinner
@@ -287,9 +299,9 @@ def gelu(a) -> Tensor:
         dinner *= 0.5
         slope += dinner
         slope *= g
-        return [(a, slope)]
+        return [(keys[0], slope)]
 
-    return _record("gelu", (a,), out, backward_fn)
+    return _record("gelu", keys, out, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +321,26 @@ def matmul(a, b) -> Tensor:
     if la and lb and la != lb:
         raise ShapeError(f"matmul batch dims disagree: {x.shape} @ {y.shape}")
     out = np.matmul(x, y)
+    if (keys := _keys(a, b)) is None:
+        return Tensor(out)
+    ka, kb = keys
+    x, y = (x if kb.requires_grad else None), (y if ka.requires_grad else None)
 
-    def backward_fn(g):
+    def backward_fn(g, na=a.ndim, nb=b.ndim):
         grads = []
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            if ga.ndim > a.ndim:
-                ga = ga.sum(axis=tuple(range(ga.ndim - a.ndim)))
-            grads.append((a, ga))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            if gb.ndim > b.ndim:
-                gb = gb.sum(axis=tuple(range(gb.ndim - b.ndim)))
-            grads.append((b, gb))
+        if ka.requires_grad:
+            ga = np.matmul(g, np.swapaxes(y, -1, -2))
+            if ga.ndim > na:
+                ga = ga.sum(axis=tuple(range(ga.ndim - na)))
+            grads.append((ka, ga))
+        if kb.requires_grad:
+            gb = np.matmul(np.swapaxes(x, -1, -2), g)
+            if gb.ndim > nb:
+                gb = gb.sum(axis=tuple(range(gb.ndim - nb)))
+            grads.append((kb, gb))
         return grads
 
-    return _record("matmul", (a, b), out, backward_fn)
+    return _record("matmul", keys, out, backward_fn)
 
 
 def linear(x, w, b) -> Tensor:
@@ -342,20 +358,24 @@ def linear(x, w, b) -> Tensor:
                          f"bias {b.shape} do not fit")
     out = np.matmul(x.data, w.data)
     out += b.data
+    if (keys := _keys(x, w, b)) is None:
+        return Tensor(out)
+    kx, kw, kb = keys
+    wt = w.data.T if kx.requires_grad else None
+    rows = x.data.reshape(-1, x.shape[-1]) if kw.requires_grad else None
 
-    def backward_fn(g):
+    def backward_fn(g, shape=x.shape):
         g2 = g.reshape(-1, g.shape[-1])
         grads = []
-        if x.requires_grad:
-            grads.append((x, np.matmul(g2, w.data.T).reshape(x.shape)))
-        if w.requires_grad:
-            rows = x.data.reshape(-1, x.shape[-1])
-            grads.append((w, np.matmul(rows.T, g2)))
-        if b.requires_grad:
-            grads.append((b, np.add.reduce(g2, axis=0)))
+        if kx.requires_grad:
+            grads.append((kx, np.matmul(g2, wt).reshape(shape)))
+        if kw.requires_grad:
+            grads.append((kw, np.matmul(rows.T, g2)))
+        if kb.requires_grad:
+            grads.append((kb, np.add.reduce(g2, axis=0)))
         return grads
 
-    return _record("linear", (x, w, b), out, backward_fn)
+    return _record("linear", keys, out, backward_fn)
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -395,18 +415,22 @@ def attention_scores(q, k, mask, heads: int) -> Tensor:
     out = np.matmul(q4, np.swapaxes(k4, -1, -2))
     out *= scale
     out += as_tensor(mask).data
+    if (keys := _keys(q, k)) is None:
+        return Tensor(out)
+    kq, kk = keys
+    q4, k4 = (q4 if kk.requires_grad else None), (k4 if kq.requires_grad else None)
 
     def backward_fn(g):
         gs = g * scale
         grads = []
-        if q.requires_grad:
-            grads.append((q, _merge_heads(np.matmul(gs, k4))))
-        if k.requires_grad:
-            grads.append((k, _merge_heads(np.matmul(np.swapaxes(gs, -1, -2),
-                                                    q4))))
+        if kq.requires_grad:
+            grads.append((kq, _merge_heads(np.matmul(gs, k4))))
+        if kk.requires_grad:
+            grads.append((kk, _merge_heads(np.matmul(np.swapaxes(gs, -1, -2),
+                                                     q4))))
         return grads
 
-    return _record("attention_scores", (q, k), out, backward_fn)
+    return _record("attention_scores", keys, out, backward_fn)
 
 
 def attention_context(weights, v, heads: int) -> Tensor:
@@ -421,18 +445,23 @@ def attention_context(weights, v, heads: int) -> Tensor:
                          f"fit v {v.shape} with {heads} heads")
     v4 = _split_heads(v.data, heads)
     out = _merge_heads(np.matmul(weights.data, v4))
+    if (keys := _keys(weights, v)) is None:
+        return Tensor(out)
+    kw, kv = keys
+    w4 = weights.data if kv.requires_grad else None
+    v4 = v4 if kw.requires_grad else None
 
     def backward_fn(g):
         g4 = _split_heads(g, heads)
         grads = []
-        if weights.requires_grad:
-            grads.append((weights, np.matmul(g4, np.swapaxes(v4, -1, -2))))
-        if v.requires_grad:
-            grads.append((v, _merge_heads(np.matmul(
-                np.swapaxes(weights.data, -1, -2), g4))))
+        if kw.requires_grad:
+            grads.append((kw, np.matmul(g4, np.swapaxes(v4, -1, -2))))
+        if kv.requires_grad:
+            grads.append((kv, _merge_heads(np.matmul(
+                np.swapaxes(w4, -1, -2), g4))))
         return grads
 
-    return _record("attention_context", (weights, v), out, backward_fn)
+    return _record("attention_context", keys, out, backward_fn)
 
 
 def _normalize_axes(axis, ndim) -> tuple[int, ...]:
@@ -443,33 +472,28 @@ def _normalize_axes(axis, ndim) -> tuple[int, ...]:
     return tuple(ax % ndim for ax in axis)
 
 
-def _kept_shape(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(1 if ax in axes else s for ax, s in enumerate(shape))
-
-
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    axes = _normalize_axes(axis, a.ndim)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
-    kept = _kept_shape(a.shape, axes)
-
-    def backward_fn(g):
-        return [(a, np.broadcast_to(g.reshape(kept), a.shape).copy())]
-
-    return _record("sum", (a,), out, backward_fn)
+    return _reduce("sum", a, axis, keepdims)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+    return _reduce("mean", a, axis, keepdims)
+
+
+def _reduce(kind: str, a, axis, keepdims: bool) -> Tensor:
     a = as_tensor(a)
     axes = _normalize_axes(axis, a.ndim)
-    count = math.prod(a.shape[ax] for ax in axes)
-    out = a.data.mean(axis=axes, keepdims=keepdims)
-    kept = _kept_shape(a.shape, axes)
+    out = getattr(a.data, kind)(axis=axes, keepdims=keepdims)
+    if (keys := _keys(a)) is None:
+        return Tensor(out)
+    kept = tuple(1 if ax in axes else s for ax, s in enumerate(a.shape))
+    count = math.prod(a.shape[ax] for ax in axes) if kind == "mean" else 1
 
-    def backward_fn(g):
-        return [(a, np.broadcast_to(g.reshape(kept), a.shape) / count)]
+    def backward_fn(g, shape=a.shape):
+        # a sum's gradient is divided by 1, which copies it exactly
+        return [(keys[0], np.broadcast_to(g.reshape(kept), shape) / count)]
 
-    return _record("mean", (a,), out, backward_fn)
+    return _record(kind, keys, out, backward_fn)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -482,15 +506,17 @@ def softmax(a, axis: int = -1) -> Tensor:
     out = a.data - a.data.max(axis=ax, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=ax, keepdims=True)
+    if (keys := _keys(a)) is None:
+        return Tensor(out)
 
-    def backward_fn(g, _out=out):
-        dx = g * _out
+    def backward_fn(g):
+        dx = g * out
         dot = dx.sum(axis=ax, keepdims=True)
         np.subtract(g, dot, out=dx)
-        dx *= _out
-        return [(a, dx)]
+        dx *= out
+        return [(keys[0], dx)]
 
-    return _record("softmax", (a,), out, backward_fn)
+    return _record("softmax", keys, out, backward_fn)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -514,28 +540,33 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat *= inv
     np.multiply(xhat, gain.data, out=out)
     out += bias.data
+    if (keys := _keys(x, gain, bias)) is None:
+        return Tensor(out)
+    kx, kg, kb = keys
+    gd, inv = (gain.data, inv) if kx.requires_grad else (None, None)
+    xhat = xhat if kx.requires_grad or kg.requires_grad else None
 
     def backward_fn(g):
         grads = []
-        if x.requires_grad:
+        if kx.requires_grad:
             # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built
             # in dxhat's buffer with one scratch buffer
-            dxhat = g * gain.data
+            dxhat = g * gd
             scratch = dxhat * xhat
             proj = np.add.reduce(scratch, axis=-1, keepdims=True) / d
             np.multiply(xhat, proj, out=scratch)
             dxhat -= np.add.reduce(dxhat, axis=-1, keepdims=True) / d
             dxhat -= scratch
             dxhat *= inv
-            grads.append((x, dxhat))
+            grads.append((kx, dxhat))
         lead = tuple(range(g.ndim - 1))
-        if gain.requires_grad:
-            grads.append((gain, (g * xhat).sum(axis=lead)))
-        if bias.requires_grad:
-            grads.append((bias, g.sum(axis=lead)))
+        if kg.requires_grad:
+            grads.append((kg, (g * xhat).sum(axis=lead)))
+        if kb.requires_grad:
+            grads.append((kb, g.sum(axis=lead)))
         return grads
 
-    return _record("layer_norm", (x, gain, bias), out, backward_fn)
+    return _record("layer_norm", keys, out, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -546,25 +577,27 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(shape)
     out = a.data.reshape(shape)
+    if (keys := _keys(a)) is None:
+        return Tensor(out)
 
-    def backward_fn(g):
-        return [(a, g.reshape(a.shape))]
+    def backward_fn(g, shape=a.shape):
+        return [(keys[0], g.reshape(shape))]
 
-    return _record("reshape", (a,), out, backward_fn)
+    return _record("reshape", keys, out, backward_fn)
 
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     perm = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
     out = a.data.transpose(perm)
-    inv = [0] * len(perm)
-    for i, ax in enumerate(perm):
-        inv[ax % len(perm)] = i
+    if (keys := _keys(a)) is None:
+        return Tensor(out)
+    inv = np.argsort([ax % len(perm) for ax in perm])
 
     def backward_fn(g):
-        return [(a, g.transpose(inv))]
+        return [(keys[0], g.transpose(inv))]
 
-    return _record("transpose", (a,), out, backward_fn)
+    return _record("transpose", keys, out, backward_fn)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -572,20 +605,21 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     if not ts:
         raise ShapeError("concat of zero tensors")
     out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    if (keys := _keys(*ts)) is None:
+        return Tensor(out)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
 
     def backward_fn(g):
         grads = []
-        for t, start, stop in zip(ts, offsets[:-1], offsets[1:]):
-            if not t.requires_grad:
+        for key, start, stop in zip(keys, offsets[:-1], offsets[1:]):
+            if not key.requires_grad:
                 continue
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(start, stop)
-            grads.append((t, g[tuple(idx)]))
+            grads.append((key, g[tuple(idx)]))
         return grads
 
-    return _record("concat", tuple(ts), out, backward_fn)
+    return _record("concat", keys, out, backward_fn)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -599,13 +633,15 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     idx[ax] = slice(start, start + length)
     idx = tuple(idx)
     out = a.data[idx].copy()
+    if (keys := _keys(a)) is None:
+        return Tensor(out)
 
-    def backward_fn(g):
-        full = np.zeros_like(a.data)
+    def backward_fn(g, shape=a.shape):
+        full = np.zeros(shape)
         full[idx] = g
-        return [(a, full)]
+        return [(keys[0], full)]
 
-    return _record("narrow", (a,), out, backward_fn)
+    return _record("narrow", keys, out, backward_fn)
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -613,13 +649,15 @@ def gather_rows(a, indices) -> Tensor:
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
     out = a.data[idx]
+    if (keys := _keys(a)) is None:
+        return Tensor(out)
 
-    def backward_fn(g):
-        full = np.zeros_like(a.data)
+    def backward_fn(g, shape=a.shape):
+        full = np.zeros(shape)
         np.add.at(full, idx, g)
-        return [(a, full)]
+        return [(keys[0], full)]
 
-    return _record("gather_rows", (a,), out, backward_fn)
+    return _record("gather_rows", keys, out, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -627,40 +665,38 @@ def gather_rows(a, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss through its tape.
+    """Backpropagate from a scalar loss through its tape, which replays once.
 
     Gradients accumulate into leaf tensors that require gradients (tensors
     that no node on the tape produced); frozen operands get no gradient work.
-    Gradients accumulate (+=) across fan-out and across repeated backward
-    calls. Each intermediate gradient is freed as soon as the node that
-    produced its tensor has consumed it, so intermediate tensors never carry
-    ``.grad``.
+    Gradients accumulate (+=) across fan-out, and a leaf's ``.grad``
+    accumulates across backward calls on separate tapes. Each node drops its
+    backward function, and the arrays it saved, once it has run, so a second
+    backward on the same tape raises :class:`AutodiffError`. Each
+    intermediate gradient is freed as soon as the node that produced its
+    tensor has consumed it, so intermediate tensors never carry ``.grad``.
     """
     if loss.size != 1:
         raise AutodiffError(f"backward expects a scalar loss, got shape {loss.shape}")
     if loss.tape is None:
         raise AutodiffError("loss is not attached to a tape (no recorded operations)")
-    nodes = loss.tape.nodes
-    produced = {id(node.output) for node in nodes}
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {}
-    for node in reversed(nodes):
-        g_out = grads.pop(id(node.output), None)
+    # keyed by leaf tensors and by the nodes of recorded outputs
+    grads: dict[object, np.ndarray] = {loss.node: np.ones_like(loss.data)}
+    for node in reversed(loss.tape.nodes):
+        fn, node.backward_fn = node.backward_fn, None
+        if fn is None:
+            raise AutodiffError("this tape was already replayed by backward")
+        g_out = grads.pop(node, None)
         if g_out is None:
             continue
-        for tensor, g in node.backward_fn(g_out):
-            if not tensor.requires_grad:
-                continue
-            key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
-                if key not in produced:
-                    leaves[key] = tensor
-    for key, tensor in leaves.items():
-        g = np.asarray(grads[key], dtype=np.float64).reshape(tensor.shape)
-        tensor.grad = g.copy() if tensor.grad is None else tensor.grad + g
+        for key, g in fn(g_out):
+            if key.requires_grad:
+                grads[key] = grads[key] + g if key in grads else g
+    # what is left is keyed by leaves, and by outputs of other tapes
+    for key, g in grads.items():
+        if isinstance(key, Tensor):
+            g = np.asarray(g, dtype=np.float64).reshape(key.shape)
+            key.grad = g.copy() if key.grad is None else key.grad + g
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],

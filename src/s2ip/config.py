@@ -8,6 +8,7 @@ key has a documented default, so an empty file is a valid configuration.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 from .backbone import TrainabilityPolicy
@@ -176,8 +177,10 @@ class RunConfig:
         try:
             self._built = {cls: build_dataclass(cls, d)
                            for cls, d in fields_of.items()}
-        except (ValueError, TrainingError) as exc:
-            raise ConfigError(str(exc)) from None
+        except (ValueError, TrainingError) as exc:  # name the config keys
+            key_of = {path: key for key, (_, path) in FIELDS.items()}
+            raise ConfigError(re.sub(r"\w+(?:\.\w+)*", lambda m: key_of.get(
+                m[0], m[0]), str(exc))) from None
         if not merged["prompt.embedding_path"]:
             most = merged["prompt.vocab_size"] // 2
             if merged["prompt.anchors"] > most:

@@ -16,6 +16,7 @@ policy allows (positional embeddings and layer norms by default).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from typing import get_type_hints
@@ -93,20 +94,20 @@ class ModelConfig:
         if self.n_channels < 1:
             raise ModelError("n_channels must be positive")
         if self.patch.patch_length > self.window.lookback:
-            raise ModelError(f"patch_length {self.patch.patch_length} exceeds "
-                             f"lookback {self.window.lookback}")
+            raise ModelError(f"patch.patch_length {self.patch.patch_length} "
+                             f"exceeds window.lookback {self.window.lookback}")
         if self.decomposition.enabled:
             tau = self.window.lookback
             if not 2 <= self.decomposition.period <= tau // 2:
-                raise ModelError(f"decomposition period must lie in [2, {tau // 2}] "
-                                 f"for lookback {tau}")
+                raise ModelError(f"decomposition.period must lie in [2, {tau // 2}] "
+                                 f"for window.lookback {tau}")
             tw = self.decomposition.trend_window
             if tw % 2 == 0 or tw > tau:
-                raise ModelError(f"trend_window must be odd and <= {tau}, got {tw}")
+                raise ModelError(f"decomposition.trend_window {tw} must be odd and <= {tau}")
         if self.prompt_k + self.n_patches > self.backbone.max_seq_len:
             raise ModelError(f"prompt_k + n_patches = "
                              f"{self.prompt_k + self.n_patches} exceeds "
-                             f"max_seq_len {self.backbone.max_seq_len}")
+                             f"backbone.max_seq_len {self.backbone.max_seq_len}")
 
     @property
     def n_patches(self) -> int:
@@ -171,7 +172,11 @@ def build_dataclass(cls, d: dict, prefix: str = ""):
             kwargs[f.name] = build_dataclass(kind, d, key + ".")
             continue
         kwargs[f.name] = typed_value(key, kind, d[key])
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # name fields by dotted key ("decomposition period")
+        names = rf"\b(?:{prefix.replace('.', ' ')})?({'|'.join(kwargs)})\b"
+        raise type(exc)(re.sub(names, prefix + r"\1", str(exc))) from None
 
 
 def typed_value(key: str, kind: type, value):

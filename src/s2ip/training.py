@@ -164,17 +164,13 @@ def train(model: ForecastModel, train_windows, val_windows,
             for start in range(0, len(order), config.batch_size):
                 batch = [train_windows[i]
                          for i in order[start:start + config.batch_size]]
-                with Tape() as tape:
+                with Tape():
                     loss = model.joint_loss(batch)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise TrainingError(f"non-finite loss ({value}) at epoch "
                                         f"{epoch + 1}")
                 backward(loss)
-                # the recorded nodes and their tensors reference each other;
-                # free the step's activations now, not at the next cyclic
-                # garbage collection
-                tape.nodes.clear()
                 clip_gradients(named, config.clip_norm)
                 adam_step(named, state, config)
                 epoch_losses.append(value)

@@ -1,5 +1,6 @@
 import io
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -435,6 +436,89 @@ def test_backward_writes_grad_only_into_leaves():
     assert frozen.grad is None and x.grad is None
     for intermediate in (h, z, loss):
         assert intermediate.requires_grad and intermediate.grad is None
+
+
+def test_backward_twice_on_one_tape_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        loss = ad.tsum(ad.mul(x, x))
+    backward(loss)
+    assert np.array_equal(x.grad, [2.0, 4.0])
+    with pytest.raises(ad.AutodiffError, match="already replayed"):
+        backward(loss)
+    # the nodes stay on the tape, each without its backward function
+    assert len(tape) == 2
+    assert all(node.backward_fn is None for node in tape.nodes)
+    assert np.array_equal(x.grad, [2.0, 4.0])
+
+
+def test_grad_accumulates_across_separate_tapes():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    for _ in range(2):
+        with Tape():
+            loss = ad.tsum(ad.mul(x, x))
+        backward(loss)
+    assert np.array_equal(x.grad, [4.0, 8.0])
+
+
+# ---------------------------------------------------------------------------
+# what a recorded node keeps alive
+# ---------------------------------------------------------------------------
+
+def kept_alive(build):
+    """Record ``build()``, which returns a tensor to watch and a loss, and
+    report whether the tape alone keeps the watched array alive; the tape
+    then replays."""
+    with Tape():
+        watched, loss = build()
+    ref = weakref.ref(watched.data)
+    del watched
+    alive = ref() is not None
+    backward(loss)
+    return alive
+
+
+def test_linear_with_frozen_weight_keeps_no_input():
+    rng = np.random.default_rng(25)
+    x0 = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)))
+    b = Tensor(rng.normal(size=5))
+
+    def build():
+        x = ad.add(x0, x0)
+        return x, ad.tsum(ad.linear(x, w, b))
+
+    assert not kept_alive(build)
+    # the input gradient needs only the weight
+    assert np.allclose(x0.grad, np.broadcast_to(2.0 * w.data.sum(axis=1),
+                                                (2, 3, 4)))
+
+
+def test_softmax_keeps_no_input():
+    # the attention scores feed only softmax, whose backward reads its output
+    rng = np.random.default_rng(27)
+    q = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    k = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+
+    def build():
+        scores = ad.attention_scores(q, k, np.zeros((5, 5)), heads=2)
+        weights = ad.softmax(scores)
+        return scores, ad.tsum(ad.mul(weights, weights))
+
+    assert not kept_alive(build)
+    assert q.grad is not None and k.grad is not None
+
+
+def test_gelu_keeps_no_output():
+    x = Tensor(np.random.default_rng(28).normal(size=(3, 8)),
+               requires_grad=True)
+
+    def build():
+        y = ad.gelu(x)
+        return y, ad.tsum(y)
+
+    assert not kept_alive(build)
+    assert x.grad is not None
 
 
 # ---------------------------------------------------------------------------

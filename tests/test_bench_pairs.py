@@ -73,6 +73,16 @@ def test_incorrect_runs_are_listed():
                                           "failed": 3}]
 
 
+def test_one_pair_is_summarized_but_claims_no_gain():
+    summary = bench_pairs.compare(pairs_of([(1.5, 1000.0)], [(1.4, 1010.0)]),
+                                  METRICS)
+    assert summary["sides"]["parent"]["latency_ms.p50"] == {
+        "median": 1.5, "q1": 1.5, "q3": 1.5, "iqr": 0.0}
+    assert summary["wins"] == {"latency_ms.p50": 1, "windows_per_s": 1}
+    assert summary["verdict"] == {"latency_ms.p50": "unresolved",
+                                  "windows_per_s": "unresolved"}
+
+
 def test_each_side_compiles_into_its_own_bytecode_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     envs = {side: bench_pairs.side_env(tmp_path, side)

@@ -147,6 +147,30 @@ def test_type_errors_name_the_config_key(values, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("train.patience", -1, "train.patience must be >= 0"),
+    ("backbone.layers", 0, "backbone.embed_dim, backbone.layers, and "
+                           "backbone.heads must be positive"),
+    ("prompt.k", -1, "prompt.k must be >= 0 (0 disables prompting)"),
+    ("window.stride", 0, "window.stride must be a positive integer"),
+    ("patch.stride", 20, "patch.length must be >= patch.stride (overlap "
+                         "convention)"),
+], ids=["patience", "layers", "prompt_k", "window_stride", "patch_stride"])
+def test_range_errors_name_the_config_key(key, value, message, tmp_path,
+                                          capsys):
+    # the dataclasses hold the range checks and name their own fields
+    # (early_stop_patience, n_layers, prompt_k); the error names the key
+    with pytest.raises(ConfigError) as info:
+        RunConfig({key: value})
+    assert str(info.value) == message
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["train", "--config", path.as_posix(), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+    assert not out.exists()
+
+
 def test_negative_prompt_k_rejected():
     with pytest.raises(ConfigError, match="prompt.k"):
         parse_config_text("prompt.k = -1")

@@ -240,6 +240,23 @@ def test_nonfinite_gradient_aborts_and_restores():
         assert tensor.grad is None
 
 
+def test_zero_gamma_aborts_with_the_initial_parameters_restored():
+    # forward divides by revin.gamma on the tape, so a zero gain makes the
+    # first loss infinite; train restores the snapshot it took at the start
+    model = tiny_model()
+    model.params["revin.gamma"].data[:] = 0.0
+    before = {n: t.data.copy() for n, t in model.named_parameters()}
+    config = TrainConfig(epochs=2, batch_size=8, seed=0)
+    with pytest.raises(TrainingError) as info:
+        train(model, sine_windows(20, seed=8), sine_windows(8, seed=5),
+              config)
+    assert str(info.value) == ("non-finite loss (inf) at epoch 1; best "
+                               "parameters restored")
+    for name, tensor in model.named_parameters():
+        assert np.array_equal(tensor.data, before[name]), name
+        assert tensor.grad is None, name
+
+
 def test_constant_window_keeps_loss_and_training_finite():
     # a constant window embeds to the projection bias, zero at
     # initialization, so its pooled embedding and patch rows have zero norm
