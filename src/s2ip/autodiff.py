@@ -308,13 +308,17 @@ def gelu(a) -> Tensor:
 # matrix and reduction operations
 # ---------------------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, transpose_b: bool = False) -> Tensor:
     """Matrix product with optional equal leading batch dims (or a 2-D side
-    shared over the batch)."""
+    shared over the batch). With ``transpose_b`` the right operand is ``b``
+    with its last two axes swapped, read as a view: a C-order copy would
+    round the product differently."""
     a, b = as_tensor(a), as_tensor(b)
     x, y = a.data, b.data
     if x.ndim < 2 or y.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {x.shape} @ {y.shape}")
+    if transpose_b:
+        y = np.swapaxes(y, -1, -2)
     if x.shape[-1] != y.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {x.shape} @ {y.shape}")
     la, lb = x.shape[:-2], y.shape[:-2]
@@ -334,7 +338,8 @@ def matmul(a, b) -> Tensor:
                 ga = ga.sum(axis=tuple(range(ga.ndim - na)))
             grads.append((ka, ga))
         if kb.requires_grad:
-            gb = np.matmul(np.swapaxes(x, -1, -2), g)
+            gb = (np.matmul(np.swapaxes(g, -1, -2), x) if transpose_b
+                  else np.matmul(np.swapaxes(x, -1, -2), g))
             if gb.ndim > nb:
                 gb = gb.sum(axis=tuple(range(gb.ndim - nb)))
             grads.append((kb, gb))

@@ -23,9 +23,12 @@ class ConfigError(ValueError):
 
 
 def _within(low, high=math.inf):
+    """A range check of a value, or of each item of a list value."""
     def check(key, value):
-        if not low <= value <= high:
-            raise ConfigError(f"{key}: must lie in [{low}, {high}], got {value}")
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            if not low <= item <= high:
+                raise ConfigError(f"{key}: must lie in [{low}, {high}], got "
+                                  f"{item}")
     return check
 
 
@@ -81,7 +84,7 @@ OTHER_KEYS: dict[str, tuple[str, object, object]] = {
     "data.standardize": ("bool", True, None),
     "synthetic.length": ("int", 2000, _within(1)),
     "synthetic.channels": ("int", 2, _within(1)),
-    "synthetic.periods": ("ints", [24, 96], None),
+    "synthetic.periods": ("ints", [24, 96], _within(1)),
     "synthetic.trend_slope": ("float", 0.01, None),
     "synthetic.noise_sigma": ("float", 0.1, _within(0)),
     "split.few_shot": ("float", 0.0, _within(0, 1)),  # 0 disables

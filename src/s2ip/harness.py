@@ -143,9 +143,13 @@ def load_embedding(config: RunConfig, seed: int) -> EmbeddingMatrix:
     if path:
         with open(path, "rb") as fh:
             name, arr = ad.read_named_array(fh)
+            trailing = fh.read(1)
         if name != "E":
             raise HarnessError(f"{path}: expected a single record named 'E', "
                                f"found {name!r}")
+        if trailing:
+            raise HarnessError(f"{path}: expected a single record named 'E', "
+                               "found more data after it")
         return EmbeddingMatrix(arr)
     return clustered_vocabulary(config["prompt.vocab_size"],
                                 config["backbone.embed_dim"],

@@ -138,6 +138,48 @@ class PromptSelection:
         return len(self.indices)
 
 
+def _norms(rows: Tensor, keepdims: bool) -> tuple[Tensor, np.ndarray]:
+    """L2 norm over the last axis, and the mask of rows whose norm is below
+    ``DEGENERATE_NORM``. A degenerate row's norm reads about 1, so dividing
+    by it and its gradient stay finite."""
+    squares = ad.tsum(ad.mul(rows, rows), axis=-1, keepdims=keepdims)
+    flat = np.sqrt(squares.data) < DEGENERATE_NORM
+    if flat.any():
+        squares = ad.add(squares, flat.astype(np.float64))
+    return ad.sqrt(squares), flat
+
+
+def _cosines(ts_embed: Tensor, anchors: Tensor, pooling: str
+             ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Cosine of each window embedding against every anchor row: the
+    ``(B, A)`` scores of ``(B, N_P, D)`` windows and ``(A, D)`` anchors,
+    the mask of degenerate window rows (``(B,)`` pooled rows under mean
+    pooling, ``(B, N_P)`` patch rows under per-patch pooling) and the
+    ``(A,)`` mask of degenerate anchors. A cosine with a degenerate row or
+    anchor is 0, with a zero gradient. Built from ``ad`` ops, so it records
+    on the active tape when an input does and runs tape-free otherwise."""
+    if pooling == "mean":
+        pooled = ad.tmean(ts_embed, axis=1)                           # (B, D)
+        norms, flat = _norms(pooled, keepdims=True)                   # (B, 1)
+        anchor_norms, anchor_flat = _norms(anchors, keepdims=False)   # (A,)
+        cosines = ad.div(ad.matmul(pooled, anchors, transpose_b=True),
+                         ad.mul(anchor_norms, norms))
+    elif pooling == "per_patch":
+        norms, flat = _norms(ts_embed, keepdims=True)                 # (B, N_P, 1)
+        anchor_norms, anchor_flat = _norms(anchors, keepdims=True)    # (A, 1)
+        cosines = ad.matmul(ad.div(ts_embed, norms),
+                            ad.div(anchors, anchor_norms), transpose_b=True)
+    else:
+        raise PromptError(f"unknown pooling mode {pooling!r}")
+    anchor_flat = anchor_flat.reshape(-1)
+    keep = ~(flat | anchor_flat)
+    if not keep.all():
+        cosines = ad.mul(cosines, keep)
+    if pooling == "per_patch":
+        cosines = ad.tmean(cosines, axis=1)
+    return cosines, flat[..., 0], anchor_flat
+
+
 def score_all(ts_embed: np.ndarray, anchors: np.ndarray,
               pooling: str = "mean") -> np.ndarray:
     """Cosine score of each window embedding against every anchor row.
@@ -145,43 +187,21 @@ def score_all(ts_embed: np.ndarray, anchors: np.ndarray,
     ``ts_embed`` is one ``(N_P, D)`` window or a ``(B, N_P, D)`` batch; the
     scores are ``(A,)`` or ``(B, A)``. A score whose pooled embedding (or,
     under per-patch pooling, whose patch row) or anchor is numerically zero
-    is 0, and each such window or anchor counts as a degenerate event.
+    is 0. Each window with such a row counts once as a degenerate event, and
+    each such anchor once per other window.
     """
     global _degenerate_events
     ts_embed = np.asarray(ts_embed, dtype=np.float64)
     if ts_embed.ndim not in (2, 3):
         raise PromptError(f"expected an (N_P, D) or (B, N_P, D) embedding, "
                           f"got {ts_embed.shape}")
-    anchors = np.asarray(anchors, dtype=np.float64)
-    # np.mean and np.linalg.norm written out as the sums they compute, so
-    # they round the same and skip the wrappers
-    anchor_norms = np.sqrt(np.add.reduce(anchors * anchors, axis=1))
-    degenerate = anchor_norms < DEGENERATE_NORM
-    safe_anchor = np.where(degenerate, 1.0, anchor_norms)
-    if pooling == "mean":
-        pooled = np.add.reduce(ts_embed, axis=-2) / ts_embed.shape[-2]
-        p_norm = np.sqrt(np.add.reduce(pooled * pooled, axis=-1,
-                                       keepdims=True))
-        flat = p_norm < DEGENERATE_NORM
-        scores = pooled @ anchors.T / (safe_anchor * np.where(flat, 1.0, p_norm))
-        scores = np.where(flat, 0.0, scores)
-        # a flat window scores 0 everywhere and counts once
-        _degenerate_events += int(flat.sum())
-        windows_scored = int(flat.size - flat.sum())
-    elif pooling == "per_patch":
-        row_norms = np.sqrt(np.add.reduce(ts_embed * ts_embed, axis=-1,
-                                          keepdims=True))
-        flat = row_norms < DEGENERATE_NORM
-        cosines = ((ts_embed / np.where(flat, 1.0, row_norms))
-                   @ (anchors / safe_anchor[:, None]).T)
-        scores = np.where(flat, 0.0, cosines).mean(axis=-2)
-        windows_scored = int(np.prod(ts_embed.shape[:-2]))
-    else:
-        raise PromptError(f"unknown pooling mode {pooling!r}")
-    if degenerate.any():
-        _degenerate_events += windows_scored * int(degenerate.sum())
-        scores = np.where(degenerate, 0.0, scores)
-    return scores
+    scores, flat, anchor_flat = _cosines(
+        Tensor(ts_embed.reshape((-1,) + ts_embed.shape[-2:])),
+        Tensor(anchors), pooling)
+    flat = flat.reshape(len(flat), -1).any(axis=1)
+    _degenerate_events += int(flat.sum()
+                              + (flat.size - flat.sum()) * anchor_flat.sum())
+    return scores.data.reshape(ts_embed.shape[:-2] + scores.shape[-1:])
 
 
 def retrieve_topk(ts_embed: np.ndarray, bank: AnchorBank, k: int,
@@ -218,30 +238,6 @@ def prefix_concat(selected_anchors: Tensor, ts_embed: Tensor) -> Tensor:
     return ad.concat([selected_anchors, ts_embed], axis=-2)
 
 
-def _norms(rows: Tensor) -> tuple[Tensor, np.ndarray | None]:
-    """Differentiable L2 norm over the last axis, kept as a size-1 axis, and
-    the mask of rows whose norm is below ``DEGENERATE_NORM`` (None when no
-    row is). A degenerate row's norm reads 1, so dividing by it and its
-    gradient stay finite."""
-    squares = ad.tsum(ad.mul(rows, rows), axis=-1, keepdims=True)
-    flat = np.sqrt(squares.data) < DEGENERATE_NORM
-    if not flat.any():
-        return ad.sqrt(squares), None
-    return ad.sqrt(ad.add(squares, flat.astype(np.float64))), flat
-
-
-def _zero_degenerate(cosines: Tensor, *flats) -> Tensor:
-    """Force to 0 (with a zero gradient) every cosine whose row or anchor is
-    degenerate, as ``score_all`` does; ``flats`` broadcast to the cosines."""
-    flats = [flat for flat in flats if flat is not None]
-    if not flats:
-        return cosines
-    keep = np.ones(cosines.shape, dtype=bool)
-    for flat in flats:
-        keep &= ~flat
-    return ad.mul(cosines, keep.astype(np.float64))
-
-
 def alignment_term(ts_embed: Tensor, selection, bank: AnchorBank,
                    pooling: str = "mean", anchors: Tensor | None = None
                    ) -> Tensor:
@@ -249,12 +245,12 @@ def alignment_term(ts_embed: Tensor, selection, bank: AnchorBank,
 
     ``ts_embed`` is one ``(N_P, D)`` window with one ``PromptSelection``
     (the result is a scalar), or a ``(B, N_P, D)`` batch with one selection
-    per window (the result has shape ``(B,)``). Gradients flow into the
+    per window (the result has shape ``(B,)``). The scores are those
+    ``score_all`` ranks by, recorded on the tape: gradients flow into the
     window embeddings and the anchor map, never into the discrete index
-    choice. Each value is bounded in [-K, K]. As in ``score_all``, a pooled
-    embedding, patch row or anchor of (numerically) zero norm contributes a
-    cosine of 0, with a finite gradient. A pre-derived ``anchors``
-    tensor may be passed to share one derivation across a step.
+    choice. Each value is bounded in [-K, K]; a degenerate row or anchor
+    contributes a cosine of 0, with a finite gradient. A pre-derived
+    ``anchors`` tensor may be passed to share one derivation across a step.
     """
     single = ts_embed.ndim == 2
     selections = [selection] if single else list(selection)
@@ -267,26 +263,10 @@ def alignment_term(ts_embed: Tensor, selection, bank: AnchorBank,
         anchors = bank.anchors_tensor()
     if single:
         ts_embed = ad.reshape(ts_embed, (1,) + ts_embed.shape)
-    selected = ad.gather_rows(anchors, indices)                # (B, K, D)
-    anchor_norms, anchor_flat = _norms(selected)                  # (B, K, 1)
-    if pooling == "mean":
-        pooled = ad.tmean(ts_embed, axis=1, keepdims=True)                # (B, 1, D)
-        num = ad.tsum(ad.mul(selected, pooled), axis=2, keepdims=True)   # (B, K, 1)
-        pooled_norms, pooled_flat = _norms(pooled)
-        cosines = ad.div(num, ad.mul(anchor_norms, pooled_norms))
-        cosines = _zero_degenerate(cosines, anchor_flat, pooled_flat)
-        terms = ad.tsum(cosines, axis=(1, 2))
-    elif pooling == "per_patch":
-        num = ad.matmul(ts_embed, ad.transpose(selected, (0, 2, 1)))  # (B, N_P, K)
-        row_norms, row_flat = _norms(ts_embed)                        # (B, N_P, 1)
-        cosines = ad.div(ad.div(num, row_norms),
-                         ad.transpose(anchor_norms, (0, 2, 1)))       # (B, 1, K)
-        cosines = _zero_degenerate(
-            cosines, row_flat,
-            None if anchor_flat is None else anchor_flat.transpose(0, 2, 1))
-        terms = ad.tsum(ad.tmean(cosines, axis=1), axis=1)
-    else:
-        raise PromptError(f"unknown pooling mode {pooling!r}")
+    scores = _cosines(ts_embed, anchors, pooling)[0]                  # (B, A)
+    chosen = np.zeros(scores.shape)
+    np.put_along_axis(chosen, indices, 1.0, axis=1)
+    terms = ad.tsum(ad.mul(scores, chosen), axis=1)
     return ad.reshape(terms, ()) if single else terms
 
 

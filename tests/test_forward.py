@@ -417,7 +417,7 @@ def test_default_step_tape_size_and_node_buckets():
     batch = pipeline.train_windows[:config.train_config(0).batch_size]
     with Tape() as tape:
         model.joint_loss(batch)
-    assert len(tape) == 77
+    assert len(tape) == 76
     buckets = {spans.node_bucket(node.kind) for node in tape.nodes}
     assert set(spans.NODE_BUCKETS) - {"other"} <= buckets
 
@@ -431,7 +431,7 @@ def test_default_step_memory():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     result = module.step_memory(RunConfig({}))
-    assert result["tape_nodes"] == 77
+    assert result["tape_nodes"] == 76
     assert result["live_mib"] <= 10.0
     assert result["peak_mib"] <= 14.0
 

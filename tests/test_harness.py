@@ -1,5 +1,6 @@
 import csv
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,23 @@ def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--seed", "-1",
                  "--out", str(out)]) == 2
     assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("periods", ["0", "24, 0", "-5"])
+def test_nonpositive_synthetic_period_exits_2_before_any_output(
+        tmp_path, capsys, periods):
+    # a zero period divided by zero in synthetic_frame: gen-data printed
+    # numpy warnings and exited 1 on the NaN values
+    cfg = tiny_config_file(tmp_path, {"synthetic.periods": periods})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid configuration: "
+                                   "synthetic.periods: must lie in [1, inf]")
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -573,6 +591,28 @@ def test_embedding_file_with_huge_name_length_raises_ioerror(tmp_path):
                         "backbone.embed_dim": 16})
     with pytest.raises(IOError, match="truncated named record"):
         load_embedding(config, seed=0)
+
+
+@pytest.mark.parametrize("trailer", ["record", "garbage"])
+def test_embedding_file_with_trailing_bytes_rejected(tmp_path, capsys,
+                                                     trailer):
+    from s2ip.autodiff import write_named_array
+    from s2ip.harness import HarnessError, load_embedding
+
+    path = tmp_path / "vocab.tensor"
+    with open(path, "wb") as fh:
+        write_named_array(fh, "E", np.random.default_rng(0).normal(size=(40, 16)))
+        if trailer == "record":
+            write_named_array(fh, "E", np.ones((40, 16)))
+        else:
+            fh.write(bytes(7))
+    config = RunConfig({"prompt.embedding_path": str(path),
+                        "backbone.embed_dim": 16})
+    with pytest.raises(HarnessError, match="more data after it"):
+        load_embedding(config, seed=0)
+    cfg = tiny_config_file(tmp_path, {"prompt.embedding_path": path.as_posix()})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "more data after it" in capsys.readouterr().err
 
 
 def test_ablate_k_and_anchor_sweeps(tmp_path):

@@ -100,6 +100,25 @@ def test_score_degenerate_flagged():
     assert pr.degenerate_score_events() - before == 3
 
 
+@pytest.mark.parametrize("pooling, flat_windows", [("mean", 1),
+                                                    ("per_patch", 2)])
+def test_score_degenerate_rows_count_once_per_window(pooling, flat_windows):
+    # window 1 has one zero patch row, window 2 is all zeros: the pooled row
+    # of window 1 is not zero, but one of its patch rows is
+    batch = np.random.default_rng(16).normal(size=(3, 4, 2))
+    batch[1, 2] = 0.0
+    batch[2] = 0.0
+    before = pr.degenerate_score_events()
+    score_all(batch, np.array([[1.0, 0.0], [0.0, 1.0]]), pooling=pooling)
+    assert pr.degenerate_score_events() - before == flat_windows
+    # a zero anchor counts once per window with no degenerate row
+    before = pr.degenerate_score_events()
+    scores = score_all(batch, np.array([[1.0, 0.0], [0.0, 0.0]]),
+                       pooling=pooling)
+    assert pr.degenerate_score_events() - before == 3
+    assert np.all(scores[:, 1] == 0.0) and np.all(scores[2] == 0.0)
+
+
 @pytest.mark.parametrize("pooling", ["mean", "per_patch"])
 def test_score_batch_matches_rows(pooling):
     rng = np.random.default_rng(14)
@@ -324,6 +343,85 @@ def test_alignment_degenerate_rows_score_zero(pooling):
     assert np.all(np.isfinite(ts.grad))
     assert np.all(np.isfinite(bank.map_weights.grad))
     assert np.all(ts.grad[0] == 0.0)
+
+
+def oracle_norms(rows):
+    squares = ad.tsum(ad.mul(rows, rows), axis=-1, keepdims=True)
+    flat = np.sqrt(squares.data) < pr.DEGENERATE_NORM
+    if not flat.any():
+        return ad.sqrt(squares), None
+    return ad.sqrt(ad.add(squares, flat.astype(np.float64))), flat
+
+
+def oracle_zero_degenerate(cosines, *flats):
+    keep = np.ones(cosines.shape, dtype=bool)
+    for flat in flats:
+        if flat is not None:
+            keep &= ~flat
+    return ad.mul(cosines, keep.astype(np.float64))
+
+
+def oracle_alignment_term(ts_embed, selections, anchors, pooling):
+    """The alignment term as it was computed on the tape before it shared
+    ``score_all``'s kernel: the selected anchors gathered, their cosines
+    written element-wise, degenerate cosines zeroed by a mask."""
+    indices = np.array([s.indices for s in selections], dtype=np.int64)
+    selected = ad.gather_rows(anchors, indices)                   # (B, K, D)
+    anchor_norms, anchor_flat = oracle_norms(selected)            # (B, K, 1)
+    if pooling == "mean":
+        pooled = ad.tmean(ts_embed, axis=1, keepdims=True)        # (B, 1, D)
+        num = ad.tsum(ad.mul(selected, pooled), axis=2, keepdims=True)
+        pooled_norms, pooled_flat = oracle_norms(pooled)
+        cosines = ad.div(num, ad.mul(anchor_norms, pooled_norms))
+        cosines = oracle_zero_degenerate(cosines, anchor_flat, pooled_flat)
+        return ad.tsum(cosines, axis=(1, 2))
+    num = ad.matmul(ts_embed, ad.transpose(selected, (0, 2, 1)))  # (B, N_P, K)
+    row_norms, row_flat = oracle_norms(ts_embed)                  # (B, N_P, 1)
+    cosines = ad.div(ad.div(num, row_norms),
+                     ad.transpose(anchor_norms, (0, 2, 1)))       # (B, 1, K)
+    cosines = oracle_zero_degenerate(
+        cosines, row_flat,
+        None if anchor_flat is None else anchor_flat.transpose(0, 2, 1))
+    return ad.tsum(ad.tmean(cosines, axis=1), axis=1)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "per_patch"])
+def test_alignment_matches_the_elementwise_tape_oracle(pooling):
+    # differential test of the shared cosine kernel against the tape path it
+    # replaced, with a zero anchor (0), a zero window (0) and a zero patch
+    # row (window 1): values and gradients agree to 1e-12, and the kernel
+    # on a tape scores bit for bit as score_all does
+    bank = make_bank(v=40, d=8, n_anchors=10, seed=17)
+    bank.map_weights.data[0] = 0.0
+    data = np.random.default_rng(18).normal(size=(5, 6, 8))
+    data[0] = 0.0
+    data[1, 3] = 0.0
+    selections = retrieve_topk(data, bank, k=4, pooling=pooling)
+    selections[1] = PromptSelection((0,) + selections[1].indices[:3],
+                                    (0.0,) * 4)
+    results = []
+    for alignment in (alignment_term, oracle_alignment_term):
+        ts = Tensor(data, requires_grad=True)
+        bank.map_weights.grad = None
+        with ad.Tape():
+            anchors = bank.anchors_tensor()
+            if alignment is alignment_term:
+                terms = alignment(ts, selections, bank, pooling=pooling,
+                                  anchors=anchors)
+                scores = pr._cosines(ts, anchors, pooling)[0]
+            else:
+                terms = alignment(ts, selections, anchors, pooling)
+            loss = ad.tsum(terms)
+        ad.backward(loss)
+        results.append((terms.data, ts.grad, bank.map_weights.grad))
+    assert np.array_equal(scores.data,
+                          score_all(data, bank.anchors(), pooling=pooling))
+    (new, new_ts, new_map), (old, old_ts, old_map) = results
+    assert np.max(np.abs(new - old)) <= 1e-12
+    for grad, oracle in ((new_ts, old_ts), (new_map, old_map)):
+        assert np.all(np.isfinite(grad))
+        assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    assert np.all(new_ts[0] == 0.0)
 
 
 # ---------------------------------------------------------------------------
