@@ -10,8 +10,9 @@ from .preprocess import (DecompositionResult, PatchSpec, RevInState, decompose,
 from .prompt import (AnchorBank, EmbeddingMatrix, PromptSelection,
                      alignment_term, clustered_vocabulary, derive_anchors,
                      prefix_concat, retrieve_topk, score_all)
-from .series import (SeriesFrame, SplitSpec, Standardizer, Window, WindowSpec,
-                     chronological_split, few_shot_truncate, load_csv, windows)
+from .series import (SeriesFrame, SplitSpec, Standardizer, Window,
+                     WindowSequence, WindowSpec, chronological_split,
+                     few_shot_truncate, load_csv, windows)
 from .training import (TrainConfig, TrainReport, load_checkpoint,
                        save_checkpoint, train)
 

@@ -473,7 +473,7 @@ def _normalize_axes(axis, ndim) -> tuple[int, ...]:
     if axis is None:
         return tuple(range(ndim))
     if isinstance(axis, int):
-        axis = (axis,)
+        return (axis % ndim,)
     return tuple(ax % ndim for ax in axis)
 
 
@@ -486,13 +486,18 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def _reduce(kind: str, a, axis, keepdims: bool) -> Tensor:
+    # np.add.reduce and a division in place are what ndarray.sum and
+    # ndarray.mean compute, without their Python wrappers
     a = as_tensor(a)
     axes = _normalize_axes(axis, a.ndim)
-    out = getattr(a.data, kind)(axis=axes, keepdims=keepdims)
+    out = np.add.reduce(a.data, axes, None, None, keepdims)
+    count = math.prod([a.shape[ax] for ax in axes]) if kind == "mean" else 1
+    if count != 1:  # a full reduction without keepdims gives a scalar
+        out = np.true_divide(out, count,
+                             out=out if type(out) is np.ndarray else None)
     if (keys := _keys(a)) is None:
         return Tensor(out)
     kept = tuple(1 if ax in axes else s for ax, s in enumerate(a.shape))
-    count = math.prod(a.shape[ax] for ax in axes) if kind == "mean" else 1
 
     def backward_fn(g, shape=a.shape):
         # a sum's gradient is divided by 1, which copies it exactly

@@ -70,19 +70,22 @@ class Backbone:
     """Stack of pre-norm blocks (causal multi-head attention, then a GELU
     feed-forward), with learned positional embeddings and a final layer norm."""
 
-    def __init__(self, config: BackboneConfig, seed: int = 0):
+    def __init__(self, config: BackboneConfig, seed: int = 0,
+                 arrays: dict[str, np.ndarray] | None = None):
+        """Draw the parameters from ``seed``, or take them from ``arrays``,
+        keyed by :func:`parameter_shapes`' names."""
         self.config = config
         self.params: dict[str, Tensor] = {}
         self._masks: dict[int, Tensor] = {}
-        self._init_params(np.random.default_rng(seed))
-
-    def _init_params(self, rng: np.random.Generator) -> None:
-        for name, shape in parameter_shapes(self.config).items():
-            if len(shape) == 2:  # a weight matrix
-                self.params[name] = Tensor(rng.normal(0.0, 0.02, size=shape))
+        rng = np.random.default_rng(seed) if arrays is None else None
+        for name, shape in parameter_shapes(config).items():
+            if arrays is not None:
+                value = arrays[name]
+            elif len(shape) == 2:  # a weight matrix
+                value = rng.normal(0.0, 0.02, size=shape)
             else:  # gains start at one, biases at zero
-                self.params[name] = Tensor(np.ones(shape) if name.endswith("gain")
-                                           else np.zeros(shape))
+                value = np.ones(shape) if name.endswith("gain") else np.zeros(shape)
+            self.params[name] = Tensor(value)
 
     # -- trainability -------------------------------------------------------
 

@@ -20,8 +20,8 @@ from .config import RunConfig
 from .metrics import evaluate_model
 from .model import ForecastModel
 from .prompt import EmbeddingMatrix, clustered_vocabulary
-from .series import (SeriesFrame, Standardizer, chronological_split,
-                     few_shot_truncate, load_csv, windows)
+from .series import (SeriesFrame, Standardizer, WindowSequence,
+                     chronological_split, few_shot_truncate, load_csv, windows)
 from .training import load_checkpoint, save_checkpoint, train
 
 COMMANDS = ("train", "evaluate", "forecast", "ablate", "gen-data",
@@ -74,16 +74,16 @@ def write_frame_csv(frame: SeriesFrame, path) -> None:
 
 @dataclass
 class Pipeline:
-    """Everything the commands need: split frames, window lists, and the
-    (optional) global standardizer fitted on the training split."""
+    """Everything the commands need: split frames, each split's windows,
+    and the (optional) global standardizer fitted on the training split."""
 
     frame: SeriesFrame
     train_frame: SeriesFrame
     val_frame: SeriesFrame
     test_frame: SeriesFrame
-    train_windows: list
-    val_windows: list
-    test_windows: list
+    train_windows: WindowSequence
+    val_windows: WindowSequence
+    test_windows: WindowSequence
     standardizer: Standardizer | None
 
 

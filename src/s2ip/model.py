@@ -254,25 +254,41 @@ class ForwardPass:
 
 class ForecastModel:
     def __init__(self, config: ModelConfig, embedding: EmbeddingMatrix,
-                 seed: int = 0, policy: TrainabilityPolicy | None = None):
+                 seed: int = 0, policy: TrainabilityPolicy | None = None,
+                 arrays: dict[str, np.ndarray] | None = None):
+        """Draw every parameter from ``seed``, or, given ``arrays`` as
+        :meth:`all_arrays` returns them, take each parameter's values from
+        there and draw nothing."""
         if embedding.dim != config.backbone.embed_dim:
             raise ModelError(f"embedding width {embedding.dim} != backbone width "
                              f"{config.backbone.embed_dim}")
         self.config = config
         self.embedding = embedding
         self.policy = policy if policy is not None else TrainabilityPolicy()
-        rng = np.random.default_rng(seed)
-        self.backbone = Backbone(config.backbone, seed=int(rng.integers(2 ** 31)))
+        # the model holds the projections and the affine pair itself
+        own = [(name, shape) for name, shape
+               in parameter_shapes(config, embedding.vocab_size).items()
+               if name.startswith(("input_projection.", "output_projection.",
+                                   "revin."))]
+        if arrays is None:
+            rng = np.random.default_rng(seed)
+            self.backbone = Backbone(config.backbone,
+                                     seed=int(rng.integers(2 ** 31)))
+            self.bank = AnchorBank(embedding, config.n_anchors, rng=rng)
+            values = {name: rng.normal(0.0, 0.02, size=shape) if len(shape) == 2
+                      else np.ones(shape) if name == "revin.gamma"
+                      else np.zeros(shape) for name, shape in own}
+        else:
+            check_arrays(config, embedding.vocab_size, arrays)
+            self.backbone = Backbone(config.backbone, arrays={
+                name: arrays[f"backbone.{name}"]
+                for name in backbone_shapes(config.backbone)})
+            self.bank = AnchorBank(embedding, config.n_anchors,
+                                   map_weights=arrays["anchor_map.weight"])
+            values = arrays
         self._backbone_trainable = self.backbone.apply_policy(self.policy)
-        self.bank = AnchorBank(embedding, config.n_anchors, rng=rng)
-        # the model allocates the projections and the affine pair itself
         self.params: dict[str, Tensor] = {
-            name: Tensor(rng.normal(0.0, 0.02, size=shape) if len(shape) == 2
-                         else np.ones(shape) if name == "revin.gamma"
-                         else np.zeros(shape), requires_grad=True)
-            for name, shape in parameter_shapes(config, embedding.vocab_size).items()
-            if name.startswith(("input_projection.", "output_projection.",
-                                "revin."))}
+            name: Tensor(values[name], requires_grad=True) for name, _ in own}
         # the RevIN shift lands on the first patch_length columns of each
         # (N_P, meta_width) token block: the trend patches, or the whole
         # block without decomposition

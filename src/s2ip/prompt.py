@@ -129,6 +129,8 @@ class PromptSelection:
             raise PromptError("indices and scores length mismatch")
         if len(set(self.indices)) != len(self.indices):
             raise PromptError("selection contains duplicate indices")
+        if any(i < 0 for i in self.indices):
+            raise PromptError("selection contains a negative index")
         for a, b in zip(self.scores, self.scores[1:]):
             if b > a + 1e-12:
                 raise PromptError("scores must be non-increasing")
@@ -257,8 +259,9 @@ def alignment_term(ts_embed: Tensor, selection, bank: AnchorBank,
     indices = np.array([s.indices for s in selections], dtype=np.int64)
     if indices.size == 0:
         return Tensor(0.0 if single else np.zeros(len(selections)))
-    if indices.max() >= bank.n_anchors:
-        raise PromptError("selection indices exceed the anchor bank")
+    # checked here too: a negative index would wrap to the last anchors
+    if indices.min() < 0 or indices.max() >= bank.n_anchors:
+        raise PromptError("selection indices outside the anchor bank")
     if anchors is None:
         anchors = bank.anchors_tensor()
     if single:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import NamedTuple
@@ -208,24 +209,68 @@ def window_count(length: int, spec: WindowSpec) -> int:
     return (length - span) // spec.stride + 1
 
 
-def windows(frame: SeriesFrame, spec: WindowSpec) -> list[Window]:
+class WindowSequence(Sequence):
+    """A frame's sliding windows as a lazy, read-only sequence.
+
+    It holds one contiguous, read-only copy of the frame's columns, so its
+    memory is O(T * C) however many windows there are. Item ``i`` is a
+    :class:`Window` whose ``input`` and ``target`` are views of that copy,
+    each with unit stride; writing into one raises ``ValueError``. Windows
+    run channel by channel, at offsets 0, stride, 2*stride, ... within a
+    channel. A slice is another such sequence, and the sequence compares
+    equal to a list or tuple of the same windows.
+    """
+
+    def __init__(self, columns: np.ndarray, spec: WindowSpec, flat: range):
+        self._columns, self._spec, self._flat = columns, spec, flat
+        self._per_channel = window_count(columns.shape[1], spec)
+
+    def _window(self, i: int) -> Window:
+        channel, k = divmod(i, self._per_channel)
+        start = k * self._spec.stride
+        mid = start + self._spec.lookback
+        column = self._columns[channel]
+        return Window(channel, column[start:mid],
+                      column[mid:mid + self._spec.horizon])
+
+    def __len__(self) -> int:
+        return len(self._flat)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return WindowSequence(self._columns, self._spec, self._flat[index])
+        return self._window(self._flat[index])
+
+    def __iter__(self):
+        return map(self._window, self._flat)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, WindowSequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a.channel == b[0] and np.array_equal(a.input, b[1])
+            and np.array_equal(a.target, b[2]) for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"WindowSequence({len(self)} windows, {self._spec})"
+
+
+def windows(frame: SeriesFrame, spec: WindowSpec) -> WindowSequence:
     """Per-channel sliding windows at offsets 0, stride, 2*stride, ...
 
     Each window pairs ``lookback`` input steps with the ``horizon`` steps
-    that immediately follow. An empty list is returned when the frame is too
+    that immediately follow. The sequence is empty when the frame is too
     short.
     """
-    out: list[Window] = []
-    count = window_count(frame.length, spec)
-    for ch in range(frame.n_channels):
-        col = frame.channel(ch)
-        for k in range(count):
-            start = k * spec.stride
-            mid = start + spec.lookback
-            out.append(Window(ch,
-                              col[start:mid].copy(),
-                              col[mid:mid + spec.horizon].copy()))
-    return out
+    # frame.channel(ch) is a strided view of the (T, C) values; the rows of
+    # the transposed copy give every window unit stride
+    columns = np.ascontiguousarray(frame.values.T)
+    columns.setflags(write=False)
+    return WindowSequence(columns, spec,
+                          range(window_count(frame.length, spec)
+                                * frame.n_channels))
 
 
 @dataclass

@@ -270,6 +270,4 @@ def load_checkpoint(path) -> ForecastModel:
     if not arrays["revin.gamma"].all():
         raise TrainingError(f"{path}: corrupt checkpoint: revin.gamma holds "
                             "a zero")
-    model = ForecastModel(config, embedding, seed=0)
-    model.load_arrays(arrays)
-    return model
+    return ForecastModel(config, embedding, arrays=arrays)

@@ -213,6 +213,17 @@ def test_backward_requires_scalar_loss():
         backward(out)
 
 
+@pytest.mark.parametrize("axis", [None, 1, -1, (0, 2), (-1, 0), ()])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_tape_free_reductions_match_ndarray_methods(axis, keepdims):
+    data = np.random.default_rng(8).normal(size=(3, 32, 64))
+    for op, method in ((ad.tsum, np.ndarray.sum), (ad.tmean, np.ndarray.mean)):
+        got = op(Tensor(data), axis=axis, keepdims=keepdims).data
+        want = np.asarray(method(data, axis=axis, keepdims=keepdims))
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_backward_requires_tape():
     x = Tensor([1.0], requires_grad=True)
     out = ad.tsum(ad.mul(x, x))  # no active tape

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,23 @@ def test_selection_invariants_enforced():
         PromptSelection((0, 0), (1.0, 1.0))
     with pytest.raises(PromptError):
         PromptSelection((0, 1), (0.5, 0.9))
+    with pytest.raises(PromptError, match="negative"):
+        PromptSelection((-1,), (0.5,))
+    with pytest.raises(PromptError, match="negative"):
+        PromptSelection((2, -3), (0.9, 0.5))
+
+
+@pytest.mark.parametrize("indices", [(-1,), (0, -6), (6,)])
+def test_alignment_rejects_indices_outside_the_bank(indices):
+    # a negative index would silently score one of the last anchors; the
+    # selection bypasses PromptSelection's own check
+    bank = make_bank()
+    ts = Tensor(np.random.default_rng(3).normal(size=(5, 4)))
+    selection = SimpleNamespace(indices=indices)
+    with pytest.raises(PromptError, match="outside the anchor bank"):
+        alignment_term(ts, selection, bank)
+    with pytest.raises(PromptError, match="outside the anchor bank"):
+        alignment_term(ad.reshape(ts, (1, 5, 4)), [selection], bank)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from s2ip.series import (ParseError, SeriesError, SeriesFrame, SplitSpec,
-                         Standardizer, WindowSpec, chronological_split,
+                         Standardizer, Window, WindowSpec, chronological_split,
                          few_shot_truncate, load_csv, window_count, windows)
 
 
@@ -203,6 +205,103 @@ def test_windows_are_contiguous_slices():
             assert np.array_equal(w.input, col[start:start + lookback])
             assert np.array_equal(w.target,
                                   col[start + lookback:start + lookback + horizon])
+
+
+def copied_windows(frame, spec):
+    """The oracle: every window's input and target copied out of the
+    frame's column, as ``windows`` built them before it returned views."""
+    out = []
+    count = window_count(frame.length, spec)
+    for ch in range(frame.n_channels):
+        col = frame.channel(ch)
+        for k in range(count):
+            start = k * spec.stride
+            mid = start + spec.lookback
+            out.append(Window(ch, col[start:mid].copy(),
+                              col[mid:mid + spec.horizon].copy()))
+    return out
+
+
+def random_frame(t, n, seed=0):
+    values = np.random.default_rng(seed).normal(size=(t, n))
+    return SeriesFrame(tuple(range(t)), values, tuple(f"c{i}" for i in range(n)))
+
+
+def same_window(got, want):
+    return (type(got.channel) is int and got.channel == want.channel
+            and np.array_equal(got.input, want.input)
+            and np.array_equal(got.target, want.target))
+
+
+@pytest.mark.parametrize("length", [97, 36, 35, 0],
+                         ids=["many", "exactly-one", "none", "empty-frame"])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_windows_match_the_copying_construction(length, channels, stride):
+    frame = random_frame(length, channels, seed=length + channels + stride)
+    spec = WindowSpec(24, 12, stride)
+    lazy, oracle = windows(frame, spec), copied_windows(frame, spec)
+    assert len(lazy) == len(oracle) == window_count(length, spec) * channels
+    assert all(same_window(got, want) for got, want in zip(lazy, oracle))
+    assert len(list(lazy)) == len(oracle)
+    for i in range(-len(oracle), len(oracle)):
+        assert same_window(lazy[i], oracle[i])
+        assert same_window(lazy[np.int64(i)], oracle[i])
+    for index in (len(oracle), -len(oracle) - 1):
+        with pytest.raises(IndexError):
+            lazy[index]
+    assert lazy == oracle and oracle == lazy
+    assert bool(lazy) == bool(oracle)
+
+
+def test_window_slices_match_list_slices():
+    frame = random_frame(60, 3, seed=4)
+    spec = WindowSpec(8, 4, 3)
+    lazy, oracle = windows(frame, spec), copied_windows(frame, spec)
+    for s in (slice(None, 5), slice(5, None), slice(-7, -2), slice(None, None, -1),
+              slice(1, 40, 4), slice(30, 2, -3), slice(100, None)):
+        part = lazy[s]
+        assert len(part) == len(oracle[s])
+        assert all(same_window(g, w) for g, w in zip(part, oracle[s]))
+        assert part == oracle[s]
+    # a slice of a slice indexes the same windows as the list does
+    assert same_window(lazy[2:40][::3][-1], oracle[2:40][::3][-1])
+    assert lazy[:0] == [] and not lazy[:0]
+
+
+def test_windows_are_read_only_unit_stride_views():
+    frame = random_frame(50, 2, seed=5)
+    window = windows(frame, WindowSpec(16, 8, 2))[-1]
+    for arr in (window.input, window.target):
+        assert arr.strides == (arr.itemsize,)
+        with pytest.raises(ValueError):
+            arr[0] = 99.0
+    with pytest.raises(ValueError):
+        window.input += 1.0
+    assert np.array_equal(window.input, frame.values[-24:-8, 1])
+
+
+def test_empty_windows_compare_equal_to_empty_list():
+    empty = windows(frame_of_length(35), WindowSpec(24, 12))
+    assert empty == [] and [] == empty and empty == ()
+    assert not empty and len(empty) == 0 and list(empty) == []
+    assert windows(frame_of_length(36), WindowSpec(24, 12)) != []
+    assert empty != "" and empty != 0
+
+
+def test_windows_memory_is_the_size_of_the_frame():
+    # an ETTh1-shaped frame: 17,420 rows, 7 channels, 121,107 windows of
+    # 96 + 24 steps. Copying every window retained ~146 MiB of 0.93 MiB
+    frame = random_frame(17420, 7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = windows(frame, WindowSpec(96, 24))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 121107
+    assert retained <= 2 * frame.values.nbytes + 2 ** 20
 
 
 def test_window_spec_validation():

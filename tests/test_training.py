@@ -483,6 +483,23 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert np.array_equal(reference, again)
 
 
+def test_checkpoint_load_draws_no_parameters(tmp_path, monkeypatch):
+    model = tiny_model(seed=13)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random parameters")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = load_checkpoint(path)
+    arrays, expected = loaded.all_arrays(), model.all_arrays()
+    assert sorted(arrays) == sorted(expected)
+    assert all(np.array_equal(arrays[name], expected[name]) for name in arrays)
+    assert ([name for name, _ in loaded.named_parameters()]
+            == [name for name, _ in model.named_parameters()])
+
+
 def test_checkpoint_truncated(tmp_path):
     model = tiny_model()
     path = tmp_path / "model.ckpt"
