@@ -265,27 +265,22 @@ def sqrt(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    # the cube is x2 * x (``x ** 3`` goes through pow, ~100x slower). In place
-    # on x2, tanh and out, it rounds as 0.5 * x * (1 + tanh(s (x + c x^3)))
-    # does: it only commutes products and scales by 0.5. The node keeps x and
-    # tanh; its backward recomputes x2 bit for bit rather than keep it
+    # one buffer t: the cube is (x * x) * x (``x ** 3`` goes through pow,
+    # ~100x slower), then tanh, then the output, all in place. It rounds as
+    # 0.5 * x * (1 + tanh(s (x + c x^3))) does: it only commutes products
+    # and scales by 0.5. On a tape the local slope is formed from tanh
+    # before t becomes the output, and the node keeps only the slope
     a = as_tensor(a)
     x = a.data
-    x2 = x * x
-    t = x2 * x
+    t = x * x
+    t *= x
     t *= GELU_CUBIC_COEFF
     t += x
     t *= _GELU_SCALE
     np.tanh(t, out=t)
-    out = t + 1.0
-    out *= x
-    out *= 0.5
-    if (keys := _keys(a)) is None:
-        return Tensor(out)
-
-    def backward_fn(g):
-        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) dinner), evaluated in place on
-        # two buffers
+    keys = _keys(a)
+    if keys is not None:
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) dinner, in place on two buffers
         slope = t * t
         np.subtract(1.0, slope, out=slope)
         slope *= x
@@ -298,10 +293,18 @@ def gelu(a) -> Tensor:
         np.add(t, 1.0, out=dinner)
         dinner *= 0.5
         slope += dinner
-        slope *= g
+    t += 1.0
+    t *= x
+    t *= 0.5
+    if keys is None:
+        return Tensor(t)
+
+    def backward_fn(g):
+        # a node runs once, so the slope can take the product in place
+        np.multiply(slope, g, out=slope)
         return [(keys[0], slope)]
 
-    return _record("gelu", keys, out, backward_fn)
+    return _record("gelu", keys, t, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -758,17 +761,21 @@ def write_array(fh: BinaryIO, arr: np.ndarray) -> None:
     fh.write(arr.astype("<f8", copy=False).tobytes())
 
 
+_MAX_RANK = 64  # the most axes a numpy array has
+
+
 def read_array(fh: BinaryIO) -> np.ndarray:
     raw = fh.read(8)
     if len(raw) != 8:
         raise IOError("truncated tensor record (rank)")
     rank = struct.unpack("<Q", raw)[0]
-    dims = []
-    for _ in range(rank):
-        raw = fh.read(8)
-        if len(raw) != 8:
-            raise IOError("truncated tensor record (dims)")
-        dims.append(struct.unpack("<Q", raw)[0])
+    # refused before any dim is read, so a corrupt rank sizes nothing
+    if rank > _MAX_RANK:
+        raise IOError(f"invalid tensor record rank {rank}")
+    raw = fh.read(8 * rank)
+    if len(raw) != 8 * rank:
+        raise IOError("truncated tensor record (dims)")
+    dims = struct.unpack(f"<{rank}Q", raw)
     # Python ints: a product of u64 dims can wrap around in int64
     count = math.prod(dims)
     if count * 8 > _bytes_left(fh):

@@ -133,24 +133,30 @@ class Backbone:
             self._masks[length] = mask
 
         for i in range(cfg.n_layers):
-            p = f"layer.{i}"
-            h = ad.layer_norm(x, self.params[f"{p}.ln1.gain"],
-                              self.params[f"{p}.ln1.bias"])
-            q, k, v = (ad.linear(h, self.params[f"{p}.attn.w{n}"],
-                                 self.params[f"{p}.attn.b{n}"]) for n in "qkv")
-            weights = ad.softmax(ad.attention_scores(q, k, mask, heads), axis=-1)
-            attn_out = ad.linear(ad.attention_context(weights, v, heads),
-                                 self.params[f"{p}.attn.wo"],
-                                 self.params[f"{p}.attn.bo"])
-            x = ad.add(x, attn_out)
-
-            h = ad.layer_norm(x, self.params[f"{p}.ln2.gain"],
-                              self.params[f"{p}.ln2.bias"])
-            inner = ad.gelu(ad.linear(h, self.params[f"{p}.ffn.w1"],
-                                      self.params[f"{p}.ffn.b1"]))
-            ffn_out = ad.linear(inner, self.params[f"{p}.ffn.w2"],
-                                self.params[f"{p}.ffn.b2"])
-            x = ad.add(x, ffn_out)
+            x = self._attention_block(x, f"layer.{i}", mask, heads)
+            x = self._ffn_block(x, f"layer.{i}")
 
         return ad.layer_norm(x, self.params["final_ln.gain"],
                              self.params["final_ln.bias"])
+
+    # each block returns its residual sum, so its activations are freed on
+    # return unless a tape node saved them
+
+    def _attention_block(self, x: Tensor, p: str, mask: Tensor,
+                         heads: int) -> Tensor:
+        h = ad.layer_norm(x, self.params[f"{p}.ln1.gain"],
+                          self.params[f"{p}.ln1.bias"])
+        q, k, v = (ad.linear(h, self.params[f"{p}.attn.w{n}"],
+                             self.params[f"{p}.attn.b{n}"]) for n in "qkv")
+        weights = ad.softmax(ad.attention_scores(q, k, mask, heads), axis=-1)
+        return ad.add(x, ad.linear(ad.attention_context(weights, v, heads),
+                                   self.params[f"{p}.attn.wo"],
+                                   self.params[f"{p}.attn.bo"]))
+
+    def _ffn_block(self, x: Tensor, p: str) -> Tensor:
+        inner = ad.gelu(ad.linear(
+            ad.layer_norm(x, self.params[f"{p}.ln2.gain"],
+                          self.params[f"{p}.ln2.bias"]),
+            self.params[f"{p}.ffn.w1"], self.params[f"{p}.ffn.b1"]))
+        return ad.add(x, ad.linear(inner, self.params[f"{p}.ffn.w2"],
+                                   self.params[f"{p}.ffn.b2"]))

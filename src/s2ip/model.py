@@ -34,10 +34,12 @@ from .prompt import (AnchorBank, EmbeddingMatrix, PromptSelection,
 from .series import WindowSpec
 
 
-# windows per tape-free forward in ``ForecastModel.predict``: 8 keeps most of
-# the batching speed-up; 16 ran ~15% faster but added ~2.6 MiB (~5%) to the
-# peak RSS of the evaluation benchmark, at its 5% bound
-FORECAST_CHUNK = 8
+# windows per tape-free forward in ``ForecastModel.predict``. A tape-free
+# forward holds only what is still read (GELU in one buffer, each block's
+# activations freed on return), so 16 windows peak at 1.35 MiB (tracemalloc,
+# default config) and run ~20% faster than 8 on the evaluation benchmark at
+# the same peak RSS; 32 added 2.3-2.8 MiB (5-6%) to it, over its 5% bound
+FORECAST_CHUNK = 16
 
 # checkpoint header keys of older S2IP1 writers -> the dotted field name now
 _HEADER_ALIASES = {"patch.length": "patch.patch_length"}

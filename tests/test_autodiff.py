@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -402,6 +403,60 @@ def test_gelu_grad_check():
     assert grad_check(lambda: ad.tsum(ad.gelu(x)), [x], eps=1e-5) <= 1e-6
 
 
+def separate_pass_gelu_slope(x):
+    """The local GELU slope as a separate backward pass formed it, from the
+    forward's input and tanh, in place on two buffers; the oracle of the
+    slope the forward forms now."""
+    c, s = ad.GELU_CUBIC_COEFF, ad._GELU_SCALE
+    x2 = x * x
+    t = x2 * x
+    t *= c
+    t += x
+    t *= s
+    np.tanh(t, out=t)
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    slope *= x
+    slope *= 0.5
+    dinner = x * x
+    dinner *= 3.0 * c
+    dinner += 1.0
+    dinner *= s
+    slope *= dinner
+    np.add(t, 1.0, out=dinner)
+    dinner *= 0.5
+    slope += dinner
+    return slope
+
+
+def test_gelu_backward_bit_identical_to_the_separate_pass():
+    x = np.random.default_rng(24).normal(0.0, 3.0, size=(64, 256))
+    x[0, :5] = [0.0, -40.0, 40.0, 1e-300, -1e-300]
+    g = np.random.default_rng(26).normal(size=x.shape)
+    a = Tensor(x, requires_grad=True)
+    with Tape():
+        loss = ad.tsum(ad.mul(ad.gelu(a), Tensor(g)))
+    backward(loss)
+    assert np.array_equal(a.grad, separate_pass_gelu_slope(x) * g)
+
+
+def test_gelu_node_keeps_only_its_slope():
+    # on a tape GELU retains its output and the slope its backward reads,
+    # not its input or tanh
+    a = Tensor(np.random.default_rng(29).normal(size=(64, 1024)),
+               requires_grad=True)
+    size = a.data.nbytes
+    tracemalloc.start()
+    try:
+        with Tape():
+            y = ad.gelu(ad.add(a, 0.0))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == a.shape
+    assert 2 * size <= retained < 2.5 * size
+
+
 FROZEN_CASES = [
     ("matmul", {"x": (2, 3, 4), "w": (4, 5)},
      lambda t: ad.matmul(t["x"], t["w"])),
@@ -593,10 +648,12 @@ def test_named_array_round_trip(tmp_path):
 
 @pytest.mark.parametrize("dims, match", [((2 ** 32, 2 ** 32), "truncated"),
                                          ((11,), "truncated"),
-                                         ((0, 2 ** 63), "invalid")])
+                                         ((0, 2 ** 63), "invalid"),
+                                         ((1,) * 65, "invalid")])
 def test_record_dims_past_the_stream_raise_ioerror(dims, match):
     # (2**32, 2**32) wraps to a count of 0 in int64; (11,) asks for one value
-    # more than the 10 stored; (0, 2**63) is empty but too large for numpy
+    # more than the 10 stored; (0, 2**63) is empty but too large for numpy;
+    # 65 axes are more than numpy holds
     stream = io.BytesIO()
     stream.write(struct.pack("<Q", len(dims)))
     for dim in dims:

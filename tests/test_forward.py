@@ -8,6 +8,7 @@ gradients.
 """
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -256,7 +257,11 @@ def test_joint_loss_and_gradients_match_per_window_reference(name):
         assert np.max(np.abs(grads[param] - expected)) <= 1e-10, param
 
 
-@pytest.mark.parametrize("n", [1, FORECAST_CHUNK, 2 * FORECAST_CHUNK + 3])
+# one window, short and full chunks, and two full chunks and a short one
+PREDICT_SIZES = sorted({1, 8, 19, FORECAST_CHUNK, 2 * FORECAST_CHUNK + 3})
+
+
+@pytest.mark.parametrize("n", PREDICT_SIZES)
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_predict_matches_per_window_forecasts(name, n):
     model = make_model(**CONFIGS[name])
@@ -434,6 +439,28 @@ def test_default_step_memory():
     assert result["tape_nodes"] == 76
     assert result["live_mib"] <= 10.0
     assert result["peak_mib"] <= 14.0
+
+
+def test_tape_free_forward_holds_only_what_is_still_read():
+    # a chunk's peak is a few of its feed-forward hidden activations: GELU
+    # works in one buffer and each block's activations are freed on return
+    config = RunConfig({})
+    pipeline = harness.build_pipeline(config, 0)
+    model = harness.build_model(config, pipeline.frame.n_channels, 0)
+    channels, inputs, _ = zip(*pipeline.test_windows[:FORECAST_CHUNK])
+    x, channels = np.stack(inputs), np.array(channels)
+    model.forward(x[:1], channels[:1])  # derives the anchors
+    cfg = model.config
+    hidden = (FORECAST_CHUNK * (cfg.prompt_k + cfg.n_patches)
+              * cfg.backbone.ffn_mult * cfg.backbone.embed_dim * 8)
+    assert active_tape() is None
+    tracemalloc.start()
+    try:
+        model.forward(x, channels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * hidden
 
 
 # ---------------------------------------------------------------------------

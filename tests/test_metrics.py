@@ -6,7 +6,8 @@ from s2ip.backbone import BackboneConfig
 from s2ip.metrics import (MetricError, evaluate_forecasts, evaluate_model,
                           mape, mase, mse_mae, naive2_forecast, owa,
                           seasonality_test, smape)
-from s2ip.model import DecompositionConfig, ForecastModel, ModelConfig
+from s2ip.model import (FORECAST_CHUNK, DecompositionConfig, ForecastModel,
+                        ModelConfig)
 from s2ip.preprocess import PatchSpec
 from s2ip.prompt import clustered_vocabulary
 from s2ip.series import WindowSpec
@@ -282,7 +283,7 @@ def test_evaluate_real_model_matches_per_window_forecasts(tmp_path, mode):
     rng = np.random.default_rng(6)
     t = np.arange(40.0)
     windows = []
-    for i in range(19):  # two full chunks of 8 and a short one
+    for i in range(2 * FORECAST_CHUNK + 3):  # two full chunks, a short one
         series = 10.0 + np.sin(2 * np.pi * t / 8 + i) + rng.normal(0, 0.2, 40)
         windows.append((i % 2, series[:32], series[32:]))
     dump = tmp_path / "per_window.csv"

@@ -691,3 +691,67 @@ def test_checkpoint_with_huge_finite_values_loads(tmp_path):
                           model.all_arrays()["revin.beta"])
     assert np.array_equal(loaded.bank.map_weights.data,
                           model.bank.map_weights.data)
+
+
+# ---------------------------------------------------------------------------
+# seeded checkpoint fuzz: every corrupt file loads or raises TrainingError,
+# and no load allocates more than a few times the file's size
+# ---------------------------------------------------------------------------
+
+FUZZ_CASES = 32
+FUZZ_KINDS = ("truncate", "flip_structure", "flip_any")
+
+
+def structure_offsets(blob):
+    """Offsets of every byte of a checkpoint that is not tensor data: the
+    magic, the header and each record's name length, name, rank and dims."""
+    pos = len(CHECKPOINT_MAGIC)
+    pos += 8 + int.from_bytes(blob[pos:pos + 8], "little")
+    offsets = list(range(pos))
+    while pos < len(blob):
+        name_len = struct.unpack_from("<Q", blob, pos)[0]
+        rank = struct.unpack_from("<Q", blob, pos + 8 + name_len)[0]
+        dims = struct.unpack_from(f"<{rank}Q", blob, pos + 16 + name_len)
+        end = pos + 16 + name_len + 8 * rank
+        offsets.extend(range(pos, end))
+        pos = end + 8 * int(np.prod(dims))
+    return offsets
+
+
+@pytest.fixture(scope="module")
+def default_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(build_model(RunConfig({}), 1, 0), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", FUZZ_KINDS)
+def test_seeded_checkpoint_fuzz(tmp_path, default_checkpoint, kind):
+    blob = default_checkpoint
+    structure = structure_offsets(blob)
+    rng = np.random.default_rng([15, FUZZ_KINDS.index(kind)])
+    path = tmp_path / "case.ckpt"
+    for case in range(FUZZ_CASES):
+        if kind == "truncate":
+            data = blob[:int(rng.integers(len(blob)))]
+        else:
+            offset = (structure[int(rng.integers(len(structure)))]
+                      if kind == "flip_structure"
+                      else int(rng.integers(len(blob))))
+            data = bytearray(blob)
+            data[offset] ^= 1 << int(rng.integers(8))
+        path.write_bytes(data)
+        refused = False
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+        except TrainingError:
+            refused = True
+        except Exception as exc:  # any other type breaks the contract
+            pytest.fail(f"{kind} case {case}: {exc!r}")
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= 4 * len(data) + (1 << 20), (kind, case, peak)
+        # a prefix lacks at least one record
+        assert refused or kind != "truncate", (kind, case)
