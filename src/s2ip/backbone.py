@@ -71,10 +71,13 @@ class Backbone:
     feed-forward), with learned positional embeddings and a final layer norm."""
 
     def __init__(self, config: BackboneConfig, seed: int = 0,
-                 arrays: dict[str, np.ndarray] | None = None):
+                 arrays: dict[str, np.ndarray] | None = None,
+                 drop_prefix: int = 0):
         """Draw the parameters from ``seed``, or take them from ``arrays``,
-        keyed by :func:`parameter_shapes`' names."""
+        keyed by :func:`parameter_shapes`' names. :meth:`forward` leaves
+        the first ``drop_prefix`` positions out of its output."""
         self.config = config
+        self.drop_prefix = drop_prefix
         self.params: dict[str, Tensor] = {}
         self._masks: dict[int, Tensor] = {}
         rng = np.random.default_rng(seed) if arrays is None else None
@@ -111,8 +114,13 @@ class Backbone:
     # -- forward ------------------------------------------------------------
 
     def forward(self, x: Tensor) -> Tensor:
-        """Run (B, L, D) embeddings through the stack; output has the same
-        shape. Position t only attends to positions <= t."""
+        """Run (B, L, D) embeddings through the stack; returns the
+        (B, L - drop_prefix, D) outputs of the positions after the dropped
+        prefix. Position t only attends to positions <= t.
+
+        The dropped rows are cut right after the last attention block: they
+        still supply that block's keys and values, so every kept row is
+        exact, but the last feed-forward and the final norm skip them."""
         if x.ndim != 3:
             raise BackboneError(f"expected (B, L, D) input, got shape {x.shape}")
         _, length, d = x.shape
@@ -134,6 +142,8 @@ class Backbone:
 
         for i in range(cfg.n_layers):
             x = self._attention_block(x, f"layer.{i}", mask, heads)
+            if i == cfg.n_layers - 1:
+                x = ad.narrow(x, 1, self.drop_prefix, length - self.drop_prefix)
             x = self._ffn_block(x, f"layer.{i}")
 
         return ad.layer_norm(x, self.params["final_ln.gain"],

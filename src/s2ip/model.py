@@ -272,10 +272,14 @@ class ForecastModel:
                in parameter_shapes(config, embedding.vocab_size).items()
                if name.startswith(("input_projection.", "output_projection.",
                                    "revin."))]
+        # the head reads the patch positions only, unless configured to
+        # read the prompt positions too, so the backbone may skip the rest
+        head_skips = 0 if config.include_prompt_in_output else config.prompt_k
         if arrays is None:
             rng = np.random.default_rng(seed)
             self.backbone = Backbone(config.backbone,
-                                     seed=int(rng.integers(2 ** 31)))
+                                     seed=int(rng.integers(2 ** 31)),
+                                     drop_prefix=head_skips)
             self.bank = AnchorBank(embedding, config.n_anchors, rng=rng)
             values = {name: rng.normal(0.0, 0.02, size=shape) if len(shape) == 2
                       else np.ones(shape) if name == "revin.gamma"
@@ -284,7 +288,8 @@ class ForecastModel:
             check_arrays(config, embedding.vocab_size, arrays)
             self.backbone = Backbone(config.backbone, arrays={
                 name: arrays[f"backbone.{name}"]
-                for name in backbone_shapes(config.backbone)})
+                for name in backbone_shapes(config.backbone)},
+                drop_prefix=head_skips)
             self.bank = AnchorBank(embedding, config.n_anchors,
                                    map_weights=arrays["anchor_map.weight"])
             values = arrays
@@ -393,20 +398,12 @@ class ForecastModel:
     # -- forward -------------------------------------------------------------
 
     def _head(self, z_out: Tensor) -> Tensor:
-        """Project backbone outputs to per-component horizons.
-
-        Prompt positions are dropped before flattening unless configured
-        otherwise, so the projection width does not depend on K.
-        """
-        cfg = self.config
-        batch = z_out.shape[0]
-        k = cfg.prompt_k
-        if k > 0 and not cfg.include_prompt_in_output:
-            start, length = k, cfg.n_patches
-        else:
-            start, length = 0, z_out.shape[1]
-        kept = ad.narrow(z_out, 1, start, length)
-        flat = ad.reshape(kept, (batch, length * cfg.backbone.embed_dim))
+        """Project the backbone outputs the head reads, (B, positions, D),
+        to per-component horizons. The backbone already dropped the prompt
+        positions unless configured otherwise, so by default the projection
+        width does not depend on K."""
+        flat = ad.reshape(z_out, (z_out.shape[0],
+                                  self.config.flattened_width))
         return ad.linear(flat, self.params["output_projection.weight"],
                          self.params["output_projection.bias"])
 

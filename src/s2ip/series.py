@@ -147,12 +147,15 @@ def load_csv(path, *, forward_fill: bool = False) -> SeriesFrame:
     if len(rows) < 2:
         raise SeriesError(f"{path}: no data rows")
 
+    # every width before the allocation, which a long header would
+    # otherwise size against rows that never had its columns
+    for row_no, row in enumerate(rows[1:], start=2):  # 1-based, with the header
+        if len(row) != n + 1:
+            raise ParseError(f"row {row_no}: expected {n + 1} columns, got {len(row)}")
     timestamps = []
     values = np.empty((len(rows) - 1, n), dtype=np.float64)
     for i, row in enumerate(rows[1:]):
-        row_no = i + 2  # 1-based, counting the header
-        if len(row) != n + 1:
-            raise ParseError(f"row {row_no}: expected {n + 1} columns, got {len(row)}")
+        row_no = i + 2
         timestamps.append(_parse_timestamp(row[0], row_no))
         for j, cell in enumerate(row[1:]):
             cell = cell.strip()

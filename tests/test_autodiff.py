@@ -2,6 +2,7 @@ import io
 import struct
 import tracemalloc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -292,9 +293,17 @@ UNARY_OPS = [
 ]
 
 
+def op_seed(name):
+    """The same seed in every process: ``hash`` of a str is salted per
+    process, and about one suite run in 200 drew an entry whose gradient is
+    so near zero that the finite difference's relative error exceeds the
+    bound."""
+    return zlib.crc32(name.encode())
+
+
 @pytest.mark.parametrize("name,make,op", OPS, ids=[o[0] for o in OPS])
 def test_binary_op_gradients(name, make, op):
-    rng = np.random.default_rng(hash(name) % 2 ** 31)
+    rng = np.random.default_rng(op_seed(name))
     a_data, b_data = make(rng)
     a = Tensor(a_data, requires_grad=True)
     b = Tensor(b_data, requires_grad=True)
@@ -314,7 +323,7 @@ def test_binary_op_gradients(name, make, op):
 
 @pytest.mark.parametrize("name,op,make", UNARY_OPS, ids=[o[0] for o in UNARY_OPS])
 def test_unary_op_gradients(name, op, make):
-    rng = np.random.default_rng(hash(name) % 2 ** 31)
+    rng = np.random.default_rng(op_seed(name))
     x = Tensor(make(rng), requires_grad=True)
     weight = rng.normal(size=op(Tensor(x.data)).shape)
     with Tape():

@@ -7,6 +7,7 @@ per window. The batched path must reproduce its forecasts, losses and
 gradients.
 """
 
+import copy
 import importlib.util
 import tracemalloc
 from pathlib import Path
@@ -125,6 +126,15 @@ def ref_head(model, z_out):
     return y_out, ad.add(ad.add(parts[0], parts[1]), parts[2])
 
 
+def untrimmed(backbone):
+    """``backbone`` with the same parameter tensors, returning every
+    position, so the reference computes the prompt rows and ``ref_head``
+    drops them."""
+    full = copy.copy(backbone)
+    full.drop_prefix = 0
+    return full
+
+
 def ref_denormalize(model, y_norm, channels, means, scales):
     rows = []
     for i, (channel, mean, scale) in enumerate(zip(channels, means, scales)):
@@ -138,7 +148,8 @@ def ref_denormalize(model, y_norm, channels, means, scales):
 def ref_forecast(model, x, channel):
     anchors = model.bank.anchors_tensor() if model.config.prompt_k else None
     ts_embed, mean, scale, indices, z_in = ref_window(model, x, channel, anchors)
-    z_out = model.backbone.forward(ad.reshape(z_in, (1,) + z_in.shape))
+    z_out = untrimmed(model.backbone).forward(
+        ad.reshape(z_in, (1,) + z_in.shape))
     y_out, y_norm = ref_head(model, z_out)
     yhat = ref_denormalize(model, y_norm, [channel], [mean], [scale])
     return yhat.data[0], y_norm.data[0], y_out.data[0], ts_embed.data, indices
@@ -150,7 +161,7 @@ def ref_joint_loss(model, batch, lam):
     windows = [ref_window(model, x, channel, anchors) for channel, x, _ in batch]
     z_in = ad.concat([ad.reshape(w[4], (1,) + w[4].shape) for w in windows],
                      axis=0)
-    _, y_norm = ref_head(model, model.backbone.forward(z_in))
+    _, y_norm = ref_head(model, untrimmed(model.backbone).forward(z_in))
     yhat = ref_denormalize(model, y_norm, [c for c, _, _ in batch],
                            [w[1] for w in windows], [w[2] for w in windows])
     err = ad.sub(yhat, Tensor(np.stack([y for _, _, y in batch])))
@@ -176,6 +187,9 @@ CONFIGS = {
     "no-decomposition": {"decomposition": DecompositionConfig(enabled=False)},
     "no-prompt": {"prompt_k": 0},
     "prompt-in-output": {"include_prompt_in_output": True},
+    # the prompt rows are dropped after the last of several blocks
+    "two-layers": {"backbone": BackboneConfig(embed_dim=16, n_layers=2,
+                                              n_heads=2, max_seq_len=16)},
 }
 
 
@@ -255,6 +269,37 @@ def test_joint_loss_and_gradients_match_per_window_reference(name):
     assert abs(value - ref_value) <= 1e-12
     for param, expected in ref_grads.items():
         assert np.max(np.abs(grads[param] - expected)) <= 1e-10, param
+
+
+def test_trimmed_backbone_equals_the_untrimmed_rows_it_keeps():
+    config = RunConfig({})
+    pipeline = harness.build_pipeline(config, 0)
+    model = harness.build_model(config, pipeline.frame.n_channels, 0)
+    channels, inputs, _ = zip(*pipeline.train_windows[:32])
+    ts_embed, _ = model.tokenize_and_embed(np.stack(inputs), channels)
+    z_in = model.prompt(ts_embed)[0]
+    k = model.config.prompt_k
+    assert k > 0 and model.backbone.drop_prefix == k
+    full = untrimmed(model.backbone).forward(z_in).data
+    assert np.array_equal(model.backbone.forward(z_in).data, full[:, k:])
+
+
+@pytest.mark.parametrize("name", ["classical-mean", "prompt-in-output",
+                                  "no-prompt"])
+def test_backbone_returns_the_positions_the_head_reads(name):
+    """The seeded model and one built from its arrays drop the K prompt
+    rows, unless the head reads them too."""
+    model = make_model(**CONFIGS[name])
+    cfg = model.config
+    loaded = ForecastModel(cfg, model.embedding, arrays=model.all_arrays())
+    batch = make_batch(3, seed=12)
+    ts_embed, _ = model.tokenize_and_embed(np.stack([x for _, x, _ in batch]),
+                                           [c for c, _, _ in batch])
+    z_in = model.prompt(ts_embed)[0]
+    kept = cfg.n_patches + (cfg.prompt_k if cfg.include_prompt_in_output else 0)
+    for m in (model, loaded):
+        assert m.backbone.forward(z_in).shape == (3, kept,
+                                                  cfg.backbone.embed_dim)
 
 
 # one window, short and full chunks, and two full chunks and a short one

@@ -530,6 +530,18 @@ def test_csv_data_path_pipeline(tmp_path):
     assert (out / "model.ckpt").exists()
 
 
+def test_csv_with_short_rows_exits_1_with_one_line(tmp_path, capsys):
+    # a 3000-column header, then 3000 one-cell rows
+    data_path = tmp_path / "wide.csv"
+    data_path.write_text("t," + ",".join(str(i) for i in range(3000)) + "\n"
+                         + "1\n" * 3000, encoding="utf-8")
+    cfg = tiny_config_file(tmp_path, {"data.path": str(data_path)})
+    out = tmp_path / "x"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: row 2: expected 3001 columns, got 1\n"
+
+
 def test_short_split_warns_and_yields_no_windows(tmp_path):
     import warnings as warnings_module
 

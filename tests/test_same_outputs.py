@@ -1,0 +1,81 @@
+"""``compare`` of scripts/same_outputs.py on made-up result sets; no child
+process runs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture(scope="module")
+def same_outputs():
+    sys.path.insert(0, str(SCRIPTS))  # the script imports bench_pairs
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "same_outputs", SCRIPTS / "same_outputs.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    return module
+
+
+def results(seed=0):
+    rng = np.random.default_rng(seed)
+    arrays = {"default/step0/loss": np.array(0.25),
+              "default/step0/grad/revin.gamma": rng.normal(size=2),
+              "default/step0/predict": rng.normal(size=(5, 3))}
+    files = {"tiny/model.ckpt": "ab" * 32, "tiny/metrics.csv": "cd" * 32}
+    return arrays, files
+
+
+def copied(side):
+    arrays, files = side
+    return {k: v.copy() for k, v in arrays.items()}, dict(files)
+
+
+def test_equal_result_sets_compare_equal(same_outputs):
+    parent = results()
+    report = same_outputs.compare(parent, copied(parent))
+    assert report["equal"]
+    assert set(report["arrays"].values()) == {"equal"}
+    assert all(f["parent"] == f["change"] for f in report["files"].values())
+    assert same_outputs.report_lines(report)[-1] == "all equal"
+
+
+def test_report_names_a_perturbed_array_and_a_changed_file(same_outputs):
+    parent = results()
+    arrays, files = copied(parent)
+    predict = arrays["default/step0/predict"]
+    i = np.unravel_index(np.argmax(np.abs(predict)), predict.shape)
+    predict[i] = np.nextafter(predict[i], np.inf)  # one ulp at the largest
+    files["tiny/metrics.csv"] = "ef" * 32
+    report = same_outputs.compare(parent, (arrays, files))
+    assert not report["equal"]
+    diff = report["arrays"]["default/step0/predict"]
+    assert diff["max_ulps"] == 1.0
+    assert diff["max_abs"] == np.spacing(np.abs(parent[0]["default/step0/predict"][i]))
+    assert report["arrays"]["default/step0/loss"] == "equal"
+    assert report["files"]["tiny/metrics.csv"] == {"parent": "cd" * 32,
+                                                  "change": "ef" * 32}
+    lines = same_outputs.report_lines(report)
+    assert any(line.startswith("default/step0/predict: 1 ulps") for line in lines)
+    assert any(line.startswith("tiny/metrics.csv: differs") for line in lines)
+    assert lines[-1] == "outputs differ"
+
+
+def test_missing_and_reshaped_arrays_are_named(same_outputs):
+    parent = results()
+    arrays, files = copied(parent)
+    del arrays["default/step0/loss"]
+    arrays["default/step0/predict"] = arrays["default/step0/predict"][:4]
+    arrays["stl/step0/loss"] = np.array(1.0)
+    report = same_outputs.compare(parent, (arrays, files))
+    assert not report["equal"]
+    assert report["arrays"]["default/step0/loss"] == "only in parent"
+    assert report["arrays"]["stl/step0/loss"] == "only in change"
+    assert report["arrays"]["default/step0/predict"] == {"shape": [[5, 3], [4, 3]]}

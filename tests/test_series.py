@@ -52,6 +52,23 @@ def test_load_etth_shaped_file(tmp_path):
     assert frame.n_channels == 7
 
 
+def test_row_widths_are_checked_before_the_allocation(tmp_path):
+    # a 3000-column header, then 3000 one-cell rows: 19.4 KiB. The cells as
+    # Python strings cost about 28 times the file; sized from the header,
+    # the value array took 69.2 MiB (3600 times) before this error was raised
+    path = write(tmp_path, "t," + ",".join(str(i) for i in range(3000))
+                 + "\n" + "1\n" * 3000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError,
+                           match="^row 2: expected 3001 columns, got 1$"):
+            load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * path.stat().st_size
+
+
 def test_load_empty_file(tmp_path):
     path = write(tmp_path, "")
     with pytest.raises(SeriesError):
