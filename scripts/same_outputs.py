@@ -11,8 +11,9 @@ checkout's working tree; the *parent* side is ``--parent``, unpacked with
 - for each of :data:`STEP_CONFIGS`, over 3 training steps on the first
   three training batches: the loss, every gradient before clipping, and
   ``predict`` over the test windows after the step's Adam update;
-- the sha256 of every artifact that ``train``, ``evaluate`` and
-  ``forecast`` write for each of :data:`ARTIFACT_CONFIGS`.
+- the sha256 of every artifact that :data:`ARTIFACT_COMMANDS` write for
+  each of :data:`ARTIFACT_CONFIGS`; ``export-embeddings`` reads the
+  checkpoint that ``train`` wrote to the same directory.
 
 Per array the report reads ``equal`` or the largest difference in ulps and
 in relative terms; per file it gives both sides' sha256. The exit code is 0
@@ -44,19 +45,23 @@ STEP_CONFIGS = {
     "all-trainable": {"backbone.train_attention": True,
                       "backbone.train_ffn": True},
 }
-# a 785-row default run with a validation split that holds windows, and
 # the tiny run of acceptance criterion 12
+TINY = {"synthetic.length": 400, "window.lookback": 32, "window.horizon": 8,
+        "patch.length": 8, "patch.stride": 4, "decomposition.period": 8,
+        "decomposition.trend_window": 9, "backbone.embed_dim": 16,
+        "backbone.layers": 1, "backbone.heads": 2, "backbone.max_seq_len": 16,
+        "prompt.k": 2, "prompt.anchors": 8, "prompt.vocab_size": 50,
+        "train.epochs": 2}
+# a 785-row default run with a validation split that holds windows; the
+# tiny run; and the tiny run scored by the short-horizon metric suite
 ARTIFACT_CONFIGS = {
     "default-785": {"synthetic.length": 785, "train.epochs": 1,
                     "split.train": 0.6, "split.val": 0.2, "split.test": 0.2},
-    "tiny": {"synthetic.length": 400, "window.lookback": 32,
-             "window.horizon": 8, "patch.length": 8, "patch.stride": 4,
-             "decomposition.period": 8, "decomposition.trend_window": 9,
-             "backbone.embed_dim": 16, "backbone.layers": 1,
-             "backbone.heads": 2, "backbone.max_seq_len": 16, "prompt.k": 2,
-             "prompt.anchors": 8, "prompt.vocab_size": 50, "train.epochs": 2},
+    "tiny": TINY,
+    "tiny-short": {**TINY, "eval.mode": "short", "eval.seasonality": 8},
 }
-ARTIFACT_COMMANDS = ("train", "evaluate", "forecast")
+ARTIFACT_COMMANDS = ("train", "evaluate", "forecast", "export-embeddings",
+                     "ablate")
 SEED = 0
 
 

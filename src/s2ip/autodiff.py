@@ -13,11 +13,9 @@ shape.
 from __future__ import annotations
 
 import ctypes
-import io
 import math
 import os
-import struct
-from typing import BinaryIO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -747,69 +745,3 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
             rel = abs(aflat[i] - numeric) / max(1e-12, abs(aflat[i]) + abs(numeric))
             worst = max(worst, rel)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# serialization: row-major float64 little-endian, rank and dims as u64
-# ---------------------------------------------------------------------------
-
-def write_array(fh: BinaryIO, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    fh.write(struct.pack("<Q", arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<Q", dim))
-    fh.write(arr.astype("<f8", copy=False).tobytes())
-
-
-_MAX_RANK = 64  # the most axes a numpy array has
-
-
-def read_array(fh: BinaryIO) -> np.ndarray:
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise IOError("truncated tensor record (rank)")
-    rank = struct.unpack("<Q", raw)[0]
-    # refused before any dim is read, so a corrupt rank sizes nothing
-    if rank > _MAX_RANK:
-        raise IOError(f"invalid tensor record rank {rank}")
-    raw = fh.read(8 * rank)
-    if len(raw) != 8 * rank:
-        raise IOError("truncated tensor record (dims)")
-    dims = struct.unpack(f"<{rank}Q", raw)
-    # Python ints: a product of u64 dims can wrap around in int64
-    count = math.prod(dims)
-    if count * 8 > _bytes_left(fh):
-        raise IOError("truncated tensor record (data)")
-    raw = fh.read(count * 8)
-    try:
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
-    except ValueError as exc:  # an empty record with dims numpy cannot hold
-        raise IOError(f"invalid tensor record dims {dims}: {exc}") from exc
-
-
-def _bytes_left(fh: BinaryIO) -> int:
-    pos = fh.tell()
-    end = fh.seek(0, io.SEEK_END)
-    fh.seek(pos)
-    return end - pos
-
-
-def write_named_array(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<Q", len(encoded)))
-    fh.write(encoded)
-    write_array(fh, arr)
-
-
-def read_named_array(fh: BinaryIO) -> tuple[str, np.ndarray]:
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise IOError("truncated named record (name length)")
-    n = struct.unpack("<Q", raw)[0]
-    if n > _bytes_left(fh):
-        raise IOError("truncated named record (name)")
-    try:
-        name = fh.read(n).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IOError(f"named record name is not UTF-8: {exc}") from exc
-    return name, read_array(fh)

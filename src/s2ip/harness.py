@@ -15,14 +15,14 @@ from datetime import timedelta
 
 import numpy as np
 
-from . import autodiff as ad
 from .config import RunConfig
 from .metrics import evaluate_model
 from .model import ForecastModel
 from .prompt import EmbeddingMatrix, clustered_vocabulary
 from .series import (SeriesFrame, Standardizer, WindowSequence,
                      chronological_split, few_shot_truncate, load_csv, windows)
-from .training import load_checkpoint, save_checkpoint, train
+from .training import (load_checkpoint, read_record, save_checkpoint, train,
+                       write_record)
 
 COMMANDS = ("train", "evaluate", "forecast", "ablate", "gen-data",
             "export-embeddings")
@@ -142,7 +142,7 @@ def load_embedding(config: RunConfig, seed: int) -> EmbeddingMatrix:
     path = config["prompt.embedding_path"]
     if path:
         with open(path, "rb") as fh:
-            name, arr = ad.read_named_array(fh)
+            name, arr = read_record(fh)
             trailing = fh.read(1)
         if name != "E":
             raise HarnessError(f"{path}: expected a single record named 'E', "
@@ -319,7 +319,7 @@ def cmd_export_embeddings(config: RunConfig, seed: int, outdir: str,
                       ("prompted_embeddings", prompted.data.mean(axis=1))):
         path = os.path.join(outdir, f"{name}.tensor")
         with open(path, "wb") as fh:
-            ad.write_named_array(fh, name, arr)
+            write_record(fh, name, arr)
         paths.append(path)
     return paths
 

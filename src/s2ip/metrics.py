@@ -187,46 +187,50 @@ def evaluate_forecasts(pairs, mode: str = "long", seasonality: int = 1,
     pairs = list(pairs)
     if not pairs:
         raise MetricError("no forecasts to evaluate")
-    return _aggregate(pairs, None, mode, seasonality, insamples)
+    return _aggregate(_window_metrics(pairs, insamples, mode, seasonality),
+                      len(pairs[0][0]), mode, seasonality)
 
 
-def _aggregate(pairs: list, errors: list | None, mode: str, seasonality: int,
-               insamples) -> MetricReport:
-    """:func:`evaluate_forecasts` over nonempty ``pairs``, whose per-window
-    ``mse_mae`` values are ``errors`` when the caller already has them."""
+def _window_metrics(pairs: list, insamples, mode: str, seasonality: int
+                    ) -> list[dict]:
+    """Each window's MSE and MAE; in short mode also its SMAPE, MAPE and
+    MASE (None when undefined), and the naive reference's SMAPE and MASE."""
     if mode not in ("long", "short"):
         raise MetricError(f"unknown metrics mode {mode!r}")
-    horizon = len(pairs[0][0])
-    if errors is None:
-        errors = [mse_mae(y, yhat) for y, yhat in pairs]
-    mses, maes = zip(*errors)
-    report = MetricReport(mse=float(np.mean(mses)), mae=float(np.mean(maes)),
-                          horizon=horizon, seasonality=seasonality,
-                          n_windows=len(pairs))
-    if mode == "long":
-        return report
-
-    if insamples is None or len(insamples) != len(pairs):
+    if mode == "short" and (insamples is None or len(insamples) != len(pairs)):
         raise MetricError("short mode needs one in-sample history per window")
-    smapes, mapes, mases = [], [], []
-    ref_smapes, ref_mases = [], []
-    for (y, yhat), hist in zip(pairs, insamples):
-        smapes.append(smape(y, yhat))
-        mapes.append(mape(y, yhat))
-        ref = naive2_forecast(hist, seasonality, len(y))
-        ref_smapes.append(smape(y, ref))
-        m = mase(y, yhat, hist, seasonality)
-        ref_m = mase(y, ref, hist, seasonality)
-        if m is not None:
-            mases.append(m)
-        if ref_m is not None:
-            ref_mases.append(ref_m)
-    report.smape = float(np.mean(smapes))
-    report.mape = float(np.mean(mapes))
-    report.mase = float(np.mean(mases)) if mases else None
-    if report.mase is not None and ref_mases:
-        report.owa = owa(report.smape, report.mase,
-                         float(np.mean(ref_smapes)), float(np.mean(ref_mases)))
+    rows = []
+    for i, (y, yhat) in enumerate(pairs):
+        m, a = mse_mae(y, yhat)
+        row = {"mse": m, "mae": a}
+        if mode == "short":
+            hist = insamples[i]
+            ref = naive2_forecast(hist, seasonality, len(y))
+            row.update(smape=smape(y, yhat), mape=mape(y, yhat),
+                       mase=mase(y, yhat, hist, seasonality),
+                       ref_smape=smape(y, ref),
+                       ref_mase=mase(y, ref, hist, seasonality))
+        rows.append(row)
+    return rows
+
+
+def _aggregate(rows: list[dict], horizon: int, mode: str, seasonality: int
+               ) -> MetricReport:
+    """The report over :func:`_window_metrics` rows; a MASE that is None
+    leaves its window out of that mean."""
+    def mean(key: str) -> float | None:
+        values = [row[key] for row in rows if row[key] is not None]
+        return float(np.mean(values)) if values else None
+
+    report = MetricReport(mse=mean("mse"), mae=mean("mae"), horizon=horizon,
+                          seasonality=seasonality, n_windows=len(rows))
+    if mode == "short":
+        report.smape, report.mape, report.mase = (mean("smape"), mean("mape"),
+                                                  mean("mase"))
+        ref_mase = mean("ref_mase")
+        if report.mase is not None and ref_mase is not None:
+            report.owa = owa(report.smape, report.mase, mean("ref_smape"),
+                             ref_mase)
     return report
 
 
@@ -236,24 +240,18 @@ def evaluate_model(model, test_windows, mode: str = "long",
     aggregate the metric suite; optionally dump per-window rows as CSV."""
     if not test_windows:
         raise MetricError("test set is empty")
-    channels, insamples, _ = zip(*test_windows)
+    channels, insamples, targets = zip(*test_windows)
     forecasts = model.predict(np.stack(insamples), channels)
-    pairs, errors, rows = [], [], []
-    for i, ((channel, x, y), yhat) in enumerate(zip(test_windows, forecasts)):
-        pairs.append((y, yhat))
-        errors.append(mse_mae(y, yhat))
-        m, a = errors[-1]
-        row = {"window_id": i, "channel": channel, "mse": m, "mae": a}
-        if mode == "short":
-            row["smape"] = smape(y, yhat)
-            mase_val = mase(y, yhat, x, seasonality)
-            row["mase"] = "" if mase_val is None else mase_val
-        rows.append(row)
+    pairs = list(zip(targets, forecasts))
+    rows = _window_metrics(pairs, insamples, mode, seasonality)
     if dump_path is not None:
-        fields = list(rows[0].keys())
+        fields = ["window_id", "channel", "mse", "mae"]
+        if mode == "short":
+            fields += ["smape", "mase"]   # csv writes an undefined MASE as ""
         with open(dump_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=fields,
+                                    extrasaction="ignore")
             writer.writeheader()
-            writer.writerows(rows)
-    return _aggregate(pairs, errors, mode, seasonality,
-                      insamples if mode == "short" else None)
+            for i, (channel, row) in enumerate(zip(channels, rows)):
+                writer.writerow({"window_id": i, "channel": channel, **row})
+    return _aggregate(rows, len(targets[0]), mode, seasonality)

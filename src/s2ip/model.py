@@ -321,14 +321,6 @@ class ForecastModel:
         out["embedding.values"] = self.embedding.values
         return out
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        check_arrays(self.config, self.embedding.vocab_size, arrays)
-        for name, tensor in self.params.items():
-            tensor.data = np.ascontiguousarray(arrays[name])
-        self.bank.map_weights.data = np.ascontiguousarray(arrays["anchor_map.weight"])
-        for name, tensor in self.backbone.params.items():
-            tensor.data = np.ascontiguousarray(arrays[f"backbone.{name}"])
-
     def _revin_affine(self, channels: np.ndarray, shape: tuple[int, ...]
                       ) -> tuple[Tensor, Tensor]:
         """Each window's (gamma, beta), gathered by channel and shaped to

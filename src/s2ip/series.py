@@ -131,12 +131,14 @@ def load_csv(path, *, forward_fill: bool = False) -> SeriesFrame:
     The header row names the columns: column 1 is a timestamp (integer or
     ISO-8601), the remaining columns are real-valued channels. Missing cells
     are rejected unless ``forward_fill`` is set, in which case they are
-    filled from the previous row.
+    filled from the previous row. A file that is not UTF-8, or that csv
+    cannot split (a field past its size limit), raises ParseError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    rows = [row for row in rows if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot read CSV file {path}: {exc}") from None
     if not rows:
         raise SeriesError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0]]

@@ -1,17 +1,18 @@
 """Optimization of the joint objective: Adam with bias correction, global
 gradient-norm clipping, early stopping on validation MSE, and bit-exact
-checkpointing."""
+checkpointing in the S2IP1 record format."""
 
 from __future__ import annotations
 
 import io
 import json
 import math
+import struct
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tape, backward
 from .model import ForecastModel, ModelConfig, ModelError, check_arrays
 from .prompt import EmbeddingMatrix
@@ -91,8 +92,10 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
     gradients are cleared afterwards. Every gradient is checked before any
     parameter or moment moves, so a non-finite one leaves the model and the
     state untouched. The moments are updated in place with one scratch
-    buffer; each parameter gets a fresh array (it may alias a snapshot), and
-    every value rounds as the textbook expressions do."""
+    buffer, and every value rounds as the textbook expressions do. Each
+    updated parameter gets a fresh array and its previous one is never
+    written, so a reference to it is a snapshot: :func:`train` keeps its
+    best epoch that way."""
     for name, tensor in named_params:
         g = tensor.grad
         if g is not None and not np.all(np.isfinite(g)):
@@ -126,10 +129,6 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
         tensor.grad = None
 
 
-def _snapshot(model: ForecastModel) -> dict[str, np.ndarray]:
-    return {name: arr.copy() for name, arr in model.all_arrays().items()}
-
-
 def _validation_mse(model: ForecastModel, val_windows) -> float:
     errors = []
     for channel, x, y in val_windows:
@@ -145,7 +144,10 @@ def train(model: ForecastModel, train_windows, val_windows,
     Tracks the best validation MSE, restores the best parameters at the end,
     and stops once the count of consecutive non-improving epochs exceeds the
     patience (an empty validation set disables early stopping). A non-finite
-    loss or gradient aborts with the best-so-far parameters restored.
+    loss or gradient aborts with the best-so-far parameters restored, and
+    so does any other exception. Only the trainable tensors change, and
+    :func:`adam_step` never writes into their arrays, so the best epoch is
+    kept as references to those arrays and restored by assigning them back.
     """
     if not train_windows:
         raise TrainingError("training set is empty")
@@ -153,7 +155,7 @@ def train(model: ForecastModel, train_windows, val_windows,
     named = model.named_parameters()
     state = AdamState(named)
     report = TrainReport()
-    best = _snapshot(model)
+    best = [t.data for _, t in named]
     best_val = np.inf
     stale = 0
 
@@ -181,7 +183,7 @@ def train(model: ForecastModel, train_windows, val_windows,
                 report.val_mses.append(val_mse)
                 if val_mse < best_val:
                     best_val = val_mse
-                    best = _snapshot(model)
+                    best = [t.data for _, t in named]
                     report.best_epoch = epoch + 1
                     stale = 0
                 else:
@@ -189,16 +191,63 @@ def train(model: ForecastModel, train_windows, val_windows,
                     if stale > config.early_stop_patience:
                         break
             else:
-                best = _snapshot(model)
+                best = [t.data for _, t in named]
                 report.best_epoch = epoch + 1
     except TrainingError as exc:
-        model.load_arrays(best)
-        for _, tensor in named:
-            tensor.grad = None
         raise TrainingError(f"{exc}; best parameters restored") from exc
-
-    model.load_arrays(best)
+    finally:
+        for (_, tensor), data in zip(named, best):
+            tensor.data, tensor.grad = data, None
     return report
+
+
+# ---------------------------------------------------------------------------
+# the S2IP1 record: a named float64 array, as checkpoints, embedding files
+# and exported embeddings hold it. The name's byte length, the name in
+# UTF-8, the rank and each dim (all u64), then the values row-major; every
+# number is little-endian
+# ---------------------------------------------------------------------------
+
+_MAX_RANK = 64  # the most axes a numpy array has
+
+
+def write_record(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
+    encoded = name.encode("utf-8")
+    arr = np.ascontiguousarray(arr, dtype="<f8")  # a 0-d array becomes (1,)
+    fh.write(struct.pack("<Q", len(encoded)) + encoded
+             + struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape))
+    fh.write(arr.tobytes())
+
+
+def _take(fh: BinaryIO, size: int, part: str) -> bytes:
+    """The next ``size`` bytes of ``fh``, checked against the bytes left
+    before the read, so a corrupt length sizes no allocation."""
+    pos = fh.tell()
+    if size > fh.seek(0, io.SEEK_END) - pos:
+        raise IOError(f"truncated {part}")
+    fh.seek(pos)
+    return fh.read(size)
+
+
+def read_record(fh: BinaryIO) -> tuple[str, np.ndarray]:
+    """The next record of ``fh`` as ``(name, array)``; IOError if it is
+    truncated or malformed."""
+    (size,) = struct.unpack("<Q", _take(fh, 8, "named record (name length)"))
+    try:
+        name = _take(fh, size, "named record (name)").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IOError(f"named record name is not UTF-8: {exc}") from exc
+    (rank,) = struct.unpack("<Q", _take(fh, 8, "tensor record (rank)"))
+    # refused before any dim is read, so a corrupt rank sizes nothing
+    if rank > _MAX_RANK:
+        raise IOError(f"invalid tensor record rank {rank}")
+    dims = struct.unpack(f"<{rank}Q", _take(fh, 8 * rank, "tensor record (dims)"))
+    # Python ints: a product of u64 dims can wrap around in int64
+    raw = _take(fh, 8 * math.prod(dims), "tensor record (data)")
+    try:
+        return name, np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+    except ValueError as exc:  # an empty record with dims numpy cannot hold
+        raise IOError(f"invalid tensor record dims {dims}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +255,8 @@ def train(model: ForecastModel, train_windows, val_windows,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: ForecastModel, path) -> None:
-    """Versioned checkpoint: magic, JSON config header, then every named
-    tensor (sorted) in the binary tensor format."""
+    """Versioned checkpoint: magic, JSON config header, then one record
+    per named array, sorted by name."""
     header = json.dumps(model.config.to_dict(), sort_keys=True)
     arrays = model.all_arrays()
     with open(path, "wb") as fh:
@@ -216,7 +265,7 @@ def save_checkpoint(model: ForecastModel, path) -> None:
         fh.write(len(encoded).to_bytes(8, "little"))
         fh.write(encoded)
         for name in sorted(arrays):
-            ad.write_named_array(fh, name, arrays[name])
+            write_record(fh, name, arrays[name])
 
 
 def load_checkpoint(path) -> ForecastModel:
@@ -242,7 +291,7 @@ def load_checkpoint(path) -> ForecastModel:
     arrays: dict[str, np.ndarray] = {}
     try:
         while stream.tell() < len(blob):
-            name, arr = ad.read_named_array(stream)
+            name, arr = read_record(stream)
             if name in arrays:
                 raise TrainingError(f"{path}: duplicate tensor {name!r}")
             arrays[name] = arr

@@ -1,5 +1,3 @@
-import io
-import struct
 import tracemalloc
 import weakref
 import zlib
@@ -626,77 +624,6 @@ def test_grad_check_rejects_bad_eps():
     x = Tensor([1.0], requires_grad=True)
     with pytest.raises(ValueError):
         grad_check(lambda: ad.tsum(x), [x], eps=0.0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_array_round_trip(tmp_path):
-    rng = np.random.default_rng(14)
-    arr = rng.normal(size=(3, 4, 2))
-    path = tmp_path / "t.bin"
-    with open(path, "wb") as fh:
-        ad.write_array(fh, arr)
-    with open(path, "rb") as fh:
-        back = ad.read_array(fh)
-    assert back.shape == arr.shape
-    assert np.array_equal(back, arr)
-
-
-def test_named_array_round_trip(tmp_path):
-    arr = np.arange(6.0).reshape(2, 3)
-    path = tmp_path / "named.bin"
-    with open(path, "wb") as fh:
-        ad.write_named_array(fh, "layer.0.attn.wq", arr)
-    with open(path, "rb") as fh:
-        name, back = ad.read_named_array(fh)
-    assert name == "layer.0.attn.wq"
-    assert np.array_equal(back, arr)
-
-
-@pytest.mark.parametrize("dims, match", [((2 ** 32, 2 ** 32), "truncated"),
-                                         ((11,), "truncated"),
-                                         ((0, 2 ** 63), "invalid"),
-                                         ((1,) * 65, "invalid")])
-def test_record_dims_past_the_stream_raise_ioerror(dims, match):
-    # (2**32, 2**32) wraps to a count of 0 in int64; (11,) asks for one value
-    # more than the 10 stored; (0, 2**63) is empty but too large for numpy;
-    # 65 axes are more than numpy holds
-    stream = io.BytesIO()
-    stream.write(struct.pack("<Q", len(dims)))
-    for dim in dims:
-        stream.write(struct.pack("<Q", dim))
-    stream.write(np.arange(10.0).astype("<f8").tobytes())
-    stream.seek(0)
-    with pytest.raises(IOError, match=match):
-        ad.read_array(stream)
-
-
-@pytest.mark.parametrize("name_record, match", [
-    (struct.pack("<Q", 4) + b"ab\xffc", "UTF-8"),
-    (struct.pack("<Q", 2 ** 62) + b"E", "truncated"),
-], ids=["not_utf8", "length_past_the_end"])
-def test_corrupt_record_name_raises_ioerror(name_record, match):
-    # a name that is not UTF-8, and a name length far past the stream's end
-    # (refused before the read, so nothing of that size is allocated)
-    stream = io.BytesIO()
-    stream.write(name_record)
-    ad.write_array(stream, np.arange(3.0))
-    stream.seek(0)
-    with pytest.raises(IOError, match=match):
-        ad.read_named_array(stream)
-
-
-def test_truncated_record_raises(tmp_path):
-    path = tmp_path / "trunc.bin"
-    with open(path, "wb") as fh:
-        ad.write_array(fh, np.arange(10.0))
-    blob = path.read_bytes()[:-8]
-    path.write_bytes(blob)
-    with open(path, "rb") as fh:
-        with pytest.raises(IOError):
-            ad.read_array(fh)
 
 
 # ---------------------------------------------------------------------------

@@ -365,8 +365,8 @@ def test_predict_derives_the_anchors_once_per_call(name, monkeypatch):
 def cold_forecast(model, x):
     """``forward_forecast`` of a fresh model holding ``model``'s arrays, so
     no anchors are reused."""
-    fresh = make_model()
-    fresh.load_arrays({name: arr.copy() for name, arr in model.all_arrays().items()})
+    copies = {name: arr.copy() for name, arr in model.all_arrays().items()}
+    fresh = ForecastModel(model.config, model.embedding, arrays=copies)
     return fresh.forward_forecast(x).forecast
 
 
@@ -381,13 +381,12 @@ def test_in_place_map_write_changes_the_next_forecast():
     assert np.array_equal(after, cold_forecast(model, x))
 
 
-def test_load_arrays_and_adam_step_invalidate_the_anchors():
+def test_assigning_the_map_and_adam_step_invalidate_the_anchors():
+    # train's restore assigns each parameter an earlier array
     model = make_model()
     x = make_batch(1, seed=8)[0][1]
     model.forward_forecast(x)
-    arrays = {name: arr.copy() for name, arr in model.all_arrays().items()}
-    arrays["anchor_map.weight"] = -arrays["anchor_map.weight"]
-    model.load_arrays(arrays)
+    model.bank.map_weights.data = -model.bank.map_weights.data
     loaded = model.forward_forecast(x).forecast
     assert np.array_equal(loaded, cold_forecast(model, x))
 

@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from s2ip.autodiff import read_named_array
 from s2ip.backbone import TrainabilityPolicy
 from s2ip.cli import main
 from s2ip.config import (FIELDS, SCHEMA, ConfigError, RunConfig, parse_config,
@@ -16,7 +15,7 @@ from s2ip.model import ModelConfig, ModelError, flatten_dataclass
 from s2ip.prompt import retrieve_topk
 from s2ip.series import SeriesError, SplitSpec
 from s2ip.training import (TrainConfig, TrainingError, load_checkpoint,
-                           save_checkpoint)
+                           read_record, save_checkpoint, write_record)
 
 TINY = """
 synthetic.length = 200
@@ -185,6 +184,55 @@ def test_bad_type_rejected():
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("prompt.k = 2\nprompt.k = 3")
+
+
+CONFIG_FUZZ_CASES = 500
+# a valid config that sets keys of every kind: ints, floats, bools, strings
+# and lists, with a comment and a blank line
+FUZZ_BASE_CONFIG = """# tiny run
+window.lookback = 32
+window.horizon = 8
+patch.length = 8
+patch.stride = 4
+decomposition.period = 8
+decomposition.trend_window = 9
+
+backbone.embed_dim = 16
+backbone.train_ffn = true
+prompt.pooling = per_patch
+eval.mode = short
+eval.seasonality = 8
+train.learning_rate = 0.005
+synthetic.periods = 24, 96
+ablate.lambdas = 0.0, 0.5
+"""
+CONFIG_JUNK = "=#,.-+e0123456789 \n\tabcxyz_[]\"'\x00\u00e9"
+
+
+def test_config_fuzz_parses_or_raises_config_error():
+    parse_config_text(FUZZ_BASE_CONFIG)
+    rng = np.random.default_rng(18)
+    outcomes = {"parsed": 0, "refused": 0}
+    for _ in range(CONFIG_FUZZ_CASES):
+        text = FUZZ_BASE_CONFIG
+        at = int(rng.integers(len(text)))
+        kind = rng.integers(4)
+        if kind == 0:     # junk inserted
+            junk = "".join(rng.choice(list(CONFIG_JUNK),
+                                      size=int(rng.integers(1, 6))))
+            text = text[:at] + junk + text[at:]
+        elif kind == 1:   # a span deleted
+            text = text[:at] + text[at + int(rng.integers(1, 16)):]
+        elif kind == 2:   # a character overwritten
+            text = text[:at] + rng.choice(list(CONFIG_JUNK)) + text[at + 1:]
+        else:             # the tail cut off
+            text = text[:at]
+        try:
+            parse_config_text(text)
+            outcomes["parsed"] += 1
+        except ConfigError:
+            outcomes["refused"] += 1
+    assert outcomes["parsed"] and outcomes["refused"]
 
 
 def test_split_fractions_must_sum_to_one():
@@ -477,13 +525,13 @@ def test_export_embeddings(tmp_path):
     assert main(["export-embeddings", "--config", cfg, "--seed", "6",
                  "--out", str(out)]) == 0
     with open(out / "anchors.tensor", "rb") as fh:
-        name, anchors = read_named_array(fh)
+        name, anchors = read_record(fh)
     assert name == "anchors"
     assert anchors.shape == (8, 16)
     with open(out / "ts_embeddings.tensor", "rb") as fh:
-        _, ts = read_named_array(fh)
+        _, ts = read_record(fh)
     with open(out / "prompted_embeddings.tensor", "rb") as fh:
-        _, prompted = read_named_array(fh)
+        _, prompted = read_record(fh)
     assert ts.shape == prompted.shape
     assert ts.shape[1] == 16
     assert not np.allclose(ts, prompted)  # prompts shift the pooled rows
@@ -514,7 +562,7 @@ def test_export_matches_numpy_prompt_step(tmp_path, overrides):
                 "prompted_embeddings": prompted.mean(axis=1)}
     for name, arr in expected.items():
         with open(out / f"{name}.tensor", "rb") as fh:
-            assert np.array_equal(read_named_array(fh)[1], arr), name
+            assert np.array_equal(read_record(fh)[1], arr), name
 
 
 def test_csv_data_path_pipeline(tmp_path):
@@ -540,6 +588,17 @@ def test_csv_with_short_rows_exits_1_with_one_line(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == "error: row 2: expected 3001 columns, got 1\n"
+
+
+def test_csv_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    data_path = tmp_path / "latin.csv"
+    data_path.write_bytes(b"t,a\n1,\xff2\n")
+    cfg = tiny_config_file(tmp_path, {"data.path": str(data_path)})
+    out = tmp_path / "x"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot read CSV file {data_path}: 'utf-8' codec "
+                   "can't decode byte 0xff in position 6: invalid start byte\n")
 
 
 def test_short_split_warns_and_yields_no_windows(tmp_path):
@@ -573,7 +632,6 @@ def test_few_shot_config_wiring(tmp_path):
 
 
 def test_embedding_file_interface(tmp_path):
-    from s2ip.autodiff import write_named_array
     from s2ip.config import RunConfig
     from s2ip.harness import load_embedding
 
@@ -581,14 +639,14 @@ def test_embedding_file_interface(tmp_path):
     emb = rng.normal(size=(40, 16))
     path = tmp_path / "vocab.tensor"
     with open(path, "wb") as fh:
-        write_named_array(fh, "E", emb)
+        write_record(fh, "E", emb)
     config = RunConfig({"prompt.embedding_path": str(path),
                         "backbone.embed_dim": 16})
     loaded = load_embedding(config, seed=0)
     assert np.array_equal(loaded.values, emb)
 
     with open(path, "wb") as fh:
-        write_named_array(fh, "wrong_name", emb)
+        write_record(fh, "wrong_name", emb)
     from s2ip.harness import HarnessError
     with pytest.raises(HarnessError, match="'E'"):
         load_embedding(config, seed=0)
@@ -608,14 +666,13 @@ def test_embedding_file_with_huge_name_length_raises_ioerror(tmp_path):
 @pytest.mark.parametrize("trailer", ["record", "garbage"])
 def test_embedding_file_with_trailing_bytes_rejected(tmp_path, capsys,
                                                      trailer):
-    from s2ip.autodiff import write_named_array
     from s2ip.harness import HarnessError, load_embedding
 
     path = tmp_path / "vocab.tensor"
     with open(path, "wb") as fh:
-        write_named_array(fh, "E", np.random.default_rng(0).normal(size=(40, 16)))
+        write_record(fh, "E", np.random.default_rng(0).normal(size=(40, 16)))
         if trailer == "record":
-            write_named_array(fh, "E", np.ones((40, 16)))
+            write_record(fh, "E", np.ones((40, 16)))
         else:
             fh.write(bytes(7))
     config = RunConfig({"prompt.embedding_path": str(path),

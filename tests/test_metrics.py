@@ -330,3 +330,35 @@ def test_evaluate_model_scores_each_window_once(mode, monkeypatch):
     report = evaluate_model(model, windows, mode=mode, seasonality=2)
     assert len(calls) == len(windows)
     assert report.as_row() == expected.as_row()
+
+
+def test_short_dump_writes_an_undefined_mase_empty_and_scores_once(
+        tmp_path, monkeypatch):
+    import csv
+
+    # window 1's history is constant, so its MASE is undefined
+    windows = [(0, 10.0 + np.sin(np.arange(12.0)), 10.0 + np.arange(4.0)),
+               (1, np.full(12, 5.0), np.arange(4.0)),
+               (0, 3.0 + np.cos(np.arange(12.0)), np.full(4, 3.0))]
+    model = OracleModel(lambda x, c: x[-4:] + 0.1)
+    calls = {"smape": 0, "mase": 0}
+    for name in calls:
+        score = getattr(metrics, name)
+
+        def counted(*args, name=name, score=score):
+            calls[name] += 1
+            return score(*args)
+
+        monkeypatch.setattr(metrics, name, counted)
+    dump = tmp_path / "per_window.csv"
+    report = evaluate_model(model, windows, mode="short", seasonality=2,
+                            dump_path=dump)
+    # each window once for the model and once for the naive reference
+    assert calls == {"smape": 2 * len(windows), "mase": 2 * len(windows)}
+    with open(dump, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["window_id", "channel", "mse", "mae", "smape",
+                             "mase"]
+    assert [row["mase"] == "" for row in rows] == [False, True, False]
+    defined = [float(row["mase"]) for row in rows if row["mase"]]
+    assert report.mase == pytest.approx(np.mean(defined), abs=1e-12)

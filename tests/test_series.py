@@ -112,6 +112,80 @@ def test_forward_fill_cannot_fill_first_row(tmp_path):
         load_csv(path, forward_fill=True)
 
 
+def test_load_non_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"t,a\n1,\xff2\n")
+    with pytest.raises(ParseError, match=f"^cannot read CSV file {path}: "
+                                         "'utf-8' codec can't decode"):
+        load_csv(path)
+
+
+def test_load_field_past_the_csv_limit_is_a_parse_error(tmp_path):
+    # an unclosed quote makes the rest of the file one field
+    path = write(tmp_path, 't,a\n1,"' + "1" * 200_000 + "\n")
+    with pytest.raises(ParseError, match="field larger than field limit"):
+        load_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# seeded CSV fuzz: every mutation of a valid file loads or raises
+# SeriesError, and no load allocates more than a bound set by its size
+# ---------------------------------------------------------------------------
+
+CSV_FUZZ_CASES = 200
+# inserted bytes: ones the format gives meaning to, a byte that is never
+# UTF-8 (0xff) and NUL
+CSV_JUNK = b',"\n\r.-+e0123456789 nNaIf:T\xff\x00'
+
+
+def csv_mutation(blob: bytes, rng) -> bytes:
+    """``blob`` with junk inserted, a span deleted, bytes overwritten, or
+    the tail cut off."""
+    at = int(rng.integers(len(blob)))
+    kind = rng.integers(4)
+    if kind == 0:
+        junk = rng.choice(np.frombuffer(CSV_JUNK, np.uint8),
+                          size=int(rng.integers(1, 9)))
+        return blob[:at] + junk.tobytes() + blob[at:]
+    if kind == 1:
+        return blob[:at] + blob[at + int(rng.integers(1, 64)):]
+    if kind == 2:
+        out = bytearray(blob)
+        for i in rng.integers(len(blob), size=int(rng.integers(1, 9))):
+            out[i] = int(rng.integers(256))
+        return bytes(out)
+    return blob[:at]
+
+
+def test_csv_fuzz_loads_or_raises_series_error_within_a_memory_bound(tmp_path):
+    from s2ip.harness import synthetic_frame, write_frame_csv
+
+    valid = tmp_path / "valid.csv"
+    write_frame_csv(synthetic_frame(785, 2, [24, 96], 0.01, 0.1, seed=0),
+                    valid)
+    blob = valid.read_bytes()
+    rng = np.random.default_rng(17)
+    path = tmp_path / "mutated.csv"
+    outcomes = {"loaded": 0, "refused": 0}
+    tracemalloc.start()
+    try:
+        for case in range(CSV_FUZZ_CASES):
+            path.write_bytes(csv_mutation(blob, rng))
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                load_csv(path, forward_fill=bool(case % 2))
+                outcomes["loaded"] += 1
+            except SeriesError:
+                outcomes["refused"] += 1
+            peak = tracemalloc.get_traced_memory()[1] - before
+            # a valid default file peaks at 5.6 to 8.5 times its size
+            assert peak <= (64 << 10) + 64 * path.stat().st_size, case
+    finally:
+        tracemalloc.stop()
+    assert outcomes["loaded"] and outcomes["refused"]
+
+
 # ---------------------------------------------------------------------------
 # splitting
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import struct
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import s2ip.autodiff as ad
+import s2ip.training as training
 from s2ip.autodiff import Tensor
 from s2ip.backbone import BackboneConfig
 from s2ip.config import RunConfig
@@ -21,7 +23,8 @@ from s2ip.prompt import clustered_vocabulary
 from s2ip.series import WindowSpec
 from s2ip.training import (ADAM_EPS, CHECKPOINT_MAGIC, AdamState, TrainConfig,
                            TrainingError, adam_step, clip_gradients,
-                           load_checkpoint, save_checkpoint, train)
+                           load_checkpoint, read_record, save_checkpoint,
+                           train, write_record)
 
 
 def tiny_model(seed=0, **overrides):
@@ -82,6 +85,21 @@ def test_adam_skips_missing_grad():
     named = [("p", p)]
     adam_step(named, AdamState(named), TrainConfig())
     assert p.data[0] == 5.0
+
+
+def test_adam_step_gives_each_updated_tensor_a_new_array():
+    # train keeps its best epoch as references to the arrays it replaces
+    model = tiny_model()
+    named = model.named_parameters()
+    with ad.Tape():
+        loss = model.joint_loss(sine_windows(8, seed=3))
+    ad.backward(loss)
+    before = [(t.data, t.data.copy(), t.grad is not None) for _, t in named]
+    assert any(updated for _, _, updated in before)
+    adam_step(named, AdamState(named), TrainConfig(learning_rate=0.05))
+    for (name, tensor), (old, old_copy, updated) in zip(named, before):
+        assert (tensor.data is not old) == updated, name
+        assert np.array_equal(old, old_copy), name
 
 
 def test_adam_aborts_on_nonfinite_grad():
@@ -181,17 +199,29 @@ def test_empty_val_disables_early_stopping():
     assert report.val_mses == []
 
 
-def test_best_parameters_restored():
+def test_best_parameters_restored(monkeypatch):
     model = tiny_model()
     data = sine_windows(40, seed=6)
     val = sine_windows(12, seed=7)
     config = TrainConfig(learning_rate=5e-3, epochs=6, batch_size=16,
                          early_stop_patience=6, seed=0)
+    # each epoch's trainable arrays, copied when that epoch is validated
+    epochs, validate = [], training._validation_mse
+
+    def record_and_validate(m, windows):
+        epochs.append({n: t.data.copy() for n, t in m.named_parameters()})
+        return validate(m, windows)
+
+    monkeypatch.setattr(training, "_validation_mse", record_and_validate)
     report = train(model, data, val, config)
     errors = [np.mean((model.forward_forecast(x, c).forecast - y) ** 2)
               for c, x, y in val]
     assert np.mean(errors) == pytest.approx(min(report.val_mses), abs=1e-9)
     assert report.best_epoch == int(np.argmin(report.val_mses)) + 1
+    assert report.best_epoch < len(epochs)  # a later epoch was undone
+    best = epochs[report.best_epoch - 1]
+    for name, tensor in model.named_parameters():
+        assert np.array_equal(tensor.data, best[name]), name
 
 
 def test_nonfinite_loss_aborts_and_restores():
@@ -466,6 +496,78 @@ def test_adam_and_clip_bit_identical_to_plain_expressions():
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+def test_record_round_trip(tmp_path):
+    rng = np.random.default_rng(14)
+    arr = rng.normal(size=(3, 4, 2))
+    path = tmp_path / "t.bin"
+    with open(path, "wb") as fh:
+        write_record(fh, "E", arr)
+    with open(path, "rb") as fh:
+        name, back = read_record(fh)
+    assert name == "E"
+    assert back.shape == arr.shape
+    assert np.array_equal(back, arr)
+
+
+def test_record_round_trip_keeps_a_dotted_name(tmp_path):
+    arr = np.arange(6.0).reshape(2, 3)
+    path = tmp_path / "named.bin"
+    with open(path, "wb") as fh:
+        write_record(fh, "layer.0.attn.wq", arr)
+    with open(path, "rb") as fh:
+        name, back = read_record(fh)
+    assert name == "layer.0.attn.wq"
+    assert np.array_equal(back, arr)
+
+
+@pytest.mark.parametrize("dims, match", [((2 ** 32, 2 ** 32), "truncated"),
+                                         ((11,), "truncated"),
+                                         ((0, 2 ** 63), "invalid"),
+                                         ((1,) * 65, "invalid")])
+def test_record_dims_past_the_stream_raise_ioerror(dims, match):
+    # (2**32, 2**32) wraps to a count of 0 in int64; (11,) asks for one value
+    # more than the 10 stored; (0, 2**63) is empty but too large for numpy;
+    # 65 axes are more than numpy holds
+    stream = io.BytesIO()
+    stream.write(struct.pack("<Q", 1) + b"E")
+    stream.write(struct.pack("<Q", len(dims)))
+    for dim in dims:
+        stream.write(struct.pack("<Q", dim))
+    stream.write(np.arange(10.0).astype("<f8").tobytes())
+    stream.seek(0)
+    with pytest.raises(IOError, match=match):
+        read_record(stream)
+
+
+@pytest.mark.parametrize("name_record, match", [
+    (struct.pack("<Q", 4) + b"ab\xffc", "UTF-8"),
+    (struct.pack("<Q", 2 ** 62) + b"E", "truncated"),
+], ids=["not_utf8", "length_past_the_end"])
+def test_corrupt_record_name_raises_ioerror(name_record, match):
+    # a name that is not UTF-8, and a name length far past the stream's end
+    # (refused before the read, so nothing of that size is allocated)
+    unnamed = io.BytesIO()
+    write_record(unnamed, "", np.arange(3.0))
+    stream = io.BytesIO(name_record + unnamed.getvalue()[8:])
+    with pytest.raises(IOError, match=match):
+        read_record(stream)
+
+
+def test_truncated_record_raises(tmp_path):
+    path = tmp_path / "trunc.bin"
+    with open(path, "wb") as fh:
+        write_record(fh, "E", np.arange(10.0))
+    blob = path.read_bytes()[:-8]
+    path.write_bytes(blob)
+    with open(path, "rb") as fh:
+        with pytest.raises(IOError):
+            read_record(fh)
+
+
+# ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
 
@@ -644,7 +746,7 @@ def test_checkpoint_duplicate_tensor_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     with open(path, "ab") as fh:
-        ad.write_named_array(fh, "revin.gamma", np.array([7.0]))
+        write_record(fh, "revin.gamma", np.array([7.0]))
     with pytest.raises(TrainingError, match="duplicate tensor 'revin.gamma'"):
         load_checkpoint(path)
 
