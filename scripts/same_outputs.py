@@ -11,9 +11,10 @@ checkout's working tree; the *parent* side is ``--parent``, unpacked with
 - for each of :data:`STEP_CONFIGS`, over 3 training steps on the first
   three training batches: the loss, every gradient before clipping, and
   ``predict`` over the test windows after the step's Adam update;
-- the sha256 of every artifact that :data:`ARTIFACT_COMMANDS` write for
-  each of :data:`ARTIFACT_CONFIGS`; ``export-embeddings`` reads the
-  checkpoint that ``train`` wrote to the same directory.
+- the sha256 of the CSVs that :func:`write_data` makes, and of every
+  artifact that each of :data:`ARTIFACT_CONFIGS` writes with its own
+  commands; a config's ``evaluate``, ``forecast`` and ``export-embeddings``
+  read the checkpoint that its own ``train``, or the named config's, wrote.
 
 Per array the report reads ``equal`` or the largest difference in ulps and
 in relative terms; per file it gives both sides' sha256. The exit code is 0
@@ -29,6 +30,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +54,29 @@ TINY = {"synthetic.length": 400, "window.lookback": 32, "window.horizon": 8,
         "backbone.layers": 1, "backbone.heads": 2, "backbone.max_seq_len": 16,
         "prompt.k": 2, "prompt.anchors": 8, "prompt.vocab_size": 50,
         "train.epochs": 2}
-# a 785-row default run with a validation split that holds windows; the
-# tiny run; and the tiny run scored by the short-horizon metric suite
+# a 785-row default run with a validation split that holds windows
+DEFAULT_785 = {"synthetic.length": 785, "train.epochs": 1,
+               "split.train": 0.6, "split.val": 0.2, "split.test": 0.2}
+ALL_COMMANDS = ("train", "evaluate", "forecast", "export-embeddings",
+                "ablate")
+CSV_COMMANDS = ("train", "evaluate", "forecast")
+# name: (overrides, commands, the config whose checkpoint the commands read,
+# or None for the one their own ``train`` writes). A ``data.path`` names a
+# file of write_data's directory. The 785-row run, from memory, from the CSV
+# gen-data writes for it, and from that CSV with ISO-8601 timestamps; the
+# tiny run; and the tiny run scored by the short-horizon metric suite, which
+# reaches only evaluate and ablate
 ARTIFACT_CONFIGS = {
-    "default-785": {"synthetic.length": 785, "train.epochs": 1,
-                    "split.train": 0.6, "split.val": 0.2, "split.test": 0.2},
-    "tiny": TINY,
-    "tiny-short": {**TINY, "eval.mode": "short", "eval.seasonality": 8},
+    "default-785": (DEFAULT_785, ALL_COMMANDS, None),
+    "csv-785": ({**DEFAULT_785, "data.path": "synthetic.csv"}, CSV_COMMANDS,
+                None),
+    "iso-785": ({**DEFAULT_785, "data.path": "synthetic-iso.csv"},
+                CSV_COMMANDS, None),
+    "tiny": (TINY, ALL_COMMANDS, None),
+    "tiny-short": ({**TINY, "eval.mode": "short", "eval.seasonality": 8},
+                   ("evaluate", "ablate"), "tiny"),
 }
-ARTIFACT_COMMANDS = ("train", "evaluate", "forecast", "export-embeddings",
-                     "ablate")
+ISO_START = datetime(2016, 7, 1)
 SEED = 0
 
 
@@ -110,33 +125,69 @@ def step_arrays(values: dict) -> dict[str, np.ndarray]:
     return out
 
 
-def artifact_hashes(values: dict, workdir: Path) -> dict[str, str]:
-    """sha256 of every file the artifact commands write, by file name."""
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write_data(datadir: Path) -> dict[str, str]:
+    """Write the CSV that ``gen-data`` makes for the 785-row run, and a
+    copy whose timestamp column counts hours from :data:`ISO_START` in
+    ISO-8601; returns their sha256 by file name."""
+    from s2ip import harness
+    from s2ip.config import RunConfig
+
+    path = Path(harness.run("gen-data", RunConfig(dict(DEFAULT_785)), SEED,
+                            str(datadir))[0])
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    iso = datadir / "synthetic-iso.csv"
+    iso.write_text(header + "".join(
+        f"{ISO_START + timedelta(hours=i)},{row.partition(',')[2]}"
+        for i, row in enumerate(rows)), encoding="utf-8")
+    return {p.name: sha256(p) for p in (path, iso)}
+
+
+def artifact_hashes(values: dict, commands, workdir: Path,
+                    checkpoint: str | None = None) -> dict[str, str]:
+    """sha256 of every file ``commands`` write, by file name."""
     from s2ip import harness
     from s2ip.config import RunConfig
 
     config = RunConfig(dict(values))
     hashes = {}
-    for command in ARTIFACT_COMMANDS:
-        for path in harness.run(command, config, SEED, str(workdir)):
-            hashes[Path(path).name] = hashlib.sha256(
-                Path(path).read_bytes()).hexdigest()
+    for command in commands:
+        for path in harness.run(command, config, SEED, str(workdir),
+                                checkpoint):
+            hashes[Path(path).name] = sha256(path)
     return hashes
 
 
 def collect(dest: Path) -> None:
-    """Write this side's arrays to ``dest``.npz and its artifact hashes to
+    """Write this side's arrays to ``dest``.npz and its file hashes to
     ``dest``.json."""
     arrays = {f"{name}/{key}": value
               for name, values in STEP_CONFIGS.items()
               for key, value in step_arrays(values).items()}
-    files = {}
-    for name, values in ARTIFACT_CONFIGS.items():
-        workdir = dest.parent / f"{dest.name}-{name}"
-        for file, digest in artifact_hashes(values, workdir).items():
+    workdir = {name: dest.parent / f"{dest.name}-{name}"
+               for name in ("data", *ARTIFACT_CONFIGS)}
+    files = {f"data/{file}": digest
+             for file, digest in write_data(workdir["data"]).items()}
+    for name, (values, commands, source) in ARTIFACT_CONFIGS.items():
+        if "data.path" in values:
+            values = {**values,
+                      "data.path": str(workdir["data"] / values["data.path"])}
+        checkpoint = source and str(workdir[source] / "model.ckpt")
+        hashes = artifact_hashes(values, commands, workdir[name], checkpoint)
+        for file, digest in hashes.items():
             files[f"{name}/{file}"] = digest
     np.savez(dest.with_suffix(".npz"), **arrays)
     dest.with_suffix(".json").write_text(json.dumps(files, sort_keys=True))
+
+
+def read_side(dest: Path) -> tuple[dict, dict]:
+    """The arrays and file hashes that :func:`collect` wrote to ``dest``."""
+    with np.load(dest.with_suffix(".npz"), allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    return arrays, json.loads(dest.with_suffix(".json").read_text())
 
 
 def run_side(checkout: Path, dest: Path) -> tuple[dict, dict]:
@@ -150,9 +201,7 @@ def run_side(checkout: Path, dest: Path) -> tuple[dict, dict]:
     subprocess.run([sys.executable, str(Path(__file__).resolve()),
                     "--collect", str(dest)], cwd=dest.parent, env=env,
                    check=True)
-    with np.load(dest.with_suffix(".npz"), allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    return arrays, json.loads(dest.with_suffix(".json").read_text())
+    return read_side(dest)
 
 
 # ---------------------------------------------------------------------------

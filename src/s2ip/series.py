@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -46,8 +48,18 @@ class SeriesFrame:
         if len(self.channel_names) != values.shape[1]:
             raise SeriesError(f"{len(self.channel_names)} channel names for "
                               f"{values.shape[1]} channels")
-        for i in range(1, len(self.timestamps)):
-            if not self.timestamps[i] > self.timestamps[i - 1]:
+        ts = self.timestamps
+        try:  # one C-level pass; the row is searched for only on failure
+            increasing = all(map(operator.lt, ts[:-1], ts[1:]))
+        except TypeError:  # an int and a datetime, or naive and aware
+            increasing = False
+        for i in range(1, 0 if increasing else len(ts)):
+            try:
+                later = ts[i] > ts[i - 1]
+            except TypeError:
+                raise ParseError(f"timestamps mix kinds at row {i + 1}: "
+                                 f"{ts[i - 1]} then {ts[i]}") from None
+            if not later:
                 raise SeriesError(f"timestamps not strictly increasing at row {i + 1}")
         if not np.all(np.isfinite(values)):
             raise SeriesError("values contain NaN or infinity")
@@ -136,7 +148,7 @@ def load_csv(path, *, forward_fill: bool = False) -> SeriesFrame:
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            rows = list(filter(None, csv.reader(fh)))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot read CSV file {path}: {exc}") from None
     if not rows:
@@ -146,17 +158,39 @@ def load_csv(path, *, forward_fill: bool = False) -> SeriesFrame:
         raise ParseError("row 1: header must name a timestamp and at least one channel")
     channel_names = tuple(header[1:])
     n = len(channel_names)
-    if len(rows) < 2:
+    body = rows[1:]
+    if not body:
         raise SeriesError(f"{path}: no data rows")
 
     # every width before the allocation, which a long header would
     # otherwise size against rows that never had its columns
-    for row_no, row in enumerate(rows[1:], start=2):  # 1-based, with the header
+    for row_no, row in enumerate(body, start=2):  # 1-based, with the header
         if len(row) != n + 1:
             raise ParseError(f"row {row_no}: expected {n + 1} columns, got {len(row)}")
+    try:  # a clean file in bulk: float() strips what cell.strip() does,
+        # and a finite float is neither a missing nor a nan cell
+        values = np.fromiter(map(float, chain.from_iterable(
+            map(operator.itemgetter(slice(1, None)), body))),
+            np.float64, len(body) * n).reshape(len(body), n)
+        clean = np.isfinite(values).all()
+    except ValueError:
+        clean = False
+    if not clean:
+        return _load_rows(body, channel_names, forward_fill)
+    try:
+        timestamps = tuple(map(int, map(operator.itemgetter(0), body)))
+    except ValueError:  # ISO-8601, or a bad cell: row by row, int first
+        timestamps = tuple(_parse_timestamp(row[0], row_no)
+                           for row_no, row in enumerate(body, start=2))
+    return SeriesFrame(timestamps, values, channel_names)
+
+
+def _load_rows(body, channel_names, forward_fill) -> SeriesFrame:
+    """The row-order pass: the only one that fills missing cells, and the
+    one whose first error a refused file reports."""
     timestamps = []
-    values = np.empty((len(rows) - 1, n), dtype=np.float64)
-    for i, row in enumerate(rows[1:]):
+    values = np.empty((len(body), len(channel_names)), dtype=np.float64)
+    for i, row in enumerate(body):
         row_no = i + 2
         timestamps.append(_parse_timestamp(row[0], row_no))
         for j, cell in enumerate(row[1:]):

@@ -590,6 +590,23 @@ def test_csv_with_short_rows_exits_1_with_one_line(tmp_path, capsys):
     assert err == "error: row 2: expected 3001 columns, got 1\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t,a\n1,1.0\n2020-01-01,2.0\n3,2.5\n",
+     "timestamps mix kinds at row 2: 1 then 2020-01-01 00:00:00"),
+    ("t,a\n2020-01-01,1.0\n2020-01-02T00:00:00+00:00,2.0\n",
+     "timestamps mix kinds at row 2: 2020-01-01 00:00:00 then "
+     "2020-01-02 00:00:00+00:00"),
+])
+def test_csv_with_mixed_timestamp_kinds_exits_1_with_one_line(
+        tmp_path, capsys, text, message):
+    data_path = tmp_path / "mixed.csv"
+    data_path.write_text(text, encoding="utf-8")
+    cfg = tiny_config_file(tmp_path, {"data.path": str(data_path)})
+    out = tmp_path / "x"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_csv_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
     data_path = tmp_path / "latin.csv"
     data_path.write_bytes(b"t,a\n1,\xff2\n")

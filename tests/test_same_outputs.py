@@ -1,5 +1,6 @@
-"""``compare`` of scripts/same_outputs.py on made-up result sets; no child
-process runs."""
+"""``compare`` of scripts/same_outputs.py on made-up result sets, and
+``collect`` run twice in this process on tiny configs; no child process
+runs."""
 
 import importlib.util
 import sys
@@ -79,3 +80,48 @@ def test_missing_and_reshaped_arrays_are_named(same_outputs):
     assert report["arrays"]["default/step0/loss"] == "only in parent"
     assert report["arrays"]["stl/step0/loss"] == "only in change"
     assert report["arrays"]["default/step0/predict"] == {"shape": [[5, 3], [4, 3]]}
+
+
+def test_collect_twice_compares_equal_until_a_stored_array_changes(
+        same_outputs, tmp_path, monkeypatch):
+    tiny = {**same_outputs.TINY, "train.epochs": 1}
+    monkeypatch.setattr(same_outputs, "STEP_CONFIGS", {"tiny": tiny})
+    monkeypatch.setattr(same_outputs, "ARTIFACT_CONFIGS", {
+        "tiny": (tiny, ("train", "evaluate"), None),
+        "tiny-short": ({**tiny, "eval.mode": "short", "eval.seasonality": 8},
+                       ("evaluate",), "tiny"),
+        "tiny-iso": ({**tiny, "data.path": "synthetic-iso.csv"},
+                     ("train", "forecast"), None),
+    })
+    for side in ("parent", "change"):
+        same_outputs.collect(tmp_path / side)
+    parent = same_outputs.read_side(tmp_path / "parent")
+    report = same_outputs.compare(parent,
+                                  same_outputs.read_side(tmp_path / "change"))
+    assert report["equal"], same_outputs.report_lines(report)
+    assert {"tiny/step2/predict", "tiny/step0/loss"} <= set(report["arrays"])
+    assert set(report["files"]) == {
+        "data/synthetic.csv", "data/synthetic-iso.csv", "tiny/model.ckpt",
+        "tiny/train_report.csv", "tiny/metrics.csv",
+        "tiny/per_window_metrics.csv", "tiny-short/metrics.csv",
+        "tiny-short/per_window_metrics.csv", "tiny-iso/model.ckpt",
+        "tiny-iso/train_report.csv", "tiny-iso/forecast.csv"}
+    assert (report["files"]["tiny/metrics.csv"]
+            != report["files"]["tiny-short/metrics.csv"])
+    # the 785 hourly rows end at 2016-08-02 16:00
+    forecast = tmp_path / "change-tiny-iso" / "forecast.csv"
+    assert forecast.read_text().splitlines()[1].startswith(
+        "2016-08-02 17:00:00,ch1,")
+
+    npz = (tmp_path / "change").with_suffix(".npz")
+    with np.load(npz) as stored:
+        arrays = {name: stored[name] for name in stored.files}
+    arrays["tiny/step2/predict"].flat[0] = np.nextafter(
+        arrays["tiny/step2/predict"].flat[0], np.inf)
+    np.savez(npz, **arrays)
+    report = same_outputs.compare(parent,
+                                  same_outputs.read_side(tmp_path / "change"))
+    assert not report["equal"]
+    assert [name for name, diff in report["arrays"].items()
+            if diff != "equal"] == ["tiny/step2/predict"]
+    assert all(f["parent"] == f["change"] for f in report["files"].values())

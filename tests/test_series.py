@@ -1,4 +1,8 @@
+import csv
+import math
+import re
 import tracemalloc
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -184,6 +188,187 @@ def test_csv_fuzz_loads_or_raises_series_error_within_a_memory_bound(tmp_path):
     finally:
         tracemalloc.stop()
     assert outcomes["loaded"] and outcomes["refused"]
+
+
+# ---------------------------------------------------------------------------
+# the bulk parse against the row-by-row loader it replaced: the same frame,
+# bit for bit, or the same exception type and message
+# ---------------------------------------------------------------------------
+
+def _row_timestamp(text, row):
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError:
+        raise ParseError(f"row {row}: cannot parse timestamp {text!r}") from None
+
+
+def row_by_row_load_csv(path, *, forward_fill=False):
+    """``load_csv`` as it was before clean files were parsed in bulk."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot read CSV file {path}: {exc}") from None
+    if not rows:
+        raise SeriesError(f"{path}: empty file")
+    header = [cell.strip() for cell in rows[0]]
+    if len(header) < 2:
+        raise ParseError("row 1: header must name a timestamp and at least one channel")
+    channel_names = tuple(header[1:])
+    n = len(channel_names)
+    if len(rows) < 2:
+        raise SeriesError(f"{path}: no data rows")
+    for row_no, row in enumerate(rows[1:], start=2):
+        if len(row) != n + 1:
+            raise ParseError(f"row {row_no}: expected {n + 1} columns, got {len(row)}")
+    timestamps = []
+    values = np.empty((len(rows) - 1, n), dtype=np.float64)
+    for i, row in enumerate(rows[1:]):
+        row_no = i + 2
+        timestamps.append(_row_timestamp(row[0], row_no))
+        for j, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if cell == "" or cell.lower() == "nan":
+                if forward_fill and i > 0:
+                    values[i, j] = values[i - 1, j]
+                    continue
+                raise ParseError(f"row {row_no}: missing value in column "
+                                 f"{channel_names[j]!r}")
+            try:
+                values[i, j] = float(cell)
+            except ValueError:
+                raise ParseError(f"row {row_no}: cannot parse value {cell!r} in "
+                                 f"column {channel_names[j]!r}") from None
+            if not math.isfinite(values[i, j]):
+                raise ParseError(f"row {row_no}: non-finite value in column "
+                                 f"{channel_names[j]!r}")
+    return SeriesFrame(tuple(timestamps), values, channel_names)
+
+
+def load_outcome(load, path, forward_fill):
+    try:
+        return load(path, forward_fill=forward_fill)
+    except Exception as exc:  # any refusal: its type and message are compared
+        return type(exc), str(exc)
+
+
+def assert_loads_as_row_by_row(path, forward_fill=False):
+    """Returns the frame, or the (type, message) of the refusal."""
+    want = load_outcome(row_by_row_load_csv, path, forward_fill)
+    got = load_outcome(load_csv, path, forward_fill)
+    if isinstance(want, tuple):
+        assert got == want
+        return got
+    assert isinstance(got, SeriesFrame), got
+    assert got.channel_names == want.channel_names
+    assert got.timestamps == want.timestamps
+    assert list(map(type, got.timestamps)) == list(map(type, want.timestamps))
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("text", [
+    "t,a,b\n1,1.0,2.0\n2,1.5,2.5\n3,2.0,3.0\n",
+    "t,a\n2021-01-01T00:00:00,1.0\n2021-01-01T01:00:00,2.0\n",
+    "t,a\n2021-01-01 00:00:00+00:00,1.0\n2021-01-01 01:00:00+01:00,2.0\n"
+    "2021-01-01 02:00:00+00:00,3.0\n",
+    "t,a\n20160701,1.0\n20160702,2.0\n",
+    "t , a ,b\n 1 , 1.5 ,\t-2.0\t\n2\t,  0.25,3 \n",
+    't,"a, quoted",b\n"1","1.5","-0"\n"2","2.5e-3","3"\n',
+    "t,a\n1,1e-300\n2,-2.5E+10\n3,.5\n4,-0.0\n5,1_000.5\n",
+    "t,a\r\n1,1.0\r\n\r\n2,2.0\r\n",
+    "t,a\n1,1.0\n2,x\n3,2.0\nfive,3.0\n",
+    "t,a\n1,1.0\n2,2.0\n3,3.0\nfive,3.0\n",
+    "t,a\n2021-01-01,1.0\n2021-01-02,x\nJan 3,2.0\n",
+    "t,a\n2021-01-01,1.0\n2021-01-02,2.0\nJan 3,2.0\n",
+    "t,a\n1,1.0\n2,inf\n3,-Infinity\n",
+    "t,a\n1,1.0\n2,NaN\n3, \n",
+    "t,a\n1,1.0\n3,2.0\n2,3.0\n",
+    "t,a\n1,1.0\n1,2.0\n",
+    "t,a,b\n1,1.0\n2,2.0,3.0\n",
+    "t,a\n",
+    "t\n1\n",
+])
+@pytest.mark.parametrize("forward_fill", [False, True])
+def test_bulk_parse_matches_row_by_row_on_small_files(tmp_path, text,
+                                                       forward_fill):
+    assert_loads_as_row_by_row(write(tmp_path, text), forward_fill)
+
+
+def test_bulk_parse_matches_row_by_row_on_default_and_etth_shaped_files(
+        tmp_path):
+    from s2ip.harness import synthetic_frame, write_frame_csv
+
+    default = tmp_path / "default.csv"
+    write_frame_csv(synthetic_frame(785, 2, [24, 96], 0.01, 0.1, seed=0),
+                    default)
+    frame = assert_loads_as_row_by_row(default)
+    assert frame.values.shape == (785, 2)
+    rng = np.random.default_rng(1)
+    lines = ["t," + ",".join(f"v{i}" for i in range(7))]
+    data = rng.normal(size=(17420, 7))
+    lines += [f"{i}," + ",".join(f"{v:.6f}" for v in data[i])
+              for i in range(17420)]
+    etth = write(tmp_path, "\n".join(lines) + "\n", name="etth.csv")
+    frame = assert_loads_as_row_by_row(etth)
+    assert frame.values.shape == (17420, 7)
+
+
+def test_bulk_parse_matches_row_by_row_on_the_fuzz_cases(tmp_path):
+    from s2ip.harness import synthetic_frame, write_frame_csv
+
+    valid = tmp_path / "valid.csv"
+    write_frame_csv(synthetic_frame(785, 2, [24, 96], 0.01, 0.1, seed=0),
+                    valid)
+    blob = valid.read_bytes()
+    rng = np.random.default_rng(17)  # the cases of the fuzz test above
+    path = tmp_path / "mutated.csv"
+    refused = 0
+    for _ in range(CSV_FUZZ_CASES):
+        path.write_bytes(csv_mutation(blob, rng))
+        for forward_fill in (False, True):
+            outcome = assert_loads_as_row_by_row(path, forward_fill)
+            refused += isinstance(outcome, tuple)
+    assert 0 < refused < 2 * CSV_FUZZ_CASES
+
+
+def test_a_bad_value_wins_over_a_later_bad_timestamp(tmp_path):
+    path = write(tmp_path, "t,a\n1,1.0\n2,x\n3,2.0\nfive,3.0\n")
+    assert assert_loads_as_row_by_row(path) == (
+        ParseError, "row 3: cannot parse value 'x' in column 'a'")
+
+
+def test_forward_fill_matches_row_by_row(tmp_path):
+    path = write(tmp_path, "t,a,b\n1,1.0,2.0\n2,,nan\n3, NaN ,3.5\n4,4.0,\n")
+    frame = assert_loads_as_row_by_row(path, forward_fill=True)
+    assert np.array_equal(frame.values,
+                          [[1.0, 2.0], [1.0, 2.0], [1.0, 3.5], [4.0, 3.5]])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,a\n1,1.0\n2020-01-01,2.0\n3,2.5\n",
+     "timestamps mix kinds at row 2: 1 then 2020-01-01 00:00:00"),
+    ("t,a\n2020-01-01,1.0\n2020-01-02T00:00:00+00:00,2.0\n",
+     "timestamps mix kinds at row 2: 2020-01-01 00:00:00 then "
+     "2020-01-02 00:00:00+00:00"),
+])
+def test_mixed_timestamp_kinds_are_a_parse_error_naming_the_row(
+        tmp_path, text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_csv(write(tmp_path, text))
+
+
+def test_a_disorder_before_mixed_kinds_is_reported_first(tmp_path):
+    path = write(tmp_path, "t,a\n3,1.0\n2,2.0\n2020-01-01,2.5\n")
+    with pytest.raises(SeriesError,
+                       match="^timestamps not strictly increasing at row 2$"):
+        load_csv(path)
 
 
 # ---------------------------------------------------------------------------
