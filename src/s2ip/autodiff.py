@@ -22,6 +22,8 @@ import numpy as np
 # tanh GELU approximation, cubic term coefficient
 GELU_CUBIC_COEFF = 0.044715
 _GELU_SCALE = np.sqrt(2.0 / np.pi)
+# elements per block of the slope's scratch array on a tape (64 KiB)
+_GELU_BLOCK = 8192
 
 # glibc mallopt parameters and the values this process runs with
 _M_TRIM_THRESHOLD = -1
@@ -278,20 +280,30 @@ def gelu(a) -> Tensor:
     np.tanh(t, out=t)
     keys = _keys(a)
     if keys is not None:
-        # 0.5 (1 + t) + 0.5 x (1 - t^2) dinner, in place on two buffers
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) dinner. The node keeps the slope, a
+        # full buffer; dinner and 0.5 (1 + t) are formed a block at a time in
+        # one scratch array, and the 1 + t of each block serves the output
+        # too. x, t and slope are C-contiguous, so reshape(-1) gives views
         slope = t * t
         np.subtract(1.0, slope, out=slope)
         slope *= x
         slope *= 0.5
-        dinner = x * x
-        dinner *= 3.0 * GELU_CUBIC_COEFF
-        dinner += 1.0
-        dinner *= _GELU_SCALE
-        slope *= dinner
-        np.add(t, 1.0, out=dinner)
-        dinner *= 0.5
-        slope += dinner
-    t += 1.0
+        xs, ts, ss = x.reshape(-1), t.reshape(-1), slope.reshape(-1)
+        scratch = np.empty(min(xs.size, _GELU_BLOCK))
+        for start in range(0, xs.size, _GELU_BLOCK):
+            stop = start + _GELU_BLOCK
+            xb, tb, sb = xs[start:stop], ts[start:stop], ss[start:stop]
+            d = scratch[:xb.size]
+            np.multiply(xb, xb, out=d)
+            d *= 3.0 * GELU_CUBIC_COEFF
+            d += 1.0
+            d *= _GELU_SCALE
+            sb *= d
+            tb += 1.0
+            np.multiply(tb, 0.5, out=d)
+            sb += d
+    else:
+        t += 1.0
     t *= x
     t *= 0.5
     if keys is None:

@@ -241,6 +241,10 @@ def cmd_forecast(config: RunConfig, seed: int, outdir: str,
         values = result.forecast
         if standardizer is not None:
             values = standardizer.inverse(values, channel)
+        if not np.isfinite(values).all():
+            raise HarnessError(f"forecast for channel "
+                               f"{frame.channel_names[channel]!r} is not "
+                               "finite")
         for ts, value in zip(future, values):
             rows.append({"timestamp": ts,
                          "channel": frame.channel_names[channel],

@@ -237,13 +237,17 @@ def _aggregate(rows: list[dict], horizon: int, mode: str, seasonality: int
 def evaluate_model(model, test_windows, mode: str = "long",
                    seasonality: int = 1, dump_path=None) -> MetricReport:
     """Forecast every test window with one ``model.predict`` call and
-    aggregate the metric suite; optionally dump per-window rows as CSV."""
+    aggregate the metric suite; optionally dump per-window rows as CSV.
+    A forecast or metric that is not finite raises ``MetricError`` before
+    anything is written."""
     if not test_windows:
         raise MetricError("test set is empty")
     channels, insamples, targets = zip(*test_windows)
     forecasts = model.predict(np.stack(insamples), channels)
     pairs = list(zip(targets, forecasts))
     rows = _window_metrics(pairs, insamples, mode, seasonality)
+    report = _aggregate(rows, len(targets[0]), mode, seasonality)
+    _require_finite(forecasts, rows, report, channels)
     if dump_path is not None:
         fields = ["window_id", "channel", "mse", "mae"]
         if mode == "short":
@@ -254,4 +258,25 @@ def evaluate_model(model, test_windows, mode: str = "long",
             writer.writeheader()
             for i, (channel, row) in enumerate(zip(channels, rows)):
                 writer.writerow({"window_id": i, "channel": channel, **row})
-    return _aggregate(rows, len(targets[0]), mode, seasonality)
+    return report
+
+
+def _require_finite(forecasts: np.ndarray, rows: list[dict],
+                    report: MetricReport, channels) -> None:
+    """Raise ``MetricError`` naming the first window whose forecast or
+    metrics are not finite, or else the aggregate that is not."""
+    aggregates = {key: value for key, value in report.as_row().items()
+                  if value is not None}
+    if (np.isfinite(forecasts).all()
+            and np.isfinite(list(aggregates.values())).all()):
+        return
+    for i, (forecast, row) in enumerate(zip(forecasts, rows)):
+        bad = [] if np.isfinite(forecast).all() else ["forecast"]
+        bad += [key for key, value in row.items()
+                if value is not None and not np.isfinite(value)]
+        if bad:
+            raise MetricError(f"window {i} (channel {channels[i]}): "
+                              f"{', '.join(bad)} not finite")
+    bad = [key for key, value in aggregates.items() if not np.isfinite(value)]
+    raise MetricError(f"mean {', '.join(bad)} over {len(rows)} windows not "
+                      "finite")

@@ -14,6 +14,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .autodiff import Tape, backward
+from .metrics import mse_mae
 from .model import ForecastModel, ModelConfig, ModelError, check_arrays
 from .prompt import EmbeddingMatrix
 
@@ -130,10 +131,8 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
 
 
 def _validation_mse(model: ForecastModel, val_windows) -> float:
-    errors = []
-    for channel, x, y in val_windows:
-        result = model.forward_forecast(x, channel)
-        errors.append(float(np.mean((result.forecast - y) ** 2)))
+    errors = [mse_mae(y, model.forward_forecast(x, channel).forecast)[0]
+              for channel, x, y in val_windows]
     return float(np.mean(errors))
 
 
@@ -315,8 +314,11 @@ def load_checkpoint(path) -> ForecastModel:
     except ModelError as exc:
         raise TrainingError(f"{path}: the header claims sizes the records do "
                             f"not hold: {exc}") from exc
-    # forecasts divide by each channel's gamma
-    if not arrays["revin.gamma"].all():
+    # forecasts divide by each channel's gamma, the forward's layer norms
+    # square what it scales and a squared error squares its inverse: within
+    # 2^-511 <= |gamma| <= 2^511 both squares are finite
+    magnitude = np.abs(arrays["revin.gamma"])
+    if not ((magnitude >= 2.0 ** -511) & (magnitude <= 2.0 ** 511)).all():
         raise TrainingError(f"{path}: corrupt checkpoint: revin.gamma holds "
-                            "a zero")
+                            "an entry outside 2^-511 <= |gamma| <= 2^511")
     return ForecastModel(config, embedding, arrays=arrays)

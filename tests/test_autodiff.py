@@ -394,12 +394,30 @@ def test_gelu_matches_pow_formula():
     assert np.max(np.abs(a.grad - g * pow_gelu_derivative(x))) <= 1e-14
 
 
-def test_gelu_in_place_forward_rounds_as_the_expression():
-    x = np.random.default_rng(23).normal(0.0, 3.0, size=(64, 256))
-    x[0, :4] = [0.0, -40.0, 40.0, 1e-300]
+# on a tape GELU forms its slope _GELU_BLOCK elements at a time: shapes
+# under, at, just past and between block boundaries, and the feed-forward
+# activations of a default step
+GELU_SHAPES = {
+    "64x256": (64, 256),
+    "under_a_block": (7, 13),
+    "one_block": (ad._GELU_BLOCK,),
+    "one_past_a_block": (ad._GELU_BLOCK + 1,),
+    "uneven_blocks": (3, ad._GELU_BLOCK // 2 + 3),
+    "32x15x256": (32, 15, 256),
+    "32x11x256": (32, 11, 256),
+}
+
+
+@pytest.mark.parametrize("shape", GELU_SHAPES.values(), ids=GELU_SHAPES)
+def test_gelu_in_place_forward_rounds_as_the_expression(shape):
+    x = np.random.default_rng(23).normal(0.0, 3.0, size=shape)
+    x.reshape(-1)[:4] = [0.0, -40.0, 40.0, 1e-300]
     c, s = ad.GELU_CUBIC_COEFF, ad._GELU_SCALE
     expected = 0.5 * x * (1.0 + np.tanh(s * (x + c * (x * x * x))))
     assert np.array_equal(ad.gelu(Tensor(x)).data, expected)
+    with Tape():
+        y = ad.gelu(Tensor(x, requires_grad=True))
+    assert np.array_equal(y.data, expected)
 
 
 def test_gelu_grad_check():
@@ -436,9 +454,10 @@ def separate_pass_gelu_slope(x):
     return slope
 
 
-def test_gelu_backward_bit_identical_to_the_separate_pass():
-    x = np.random.default_rng(24).normal(0.0, 3.0, size=(64, 256))
-    x[0, :5] = [0.0, -40.0, 40.0, 1e-300, -1e-300]
+@pytest.mark.parametrize("shape", GELU_SHAPES.values(), ids=GELU_SHAPES)
+def test_gelu_backward_bit_identical_to_the_separate_pass(shape):
+    x = np.random.default_rng(24).normal(0.0, 3.0, size=shape)
+    x.reshape(-1)[:5] = [0.0, -40.0, 40.0, 1e-300, -1e-300]
     g = np.random.default_rng(26).normal(size=x.shape)
     a = Tensor(x, requires_grad=True)
     with Tape():
@@ -462,6 +481,21 @@ def test_gelu_node_keeps_only_its_slope():
         tracemalloc.stop()
     assert y.shape == a.shape
     assert 2 * size <= retained < 2.5 * size
+
+
+def test_gelu_on_a_tape_peaks_below_two_and_a_half_inputs():
+    # the output and the kept slope are full buffers; the slope's other
+    # factors take one block-sized scratch array (a full-size one read 3x)
+    a = Tensor(np.random.default_rng(30).normal(size=(32, 15, 256)),
+               requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape():
+            ad.gelu(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * a.data.nbytes
 
 
 FROZEN_CASES = [

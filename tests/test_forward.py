@@ -10,6 +10,7 @@ gradients.
 import copy
 import importlib.util
 import tracemalloc
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -471,18 +472,30 @@ def test_default_step_tape_size_and_node_buckets():
     assert set(spans.NODE_BUCKETS) - {"other"} <= buckets
 
 
-def test_default_step_memory():
-    # each node keeps only what its backward reads and drops it once run:
-    # a tape that kept every activation read 17.4 MiB live and 21.3 MiB at
-    # the backward's peak on this step
+@cache
+def default_step_memory() -> dict:
+    """``scripts/step_memory.py``'s figures for a default step."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "step_memory.py"
     spec = importlib.util.spec_from_file_location("step_memory", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    result = module.step_memory(RunConfig({}))
+    return module.step_memory(RunConfig({}))
+
+
+def test_default_step_memory():
+    # each node keeps only what its backward reads and drops it once run:
+    # a tape that kept every activation read 17.4 MiB live and 21.3 MiB at
+    # the backward's peak on this step
+    result = default_step_memory()
     assert result["tape_nodes"] == 76
     assert result["live_mib"] <= 10.0
     assert result["peak_mib"] <= 14.0
+
+
+def test_default_step_forward_peak():
+    # the forward peaks at the second block's GELU; forming its slope in
+    # full-size buffers read 7.98 MiB
+    assert default_step_memory()["forward_peak_mib"] <= 7.5
 
 
 def test_tape_free_forward_holds_only_what_is_still_read():

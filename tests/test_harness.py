@@ -363,6 +363,52 @@ def test_evaluate_refuses_a_checkpoint_with_zero_gamma(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+def test_non_finite_forecasts_exit_1_before_any_output(tmp_path, capsys):
+    # a finite checkpoint whose head overflows: evaluate and forecast each
+    # print one error line and write nothing
+    cfg = tiny_config_file(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--seed", "3",
+                 "--out", str(out)]) == 0
+    model = load_checkpoint(out / "model.ckpt")
+    for name in ("output_projection.weight", "output_projection.bias"):
+        model.params[name].data[...] = 1e308
+    save_checkpoint(model, out / "model.ckpt")
+    capsys.readouterr()
+    for command, outputs, message in (
+            ("evaluate", ("metrics.csv", "per_window_metrics.csv"),
+             "error: window 0 (channel 0): forecast"),
+            ("forecast", ("forecast.csv",),
+             "error: forecast for channel 'ch1' is not finite")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(message), command
+        assert not any((out / name).exists() for name in outputs), command
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1e300])
+def test_evaluate_refuses_a_checkpoint_with_gamma_out_of_range(tmp_path,
+                                                               capsys, gamma):
+    # 1e-300 forecast values near 1e300, whose squared error is inf; 1e300
+    # overflowed the forward's layer norms
+    cfg = tiny_config_file(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--seed", "3",
+                 "--out", str(out)]) == 0
+    model = load_checkpoint(out / "model.ckpt")
+    model.params["revin.gamma"].data[1] = gamma
+    save_checkpoint(model, out / "model.ckpt")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "corrupt checkpoint: revin.gamma" in err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_evaluate_without_checkpoint_fails(tmp_path):
     cfg = tiny_config_file(tmp_path)
     code = main(["evaluate", "--config", cfg, "--out",

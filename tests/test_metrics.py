@@ -265,6 +265,26 @@ def test_evaluate_empty_rejected():
         evaluate_model(OracleModel(lambda x, c: x), [], mode="long")
 
 
+@pytest.mark.parametrize("value, bad_channels, message", [
+    (np.nan, {2}, r"window 1 \(channel 2\): forecast, mse, mae not finite"),
+    (1e200, {2}, r"window 1 \(channel 2\): mse not finite"),
+    (6e153, {0, 1, 2}, r"mean mse over 6 windows not finite"),
+], ids=["nan-forecast", "overflowing-window", "overflowing-mean"])
+def test_evaluate_refuses_non_finite_before_writing(tmp_path, value,
+                                                    bad_channels, message):
+    # 1e200 squares to inf; each window's MSE of 6e153 is a finite 3.6e307,
+    # but six of them sum past the largest float64
+    windows = [(channel, np.arange(8.0), np.zeros(4))
+               for channel in (0, 2, 1, 0, 1, 2)]
+    model = OracleModel(lambda x, c: np.full(4, value if c in bad_channels
+                                             else 0.0))
+    dump = tmp_path / "per_window.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(MetricError, match=message):
+            evaluate_model(model, windows, mode="long", dump_path=dump)
+    assert not dump.exists()
+
+
 def tiny_real_model():
     config = ModelConfig(window=WindowSpec(32, 8), patch=PatchSpec(8, 4),
                          decomposition=DecompositionConfig(period=8,

@@ -183,8 +183,9 @@ def test_csv_fuzz_loads_or_raises_series_error_within_a_memory_bound(tmp_path):
             except SeriesError:
                 outcomes["refused"] += 1
             peak = tracemalloc.get_traced_memory()[1] - before
-            # a valid default file peaks at 5.6 to 8.5 times its size
-            assert peak <= (64 << 10) + 64 * path.stat().st_size, case
+            # a valid default file, and the worst of these cases, peak at
+            # 64 KiB plus 6.3 times their size: twice that factor is allowed
+            assert peak <= (64 << 10) + 13 * path.stat().st_size, case
     finally:
         tracemalloc.stop()
     assert outcomes["loaded"] and outcomes["refused"]

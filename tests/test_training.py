@@ -770,7 +770,11 @@ def test_checkpoint_tensor_name_not_utf8_is_corrupt(tmp_path):
     lambda model: model.backbone.params["positional"].data.__setitem__(
         (1, 2), -np.inf),
     lambda model: model.params["revin.gamma"].data.__setitem__(0, 0.0),
-], ids=["nan", "inf", "zero-gamma"])
+    lambda model: model.params["revin.gamma"].data.__setitem__(0, -1e-300),
+    lambda model: model.params["revin.gamma"].data.__setitem__(0, 2.0 ** -512),
+    lambda model: model.params["revin.gamma"].data.__setitem__(0, 2.0 ** 512),
+], ids=["nan", "inf", "zero-gamma", "tiny-gamma", "gamma-below-bound",
+        "gamma-above-bound"])
 def test_checkpoint_with_nonfinite_value_or_zero_gamma_is_corrupt(tmp_path,
                                                                   tamper):
     model = tiny_model()
@@ -779,6 +783,15 @@ def test_checkpoint_with_nonfinite_value_or_zero_gamma_is_corrupt(tmp_path,
     save_checkpoint(model, path)
     with pytest.raises(TrainingError, match="corrupt checkpoint"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("gamma", [2.0 ** -511, -(2.0 ** 511), 1e-150])
+def test_checkpoint_gamma_at_its_bounds_loads(tmp_path, gamma):
+    model = tiny_model()
+    model.params["revin.gamma"].data[0] = gamma
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    assert load_checkpoint(path).params["revin.gamma"].data[0] == gamma
 
 
 def test_checkpoint_with_huge_finite_values_loads(tmp_path):
