@@ -10,7 +10,10 @@ checkout's working tree; the *parent* side is ``--parent``, unpacked with
 
 - for each of :data:`STEP_CONFIGS`, over 3 training steps on the first
   three training batches: the loss, every gradient before clipping, and
-  ``predict`` over the test windows after the step's Adam update;
+  the forecasts of the test windows after the step's Adam update, made by
+  ``model.forward`` over chunks of ``FORECAST_CHUNK`` windows as
+  evaluation makes them, so revisions with different forecast methods
+  compare alike;
 - the sha256 of the CSVs that :func:`write_data` makes, and of every
   artifact that each of :data:`ARTIFACT_CONFIGS` writes with its own
   commands; a config's ``evaluate``, ``forecast`` and ``export-embeddings``
@@ -94,10 +97,11 @@ def parse_args(argv=None) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 
 def step_arrays(values: dict) -> dict[str, np.ndarray]:
-    """Loss, gradients and ``predict`` of :data:`STEPS` training steps."""
+    """Loss, gradients and forecasts of :data:`STEPS` training steps."""
     from s2ip import harness
     from s2ip.autodiff import Tape, backward
     from s2ip.config import RunConfig
+    from s2ip.model import FORECAST_CHUNK
     from s2ip.training import AdamState, adam_step, clip_gradients
 
     config = RunConfig(dict(values))
@@ -121,7 +125,10 @@ def step_arrays(values: dict) -> dict[str, np.ndarray]:
                 out[f"step{step}/grad/{name}"] = tensor.grad.copy()
         clip_gradients(named, train_config.clip_norm)
         adam_step(named, state, train_config)
-        out[f"step{step}/predict"] = model.predict(x, channels)
+        out[f"step{step}/forecast"] = np.concatenate([
+            model.forward(x[i:i + FORECAST_CHUNK],
+                          channels[i:i + FORECAST_CHUNK]).forecast.data
+            for i in range(0, len(x), FORECAST_CHUNK)])
     return out
 
 

@@ -8,10 +8,10 @@ when ``--config`` is omitted), on its first training windows at its batch
 size, prints the memory live once ``joint_loss`` has recorded the forward,
 the peak through ``joint_loss`` (the forward's own peak), the peak through
 ``backward`` and the number of tape nodes; then the peak of one tape-free
-``predict`` chunk (``model.FORECAST_CHUNK`` test windows, the anchors
-already derived). Every figure is tracemalloc's (Python objects and numpy
-buffers), counted from just before the call it measures, so the model's
-parameters are not in them. Stdlib and ``s2ip`` only.
+``forward_forecast`` chunk (``model.FORECAST_CHUNK`` test windows, the
+anchors already derived). Every figure is tracemalloc's (Python objects and
+numpy buffers), counted from just before the call it measures, so the
+model's parameters are not in them. Stdlib and ``s2ip`` only.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ MIB = float(1 << 20)
 def step_memory(config) -> dict:
     """``live_mib`` after ``joint_loss``, ``forward_peak_mib`` through it,
     ``peak_mib`` through ``backward`` and ``tape_nodes`` for one step of
-    ``config``, a ``RunConfig``, and ``predict_peak_mib`` of one tape-free
-    ``predict`` chunk."""
+    ``config``, a ``RunConfig``, and ``forecast_peak_mib`` of one tape-free
+    ``forward_forecast`` chunk."""
     import numpy as np
 
     from s2ip import harness
@@ -51,16 +51,16 @@ def step_memory(config) -> dict:
         tracemalloc.stop()
     channels, inputs, _ = zip(*pipeline.test_windows[:FORECAST_CHUNK])
     x, channels = np.stack(inputs), np.array(channels)
-    model.predict(x[:1], channels[:1])  # derives the anchors tape-free
+    model.forward_forecast(x[0], channels[0])  # derives the anchors tape-free
     tracemalloc.start()
     try:
-        model.predict(x, channels)
-        predict_peak = tracemalloc.get_traced_memory()[1]
+        model.forward_forecast(x, channels)
+        forecast_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return {"live_mib": live / MIB, "forward_peak_mib": forward_peak / MIB,
             "peak_mib": peak / MIB, "tape_nodes": len(tape),
-            "predict_peak_mib": predict_peak / MIB}
+            "forecast_peak_mib": forecast_peak / MIB}
 
 
 def main(argv=None) -> int:
@@ -76,7 +76,8 @@ def main(argv=None) -> int:
             ("peak through joint_loss", f"{result['forward_peak_mib']:.2f} MiB"),
             ("peak through backward", f"{result['peak_mib']:.2f} MiB"),
             ("tape nodes", str(result["tape_nodes"])),
-            ("peak of a predict chunk", f"{result['predict_peak_mib']:.2f} MiB"))
+            ("peak of a forecast chunk",
+             f"{result['forecast_peak_mib']:.2f} MiB"))
     for label, value in rows:
         print(f"{label:<25}{value}")
     return 0

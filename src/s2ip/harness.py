@@ -234,11 +234,11 @@ def cmd_forecast(config: RunConfig, seed: int, outdir: str,
     standardizer = split_frame(config, frame)[3]
     scaled = frame if standardizer is None else standardizer.transform(frame)
     future = _next_timestamps(frame, config["window.horizon"])
+    channels = range(frame.n_channels)
+    inputs = np.stack([scaled.channel(c)[-lookback:] for c in channels])
+    forecasts = model.forward_forecast(inputs, channels).forecast
     rows = []
-    for channel in range(frame.n_channels):
-        window = scaled.channel(channel)[-lookback:]
-        result = model.forward_forecast(window, channel)
-        values = result.forecast
+    for channel, values in zip(channels, forecasts):
         if standardizer is not None:
             values = standardizer.inverse(values, channel)
         if not np.isfinite(values).all():

@@ -236,17 +236,19 @@ def _aggregate(rows: list[dict], horizon: int, mode: str, seasonality: int
 
 def evaluate_model(model, test_windows, mode: str = "long",
                    seasonality: int = 1, dump_path=None) -> MetricReport:
-    """Forecast every test window with one ``model.predict`` call and
-    aggregate the metric suite; optionally dump per-window rows as CSV.
+    """Forecast the test windows in one ``model.forward_forecast`` call,
+    aggregate the metric suite, and optionally dump per-window rows as CSV.
     A forecast or metric that is not finite raises ``MetricError`` before
     anything is written."""
     if not test_windows:
         raise MetricError("test set is empty")
     channels, insamples, targets = zip(*test_windows)
-    forecasts = model.predict(np.stack(insamples), channels)
+    forecasts = model.forward_forecast(np.stack(insamples), channels).forecast
     pairs = list(zip(targets, forecasts))
-    rows = _window_metrics(pairs, insamples, mode, seasonality)
-    report = _aggregate(rows, len(targets[0]), mode, seasonality)
+    # what does not stay finite is reported once, by _require_finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows = _window_metrics(pairs, insamples, mode, seasonality)
+        report = _aggregate(rows, len(targets[0]), mode, seasonality)
     _require_finite(forecasts, rows, report, channels)
     if dump_path is not None:
         fields = ["window_id", "channel", "mse", "mae"]

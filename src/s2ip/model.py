@@ -34,7 +34,7 @@ from .prompt import (AnchorBank, EmbeddingMatrix, PromptSelection,
 from .series import WindowSpec
 
 
-# windows per tape-free forward in ``ForecastModel.predict``. A tape-free
+# windows per forward in ``ForecastModel.forward_forecast``. A tape-free
 # forward holds only what is still read (GELU in one buffer, each block's
 # activations freed on return), so 16 windows peak at 1.35 MiB (tracemalloc,
 # default config) and run ~20% faster than 8 on the evaluation benchmark at
@@ -232,13 +232,9 @@ def check_arrays(config: ModelConfig, vocab_size: int, arrays: dict) -> None:
 
 @dataclass
 class ForecastResult:
-    """One window's forecast, unpacked from a batch of one."""
+    """What :meth:`ForecastModel.forward_forecast` returns."""
 
-    forecast: np.ndarray                # denormalized, length horizon
-    selection: PromptSelection
-    ts_embed: np.ndarray                # (N_P, D)
-    normalized_forecast: np.ndarray     # pre-denormalization, length horizon
-    normalized_components: np.ndarray   # (n_components, horizon)
+    forecast: np.ndarray    # denormalized, (horizon,) or (N, horizon)
 
 
 @dataclass
@@ -430,50 +426,38 @@ class ForecastModel:
         """Forecast a ``(B, lookback)`` batch of windows, one channel per
         row: tokenize, :meth:`prompt`, run the backbone, project, recombine
         the components, and invert each window's normalization."""
-        channels = np.asarray(channels, dtype=np.int64)
         ts_embed, state = self.tokenize_and_embed(x, channels)
-        batch = ts_embed.shape[0]
         z_in, selections, anchors = self.prompt(ts_embed)
         components = self._head(self.backbone.forward(z_in))
         y_norm = self._recombine(components)
-        gamma_t, beta_t = self._revin_affine(channels, (batch, 1))
+        gamma_t, beta_t = self._revin_affine(channels, (ts_embed.shape[0], 1))
         yhat = ad.div(ad.sub(y_norm, beta_t), gamma_t)
         yhat = ad.add(ad.mul(yhat, state.scale[:, None]), state.mean[:, None])
         return ForwardPass(forecast=yhat, normalized_forecast=y_norm,
                            components=components, ts_embed=ts_embed,
                            selections=selections, anchors=anchors)
 
-    def forward_forecast(self, x: np.ndarray, channel: int = 0) -> ForecastResult:
-        """Forecast one window: :meth:`forward` on a batch of one, unpacked
-        with the intermediate pieces tests and exports need."""
-        out = self.forward(np.asarray(x, dtype=np.float64)[None], [channel])
-        return ForecastResult(
-            forecast=out.forecast.data[0],
-            selection=out.selections[0],
-            ts_embed=out.ts_embed.data[0],
-            normalized_forecast=out.normalized_forecast.data[0],
-            normalized_components=out.components.data[0].reshape(
-                self.config.n_components, self.config.window.horizon),
-        )
-
-    def predict(self, x: np.ndarray, channels) -> np.ndarray:
-        """Denormalized ``(N, horizon)`` forecasts of an ``(N, lookback)``
-        batch of windows, one channel per row: :meth:`forward` over
-        consecutive chunks of :data:`FORECAST_CHUNK` windows. Called with no
-        active tape, as evaluation does, it records nothing, the chunks
-        share one derivation of the anchors, and each chunk's activations
-        are freed before the next chunk runs."""
-        x = np.asarray(x, dtype=np.float64)
-        channels = np.asarray(channels, dtype=np.int64)
+    def forward_forecast(self, x: np.ndarray, channel=0) -> ForecastResult:
+        """Denormalized forecasts: a ``(lookback,)`` window of ``channel``
+        gives ``(horizon,)``, an ``(N, lookback)`` batch with one channel per
+        row gives ``(N, horizon)``. Runs :meth:`forward` over consecutive
+        chunks of :data:`FORECAST_CHUNK` windows from the first; with no
+        active tape it records nothing, the chunks share one derivation of
+        the anchors, and each chunk's activations are freed before the next.
+        Overflow stays silent: callers check that forecasts are finite."""
+        single = np.ndim(x) == 1
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        channels = np.atleast_1d(np.asarray(channel, dtype=np.int64))
         if channels.shape != (len(x),):
             raise ModelError(f"need one channel per window, got shape "
                              f"{channels.shape} for {len(x)} windows")
         out = np.empty((len(x), self.config.window.horizon))
-        for start in range(0, len(x), FORECAST_CHUNK):
-            stop = start + FORECAST_CHUNK
-            out[start:stop] = self.forward(x[start:stop],
-                                           channels[start:stop]).forecast.data
-        return out
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for start in range(0, len(x), FORECAST_CHUNK):
+                stop = start + FORECAST_CHUNK
+                out[start:stop] = self.forward(
+                    x[start:stop], channels[start:stop]).forecast.data
+        return ForecastResult(out[0] if single else out)
 
     def joint_loss(self, batch, alignment_weight: float | None = None) -> Tensor:
         """Mean-squared forecast error minus the (weighted) batch-mean

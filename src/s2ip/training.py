@@ -131,9 +131,11 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
 
 
 def _validation_mse(model: ForecastModel, val_windows) -> float:
-    errors = [mse_mae(y, model.forward_forecast(x, channel).forecast)[0]
-              for channel, x, y in val_windows]
-    return float(np.mean(errors))
+    """Mean per-window MSE; inf or nan if a forecast is not finite."""
+    channels, inputs, targets = zip(*val_windows)
+    forecasts = model.forward_forecast(np.stack(inputs), channels).forecast
+    return float(np.mean([mse_mae(y, yhat)[0]
+                          for y, yhat in zip(targets, forecasts)]))
 
 
 def train(model: ForecastModel, train_windows, val_windows,

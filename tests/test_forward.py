@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 import s2ip.autodiff as ad
+import s2ip.training as training
 from s2ip import harness, prompt
 from s2ip.autodiff import Tape, Tensor, active_tape, backward
 from s2ip.backbone import BackboneConfig
 from s2ip.config import RunConfig
+from s2ip.metrics import mse_mae
 from s2ip.model import (FORECAST_CHUNK, DecompositionConfig, ForecastModel,
                         ModelConfig, ModelError)
 from s2ip.preprocess import DEFAULT_EPSILON, PatchSpec, decompose, patch
@@ -251,12 +253,12 @@ def test_forward_forecast_matches_per_window_reference(name):
     for channel, x, _ in make_batch(6, seed=1):
         forecast, y_norm, y_out, ts_embed, indices = ref_forecast(model, x, channel)
         result = model.forward_forecast(x, channel)
-        assert list(result.selection.indices) == indices
         assert np.max(np.abs(result.forecast - forecast)) <= 1e-12
-        assert np.max(np.abs(result.normalized_forecast - y_norm)) <= 1e-12
-        assert np.max(np.abs(result.normalized_components.reshape(-1)
-                             - y_out)) <= 1e-12
-        assert np.max(np.abs(result.ts_embed - ts_embed)) <= 1e-12
+        out = model.forward(x[None], [channel])
+        assert list(out.selections[0].indices) == indices
+        assert np.max(np.abs(out.normalized_forecast.data[0] - y_norm)) <= 1e-12
+        assert np.max(np.abs(out.components.data[0] - y_out)) <= 1e-12
+        assert np.max(np.abs(out.ts_embed.data[0] - ts_embed)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
@@ -310,14 +312,26 @@ PREDICT_SIZES = sorted({1, 8, 19, FORECAST_CHUNK, 2 * FORECAST_CHUNK + 3})
 @pytest.mark.parametrize("n", PREDICT_SIZES)
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_predict_matches_per_window_forecasts(name, n):
+    """``forward_forecast`` of a batch against one call per window."""
     model = make_model(**CONFIGS[name])
     batch = make_batch(n, seed=4)
-    forecasts = model.predict(np.stack([x for _, x, _ in batch]),
-                              [channel for channel, _, _ in batch])
+    forecasts = model.forward_forecast(np.stack([x for _, x, _ in batch]),
+                                       [channel for channel, _, _ in batch]
+                                       ).forecast
     assert forecasts.shape == (n, model.config.window.horizon)
     for row, (channel, x, _) in zip(forecasts, batch):
         expected = model.forward_forecast(x, channel).forecast
         assert np.max(np.abs(row - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, FORECAST_CHUNK, 19])
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_batched_validation_matches_the_per_window_mean(name, n):
+    model = make_model(**CONFIGS[name])
+    windows = make_batch(n, seed=13)
+    per_window = np.mean([mse_mae(y, model.forward_forecast(x, c).forecast)[0]
+                          for c, x, y in windows])
+    assert abs(training._validation_mse(model, windows) - per_window) <= 1e-12
 
 
 def test_predict_runs_tape_free_chunks():
@@ -326,14 +340,17 @@ def test_predict_runs_tape_free_chunks():
     x = np.stack([x for _, x, _ in batch])
     passes, forward = [], model.forward
     model.forward = lambda *args: passes.append(forward(*args)) or passes[-1]
-    model.predict(x, [channel for channel, _, _ in batch])
+    model.forward_forecast(x, [channel for channel, _, _ in batch])
     assert [p.forecast.shape[0] for p in passes] == [FORECAST_CHUNK,
                                                      FORECAST_CHUNK, 3]
     assert all(p.forecast.tape is None and not p.forecast.requires_grad
                for p in passes)
     assert active_tape() is None
+    for channels in ([0] * (len(batch) + 1), [0] * FORECAST_CHUNK, 0):
+        with pytest.raises(ModelError, match="one channel per window"):
+            model.forward_forecast(x, channels)
     with pytest.raises(ModelError, match="one channel per window"):
-        model.predict(x, [0] * (len(batch) + 1))
+        model.forward_forecast(x[0], [0, 1])
 
 
 @pytest.mark.parametrize("name", ["classical-mean", "no-prompt"])
@@ -344,7 +361,7 @@ def test_predict_derives_the_anchors_once_per_call(name, monkeypatch):
     batch = make_batch(2 * FORECAST_CHUNK + 3, seed=6)
     x = np.stack([x for _, x, _ in batch])
     channels = np.array([channel for channel, _, _ in batch])
-    # what predict computes when each chunk's forward derives its own anchors
+    # the forecasts when each chunk's forward derives its own anchors
     with Tape():
         expected = np.concatenate([
             model.forward(x[start:start + FORECAST_CHUNK],
@@ -354,12 +371,14 @@ def test_predict_derives_the_anchors_once_per_call(name, monkeypatch):
     monkeypatch.setattr(prompt, "derive_anchors",
                         lambda *args: calls.append(args) or derive(*args))
     prompted = model.config.prompt_k > 0
-    assert np.array_equal(model.predict(x, channels), expected)
+    assert np.array_equal(model.forward_forecast(x, channels).forecast,
+                          expected)
     assert len(calls) == (1 if prompted else 0)
-    assert np.array_equal(model.predict(x, channels), expected)
+    assert np.array_equal(model.forward_forecast(x, channels).forecast,
+                          expected)
     assert len(calls) == (1 if prompted else 0)
     model.bank.map_weights.data[0, 0] += 0.5
-    model.predict(x, channels)
+    model.forward_forecast(x, channels)
     assert len(calls) == (2 if prompted else 0)
 
 

@@ -1,4 +1,5 @@
 import csv
+import math
 import struct
 import warnings
 from pathlib import Path
@@ -364,9 +365,13 @@ def test_evaluate_refuses_a_checkpoint_with_zero_gamma(tmp_path, capsys):
 
 
 def test_non_finite_forecasts_exit_1_before_any_output(tmp_path, capsys):
-    # a finite checkpoint whose head overflows: evaluate and forecast each
-    # print one error line and write nothing
+    # a finite checkpoint whose head overflows: evaluate, under either
+    # metric suite, and forecast each print one line, no NumPy warning
+    # before it, and write nothing
     cfg = tiny_config_file(tmp_path)
+    (tmp_path / "short").mkdir()
+    short = tiny_config_file(tmp_path / "short", {"eval.mode": "short",
+                                                  "eval.seasonality": "8"})
     out = tmp_path / "run"
     assert main(["train", "--config", cfg, "--seed", "3",
                  "--out", str(out)]) == 0
@@ -375,18 +380,45 @@ def test_non_finite_forecasts_exit_1_before_any_output(tmp_path, capsys):
         model.params[name].data[...] = 1e308
     save_checkpoint(model, out / "model.ckpt")
     capsys.readouterr()
-    for command, outputs, message in (
-            ("evaluate", ("metrics.csv", "per_window_metrics.csv"),
-             "error: window 0 (channel 0): forecast"),
-            ("forecast", ("forecast.csv",),
+    for command, config, outputs, message in (
+            ("evaluate", cfg, ("metrics.csv", "per_window_metrics.csv"),
+             "error: window 0 (channel 0): forecast, mse, mae not finite"),
+            ("evaluate", short, ("metrics.csv", "per_window_metrics.csv"),
+             "error: window 0 (channel 0): forecast, mse, mae, smape"),
+            ("forecast", cfg, ("forecast.csv",),
              "error: forecast for channel 'ch1' is not finite")):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert len(errors) == 1 and errors[0].startswith(message), command
+            warnings.simplefilter("error")  # a NumPy warning raises
+            assert main([command, "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(message), command
         assert not any((out / name).exists() for name in outputs), command
+
+
+def test_a_channel_too_large_to_standardize_exits_1_with_one_line(tmp_path,
+                                                                  capsys):
+    # np.std squares the deviations, so a channel near 1e200 had a std of
+    # inf and was standardized to zeros; train and evaluate exited 0
+    data = tmp_path / "huge.csv"
+    data.write_text("t,a,b\n" + "".join(
+        f"{i},{1e200 * (2 + math.sin(i / 4))!r},{math.sin(i / 4)!r}\n"
+        for i in range(400)), encoding="utf-8")
+    trained = tmp_path / "trained"
+    assert main(["train", "--config", tiny_config_file(tmp_path), "--seed",
+                 "3", "--out", str(trained)]) == 0
+    (tmp_path / "huge").mkdir()
+    cfg = tiny_config_file(tmp_path / "huge", {"data.path": str(data)})
+    capsys.readouterr()
+    for command in ("train", "evaluate", "forecast"):
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy warning raises
+            assert main([command, "--config", cfg, "--out", str(out),
+                         "--checkpoint", str(trained / "model.ckpt")]) == 1
+        assert capsys.readouterr().err == (
+            "error: channel 'a' is too large to standardize: its mean or "
+            "std is not finite\n"), command
+        assert list(out.iterdir()) == [], command
 
 
 @pytest.mark.parametrize("gamma", [1e-300, 1e300])
@@ -638,9 +670,9 @@ def test_csv_with_short_rows_exits_1_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("t,a\n1,1.0\n2020-01-01,2.0\n3,2.5\n",
-     "timestamps mix kinds at row 2: 1 then 2020-01-01 00:00:00"),
+     "timestamps mix kinds at row 3: 1 then 2020-01-01 00:00:00"),
     ("t,a\n2020-01-01,1.0\n2020-01-02T00:00:00+00:00,2.0\n",
-     "timestamps mix kinds at row 2: 2020-01-01 00:00:00 then "
+     "timestamps mix kinds at row 3: 2020-01-01 00:00:00 then "
      "2020-01-02 00:00:00+00:00"),
 ])
 def test_csv_with_mixed_timestamp_kinds_exits_1_with_one_line(

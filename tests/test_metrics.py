@@ -7,7 +7,7 @@ from s2ip.metrics import (MetricError, evaluate_forecasts, evaluate_model,
                           mape, mase, mse_mae, naive2_forecast, owa,
                           seasonality_test, smape)
 from s2ip.model import (FORECAST_CHUNK, DecompositionConfig, ForecastModel,
-                        ModelConfig)
+                        ForecastResult, ModelConfig)
 from s2ip.preprocess import PatchSpec
 from s2ip.prompt import clustered_vocabulary
 from s2ip.series import WindowSpec
@@ -192,9 +192,9 @@ class OracleModel:
     def __init__(self, lookup):
         self.lookup = lookup
 
-    def predict(self, x, channels):
-        return np.stack([self.lookup(row, channel)
-                         for row, channel in zip(x, channels)])
+    def forward_forecast(self, x, channel):
+        return ForecastResult(np.stack([self.lookup(row, c)
+                                        for row, c in zip(x, channel)]))
 
 
 def test_evaluate_oracle_model_is_zero():

@@ -32,6 +32,11 @@ def tiny_model(seed=0, **overrides):
     return ForecastModel(config, embedding, seed=seed)
 
 
+def forward_one(model, x, channel):
+    """``forward``'s pass over a batch of one window."""
+    return model.forward(np.asarray(x)[None], [channel])
+
+
 def make_batch(model, n, seed=0):
     rng = np.random.default_rng(seed)
     tau = model.config.window.lookback
@@ -136,22 +141,22 @@ def test_normalized_embedding_invariant_to_affine_input(monkeypatch):
     rng = np.random.default_rng(2)
     x = rng.normal(size=32)
     base_embed, _ = model.tokenize_and_embed(x[None], [0])
-    base = model.forward_forecast(x, 0)
+    base = forward_one(model, x, 0).selections[0]
     for a, b in ((2.0, 0.0), (0.5, -3.0), (10.0, 100.0)):
         embed, _ = model.tokenize_and_embed((a * x + b)[None], [0])
         assert np.allclose(embed.data, base_embed.data, atol=1e-9)
-        result = model.forward_forecast(a * x + b, 0)
-        assert result.selection.indices == base.selection.indices
+        result = forward_one(model, a * x + b, 0).selections[0]
+        assert result.indices == base.indices
 
 
 def test_retrieval_indices_invariant_at_default_epsilon():
     model = tiny_model()
     rng = np.random.default_rng(22)
     x = rng.normal(size=32)
-    base = model.forward_forecast(x, 0)
+    base = forward_one(model, x, 0).selections[0]
     for a, b in ((2.0, 0.0), (0.5, -3.0), (10.0, 100.0)):
-        result = model.forward_forecast(a * x + b, 0)
-        assert result.selection.indices == base.selection.indices
+        result = forward_one(model, a * x + b, 0).selections[0]
+        assert result.indices == base.indices
 
 
 # ---------------------------------------------------------------------------
@@ -161,35 +166,33 @@ def test_retrieval_indices_invariant_at_default_epsilon():
 def test_forecast_shape_contract():
     model = tiny_model()
     x = np.random.default_rng(3).normal(size=32)
-    result = model.forward_forecast(x, 0)
-    assert result.forecast.shape == (8,)
-    assert result.selection.k == 2
-    assert result.normalized_components.shape == (3, 8)
+    assert model.forward_forecast(x, 0).forecast.shape == (8,)
+    out = forward_one(model, x, 0)
+    assert out.selections[0].k == 2
+    assert out.components.shape == (1, 3 * 8)
 
 
 def test_forecast_without_prompt():
     model = tiny_model(prompt_k=0)
     x = np.random.default_rng(4).normal(size=32)
-    result = model.forward_forecast(x, 0)
-    assert result.forecast.shape == (8,)
-    assert result.selection.k == 0
+    assert model.forward_forecast(x, 0).forecast.shape == (8,)
+    assert forward_one(model, x, 0).selections[0].k == 0
 
 
 def test_forecast_without_decomposition():
     model = tiny_model(decomposition=DecompositionConfig(enabled=False))
     x = np.random.default_rng(5).normal(size=32)
-    result = model.forward_forecast(x, 0)
-    assert result.forecast.shape == (8,)
-    assert result.normalized_components.shape == (1, 8)
+    assert model.forward_forecast(x, 0).forecast.shape == (8,)
+    assert forward_one(model, x, 0).components.shape == (1, 8)
 
 
 def test_forecast_component_recombination():
     model = tiny_model()
     rng = np.random.default_rng(6)
     for _ in range(10):
-        result = model.forward_forecast(rng.normal(size=32), 1)
-        summed = result.normalized_components.sum(axis=0)
-        assert np.max(np.abs(summed - result.normalized_forecast)) <= 1e-12
+        out = forward_one(model, rng.normal(size=32), 1)
+        summed = out.components.data.reshape(3, 8).sum(axis=0)
+        assert np.max(np.abs(summed - out.normalized_forecast.data[0])) <= 1e-12
 
 
 def test_forecast_prompt_rows_feed_backbone():
@@ -224,9 +227,9 @@ def test_loss_decomposes_into_mse_minus_alignment():
     mse = model.joint_loss(batch, alignment_weight=0.0).item()
     aligns = []
     for channel, x, _ in batch:
-        result = model.forward_forecast(x, channel)
-        scores = score_all(result.ts_embed, model.bank.anchors())
-        aligns.append(sum(scores[i] for i in result.selection.indices))
+        out = forward_one(model, x, channel)
+        scores = score_all(out.ts_embed.data[0], model.bank.anchors())
+        aligns.append(sum(scores[i] for i in out.selections[0].indices))
     assert loss == pytest.approx(mse - lam * np.mean(aligns), abs=1e-12)
 
 
@@ -237,7 +240,7 @@ def test_loss_perfect_forecast_is_minus_lambda_alignment():
     batch = [(0, x, model.forward_forecast(x, 0).forecast) for x in xs]
     lam = 0.05
     loss = model.joint_loss(batch, alignment_weight=lam).item()
-    aligns = [sum(model.forward_forecast(x, 0).selection.scores) for x in xs]
+    aligns = [sum(forward_one(model, x, 0).selections[0].scores) for x in xs]
     assert loss == pytest.approx(-lam * np.mean(aligns), abs=1e-10)
 
 
@@ -351,7 +354,8 @@ def test_recombine_matches_oracle():
         channel = int(rng.integers(2))
         x = rng.normal(rng.normal(), rng.uniform(0.1, 4.0), size=32)
         result = model.forward_forecast(x, channel)
-        combined = result.normalized_components.sum(axis=0)
+        combined = forward_one(model, x, channel).components.data.reshape(
+            3, 8).sum(axis=0)
         expected = ((combined - model.params["revin.beta"].data[channel])
                     / model.params["revin.gamma"].data[channel]
                     * np.sqrt(x.var() + eps) + x.mean())

@@ -29,7 +29,7 @@ def results(seed=0):
     rng = np.random.default_rng(seed)
     arrays = {"default/step0/loss": np.array(0.25),
               "default/step0/grad/revin.gamma": rng.normal(size=2),
-              "default/step0/predict": rng.normal(size=(5, 3))}
+              "default/step0/forecast": rng.normal(size=(5, 3))}
     files = {"tiny/model.ckpt": "ab" * 32, "tiny/metrics.csv": "cd" * 32}
     return arrays, files
 
@@ -51,20 +51,20 @@ def test_equal_result_sets_compare_equal(same_outputs):
 def test_report_names_a_perturbed_array_and_a_changed_file(same_outputs):
     parent = results()
     arrays, files = copied(parent)
-    predict = arrays["default/step0/predict"]
-    i = np.unravel_index(np.argmax(np.abs(predict)), predict.shape)
-    predict[i] = np.nextafter(predict[i], np.inf)  # one ulp at the largest
+    forecast = arrays["default/step0/forecast"]
+    i = np.unravel_index(np.argmax(np.abs(forecast)), forecast.shape)
+    forecast[i] = np.nextafter(forecast[i], np.inf)  # one ulp at the largest
     files["tiny/metrics.csv"] = "ef" * 32
     report = same_outputs.compare(parent, (arrays, files))
     assert not report["equal"]
-    diff = report["arrays"]["default/step0/predict"]
+    diff = report["arrays"]["default/step0/forecast"]
     assert diff["max_ulps"] == 1.0
-    assert diff["max_abs"] == np.spacing(np.abs(parent[0]["default/step0/predict"][i]))
+    assert diff["max_abs"] == np.spacing(np.abs(parent[0]["default/step0/forecast"][i]))
     assert report["arrays"]["default/step0/loss"] == "equal"
     assert report["files"]["tiny/metrics.csv"] == {"parent": "cd" * 32,
                                                   "change": "ef" * 32}
     lines = same_outputs.report_lines(report)
-    assert any(line.startswith("default/step0/predict: 1 ulps") for line in lines)
+    assert any(line.startswith("default/step0/forecast: 1 ulps") for line in lines)
     assert any(line.startswith("tiny/metrics.csv: differs") for line in lines)
     assert lines[-1] == "outputs differ"
 
@@ -73,13 +73,13 @@ def test_missing_and_reshaped_arrays_are_named(same_outputs):
     parent = results()
     arrays, files = copied(parent)
     del arrays["default/step0/loss"]
-    arrays["default/step0/predict"] = arrays["default/step0/predict"][:4]
+    arrays["default/step0/forecast"] = arrays["default/step0/forecast"][:4]
     arrays["stl/step0/loss"] = np.array(1.0)
     report = same_outputs.compare(parent, (arrays, files))
     assert not report["equal"]
     assert report["arrays"]["default/step0/loss"] == "only in parent"
     assert report["arrays"]["stl/step0/loss"] == "only in change"
-    assert report["arrays"]["default/step0/predict"] == {"shape": [[5, 3], [4, 3]]}
+    assert report["arrays"]["default/step0/forecast"] == {"shape": [[5, 3], [4, 3]]}
 
 
 def test_collect_twice_compares_equal_until_a_stored_array_changes(
@@ -99,7 +99,7 @@ def test_collect_twice_compares_equal_until_a_stored_array_changes(
     report = same_outputs.compare(parent,
                                   same_outputs.read_side(tmp_path / "change"))
     assert report["equal"], same_outputs.report_lines(report)
-    assert {"tiny/step2/predict", "tiny/step0/loss"} <= set(report["arrays"])
+    assert {"tiny/step2/forecast", "tiny/step0/loss"} <= set(report["arrays"])
     assert set(report["files"]) == {
         "data/synthetic.csv", "data/synthetic-iso.csv", "tiny/model.ckpt",
         "tiny/train_report.csv", "tiny/metrics.csv",
@@ -116,12 +116,12 @@ def test_collect_twice_compares_equal_until_a_stored_array_changes(
     npz = (tmp_path / "change").with_suffix(".npz")
     with np.load(npz) as stored:
         arrays = {name: stored[name] for name in stored.files}
-    arrays["tiny/step2/predict"].flat[0] = np.nextafter(
-        arrays["tiny/step2/predict"].flat[0], np.inf)
+    arrays["tiny/step2/forecast"].flat[0] = np.nextafter(
+        arrays["tiny/step2/forecast"].flat[0], np.inf)
     np.savez(npz, **arrays)
     report = same_outputs.compare(parent,
                                   same_outputs.read_side(tmp_path / "change"))
     assert not report["equal"]
     assert [name for name, diff in report["arrays"].items()
-            if diff != "equal"] == ["tiny/step2/predict"]
+            if diff != "equal"] == ["tiny/step2/forecast"]
     assert all(f["parent"] == f["change"] for f in report["files"].values())

@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import tracemalloc
+import warnings
 from datetime import datetime
 
 import numpy as np
@@ -209,7 +210,8 @@ def _row_timestamp(text, row):
 
 
 def row_by_row_load_csv(path, *, forward_fill=False):
-    """``load_csv`` as it was before clean files were parsed in bulk."""
+    """``load_csv`` as it was before clean files were parsed in bulk, with
+    the frame's own errors numbered by file row too (the header is row 1)."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -248,7 +250,7 @@ def row_by_row_load_csv(path, *, forward_fill=False):
             if not math.isfinite(values[i, j]):
                 raise ParseError(f"row {row_no}: non-finite value in column "
                                  f"{channel_names[j]!r}")
-    return SeriesFrame(tuple(timestamps), values, channel_names)
+    return SeriesFrame(tuple(timestamps), values, channel_names, first_row=2)
 
 
 def load_outcome(load, path, forward_fill):
@@ -354,9 +356,9 @@ def test_forward_fill_matches_row_by_row(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("t,a\n1,1.0\n2020-01-01,2.0\n3,2.5\n",
-     "timestamps mix kinds at row 2: 1 then 2020-01-01 00:00:00"),
+     "timestamps mix kinds at row 3: 1 then 2020-01-01 00:00:00"),
     ("t,a\n2020-01-01,1.0\n2020-01-02T00:00:00+00:00,2.0\n",
-     "timestamps mix kinds at row 2: 2020-01-01 00:00:00 then "
+     "timestamps mix kinds at row 3: 2020-01-01 00:00:00 then "
      "2020-01-02 00:00:00+00:00"),
 ])
 def test_mixed_timestamp_kinds_are_a_parse_error_naming_the_row(
@@ -368,8 +370,20 @@ def test_mixed_timestamp_kinds_are_a_parse_error_naming_the_row(
 def test_a_disorder_before_mixed_kinds_is_reported_first(tmp_path):
     path = write(tmp_path, "t,a\n3,1.0\n2,2.0\n2020-01-01,2.5\n")
     with pytest.raises(SeriesError,
-                       match="^timestamps not strictly increasing at row 2$"):
+                       match="^timestamps not strictly increasing at row 3$"):
         load_csv(path)
+
+
+def test_frame_errors_of_a_csv_name_file_rows(tmp_path):
+    # the header is row 1, as in every error load_csv raises itself; a frame
+    # built in memory numbers its first timestamp row 1
+    path = write(tmp_path, "t,a\n1,1.0\n3,2.0\n2,3.0\n")
+    with pytest.raises(SeriesError,
+                       match="^timestamps not strictly increasing at row 4$"):
+        load_csv(path)
+    with pytest.raises(SeriesError,
+                       match="^timestamps not strictly increasing at row 3$"):
+        SeriesFrame((1, 3, 2), np.ones((3, 1)), ("a",))
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +618,34 @@ def test_standardizer_round_trip():
     for c in range(2):
         back = scaler.inverse(scaled.values[:, c], c)
         assert np.allclose(back, frame.values[:, c], atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e307])
+def test_standardizer_refuses_a_channel_whose_moments_overflow(scale):
+    # the squared deviations of std overflow first, then the sum of mean
+    rng = np.random.default_rng(4)
+    values = rng.normal(5.0, 3.0, size=(50, 3))
+    values[:, 1] *= scale
+    frame = SeriesFrame(tuple(range(50)), values, ("a", "b", "c"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesError, match="^channel 'b' is too large to "
+                           "standardize: its mean or std is not finite$"):
+            Standardizer.fit(frame)
+
+
+def test_standardizer_keeps_large_finite_moments():
+    rng = np.random.default_rng(5)
+    values = rng.normal(5.0, 3.0, size=(50, 2)) * np.array([1.0, 1e150])
+    scaler = Standardizer.fit(SeriesFrame(tuple(range(50)), values,
+                                          ("a", "b")))
+    assert np.array_equal(scaler.mean, values.mean(axis=0))
+    assert np.array_equal(scaler.std, values.std(axis=0))
+
+
+def test_standardizer_refuses_an_empty_training_split():
+    with pytest.raises(SeriesError, match="empty training split"):
+        Standardizer.fit(frame_of_length(10).slice_rows(0, 0))
 
 
 def test_frame_rejects_nan():

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,54 @@ def test_best_parameters_restored(monkeypatch):
     best = epochs[report.best_epoch - 1]
     for name, tensor in model.named_parameters():
         assert np.array_equal(tensor.data, best[name]), name
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_validation_forecast_is_a_stale_epoch(bad):
+    model = tiny_model()
+    data = sine_windows(40, seed=6)
+    val = sine_windows(12, seed=7)
+    config = TrainConfig(learning_rate=5e-3, epochs=4, batch_size=16,
+                         early_stop_patience=4, seed=0)
+    # each epoch's trainable arrays, as validation sees them; the second
+    # epoch's forecast of one window is not finite
+    epochs, forecast = [], model.forward_forecast
+
+    def poisoned(x, channel=0):
+        epochs.append([t.data for _, t in model.named_parameters()])
+        result = forecast(x, channel)
+        if len(epochs) == 2:
+            result.forecast[5, 3] = bad
+        return result
+
+    model.forward_forecast = poisoned
+    report = train(model, data, val, config)
+    assert len(report.val_mses) == 4
+    assert np.array_equal(report.val_mses[1], bad, equal_nan=True)
+    finite = [v if np.isfinite(v) else np.inf for v in report.val_mses]
+    assert report.best_epoch == int(np.argmin(finite)) + 1
+    assert report.best_epoch != 2
+    best = epochs[report.best_epoch - 1]
+    for (name, tensor), kept in zip(model.named_parameters(), best):
+        assert tensor.data is kept, name
+
+
+def test_overflowing_validation_windows_never_improve():
+    # windows near 1e200 overflow their own variance: every validation MSE
+    # is not finite, so training stops after the patience and restores the
+    # initial parameters, with no NumPy warning on the way
+    model = tiny_model()
+    before = [t.data for _, t in model.named_parameters()]
+    val = [(c, x * 1e200, y * 1e200) for c, x, y in sine_windows(3, seed=7)]
+    config = TrainConfig(learning_rate=5e-3, epochs=5, batch_size=16,
+                         early_stop_patience=1, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = train(model, sine_windows(20, seed=6), val, config)
+    assert len(report.val_mses) == 2 and not np.isfinite(report.val_mses).any()
+    assert report.best_epoch == 0
+    for (name, tensor), kept in zip(model.named_parameters(), before):
+        assert tensor.data is kept, name
 
 
 def test_nonfinite_loss_aborts_and_restores():
