@@ -7,6 +7,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, parse_config
 from .harness import COMMANDS, HarnessError, run
 
@@ -43,7 +45,11 @@ def main(argv=None) -> int:
         return 2
     seed = args.seed if args.seed is not None else config["train.seed"]
     try:
-        artifacts = run(args.command, config, seed, args.out, args.checkpoint)
+        # a non-finite loss, forecast or metric is refused with one error
+        # line, so NumPy's warnings on the way there add only noise
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            artifacts = run(args.command, config, seed, args.out,
+                            args.checkpoint)
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

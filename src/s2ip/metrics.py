@@ -245,10 +245,8 @@ def evaluate_model(model, test_windows, mode: str = "long",
     channels, insamples, targets = zip(*test_windows)
     forecasts = model.forward_forecast(np.stack(insamples), channels).forecast
     pairs = list(zip(targets, forecasts))
-    # what does not stay finite is reported once, by _require_finite
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows = _window_metrics(pairs, insamples, mode, seasonality)
-        report = _aggregate(rows, len(targets[0]), mode, seasonality)
+    rows = _window_metrics(pairs, insamples, mode, seasonality)
+    report = _aggregate(rows, len(targets[0]), mode, seasonality)
     _require_finite(forecasts, rows, report, channels)
     if dump_path is not None:
         fields = ["window_id", "channel", "mse", "mae"]

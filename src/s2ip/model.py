@@ -443,8 +443,7 @@ class ForecastModel:
         row gives ``(N, horizon)``. Runs :meth:`forward` over consecutive
         chunks of :data:`FORECAST_CHUNK` windows from the first; with no
         active tape it records nothing, the chunks share one derivation of
-        the anchors, and each chunk's activations are freed before the next.
-        Overflow stays silent: callers check that forecasts are finite."""
+        the anchors, and each chunk's activations are freed before the next."""
         single = np.ndim(x) == 1
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         channels = np.atleast_1d(np.asarray(channel, dtype=np.int64))
@@ -452,11 +451,10 @@ class ForecastModel:
             raise ModelError(f"need one channel per window, got shape "
                              f"{channels.shape} for {len(x)} windows")
         out = np.empty((len(x), self.config.window.horizon))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for start in range(0, len(x), FORECAST_CHUNK):
-                stop = start + FORECAST_CHUNK
-                out[start:stop] = self.forward(
-                    x[start:stop], channels[start:stop]).forecast.data
+        for start in range(0, len(x), FORECAST_CHUNK):
+            stop = start + FORECAST_CHUNK
+            out[start:stop] = self.forward(x[start:stop],
+                                           channels[start:stop]).forecast.data
         return ForecastResult(out[0] if single else out)
 
     def joint_loss(self, batch, alignment_weight: float | None = None) -> Tensor:

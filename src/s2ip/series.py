@@ -11,7 +11,7 @@ import csv
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain
 from typing import NamedTuple
@@ -30,15 +30,14 @@ class ParseError(SeriesError):
 @dataclass(frozen=True)
 class SeriesFrame:
     """A multivariate series: strictly increasing timestamps and a (T, N)
-    float64 value matrix. Immutable after construction. Errors number the
-    first timestamp's row ``first_row`` (2 in a CSV, after its header)."""
+    float64 value matrix. Immutable after construction. Errors number file
+    rows, with the header as row 1, as :func:`load_csv`'s own errors do."""
 
     timestamps: tuple
     values: np.ndarray
     channel_names: tuple[str, ...]
-    first_row: InitVar[int] = 1
 
-    def __post_init__(self, first_row):
+    def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise SeriesError(f"values must be 2-D (T, N), got shape {values.shape}")
@@ -59,10 +58,10 @@ class SeriesFrame:
             try:
                 later = ts[i] > ts[i - 1]
             except TypeError:
-                raise ParseError(f"timestamps mix kinds at row {i + first_row}: "
+                raise ParseError(f"timestamps mix kinds at row {i + 2}: "
                                  f"{ts[i - 1]} then {ts[i]}") from None
             if not later:
-                raise SeriesError(f"timestamps not strictly increasing at row {i + first_row}")
+                raise SeriesError(f"timestamps not strictly increasing at row {i + 2}")
         if not np.all(np.isfinite(values)):
             raise SeriesError("values contain NaN or infinity")
         values.setflags(write=False)
@@ -184,7 +183,7 @@ def load_csv(path, *, forward_fill: bool = False) -> SeriesFrame:
     except ValueError:  # ISO-8601, or a bad cell: row by row, int first
         timestamps = tuple(_parse_timestamp(row[0], row_no)
                            for row_no, row in enumerate(body, start=2))
-    return SeriesFrame(timestamps, values, channel_names, first_row=2)
+    return SeriesFrame(timestamps, values, channel_names)
 
 
 def _load_rows(body, channel_names, forward_fill) -> SeriesFrame:
@@ -211,7 +210,7 @@ def _load_rows(body, channel_names, forward_fill) -> SeriesFrame:
             if not math.isfinite(values[i, j]):
                 raise ParseError(f"row {row_no}: non-finite value in column "
                                  f"{channel_names[j]!r}")
-    return SeriesFrame(tuple(timestamps), values, channel_names, first_row=2)
+    return SeriesFrame(tuple(timestamps), values, channel_names)
 
 
 def chronological_split(frame: SeriesFrame, spec: SplitSpec
@@ -327,8 +326,7 @@ class Standardizer:
         if not train.length:
             raise SeriesError("cannot standardize on an empty training split")
         # std squares the deviations, which overflow from about 1.3e154
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean, std = train.values.mean(axis=0), train.values.std(axis=0)
+        mean, std = train.values.mean(axis=0), train.values.std(axis=0)
         finite = np.isfinite(mean) & np.isfinite(std)
         if not finite.all():
             raise SeriesError(f"channel {train.channel_names[finite.argmin()]!r}"

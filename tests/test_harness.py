@@ -393,6 +393,24 @@ def test_non_finite_forecasts_exit_1_before_any_output(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(message), command
         assert not any((out / name).exists() for name in outputs), command
+    # a finite forecast near 3e300 that overflows only when scaled back by
+    # channel a's std of about 7e11
+    for name, value in (("output_projection.weight", 0.0),
+                        ("output_projection.bias", 1e300)):
+        model.params[name].data[...] = value
+    save_checkpoint(model, out / "model.ckpt")
+    data = tmp_path / "large.csv"
+    data.write_text("t,a,b\n" + "".join(
+        f"{i},{1e12 * (2 + math.sin(i / 4))!r},{math.sin(i / 4)!r}\n"
+        for i in range(200)), encoding="utf-8")
+    (tmp_path / "large").mkdir()
+    large = tiny_config_file(tmp_path / "large", {"data.path": str(data)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["forecast", "--config", large, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: forecast for channel 'a' is not finite\n")
+    assert not (out / "forecast.csv").exists()
 
 
 def test_a_channel_too_large_to_standardize_exits_1_with_one_line(tmp_path,
@@ -419,6 +437,25 @@ def test_a_channel_too_large_to_standardize_exits_1_with_one_line(tmp_path,
             "error: channel 'a' is too large to standardize: its mean or "
             "std is not finite\n"), command
         assert list(out.iterdir()) == [], command
+
+
+def test_an_overflowing_training_forward_exits_1_with_one_line(tmp_path,
+                                                                capsys):
+    # unstandardized, a channel near 1e200 overflows the windows' variance
+    # on the tape: the loss is refused, with no NumPy warning before it
+    data = tmp_path / "huge.csv"
+    data.write_text("t,a,b\n" + "".join(
+        f"{i},{1e200 * (2 + math.sin(i / 4))!r},{math.sin(i / 4)!r}\n"
+        for i in range(400)), encoding="utf-8")
+    cfg = tiny_config_file(tmp_path, {"data.path": str(data),
+                                      "data.standardize": "false"})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy warning raises
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: non-finite loss (inf) at epoch 1; best parameters restored\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("gamma", [1e-300, 1e300])
