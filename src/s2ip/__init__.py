@@ -9,7 +9,7 @@ from .preprocess import (DecompositionResult, PatchSpec, RevInState, decompose,
                          patch, patch_count, revin_denormalize, revin_normalize)
 from .prompt import (AnchorBank, EmbeddingMatrix, PromptSelection,
                      alignment_term, clustered_vocabulary, derive_anchors,
-                     prefix_concat, retrieve_topk, score_all)
+                     retrieve_topk, score_all)
 from .series import (SeriesFrame, SplitSpec, Standardizer, Window,
                      WindowSequence, WindowSpec, chronological_split,
                      few_shot_truncate, load_csv, windows)

@@ -121,8 +121,6 @@ class Tensor:
         if not (type(data) is np.ndarray and data.dtype is _FLOAT64
                 and data.flags.c_contiguous):
             data = np.asarray(data, dtype=np.float64, order="C")
-            if not data.flags.c_contiguous:
-                data = np.ascontiguousarray(data)
         self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None

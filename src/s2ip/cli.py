@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -45,17 +46,21 @@ def main(argv=None) -> int:
         return 2
     seed = args.seed if args.seed is not None else config["train.seed"]
     try:
-        # a non-finite loss, forecast or metric is refused with one error
-        # line, so NumPy's warnings on the way there add only noise
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # a refusal prints one line: NumPy's warnings are noise, and the
+        # run's own (a split too short for one window) join the error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                warnings.catch_warnings(record=True) as caught:
             artifacts = run(args.command, config, seed, args.out,
                             args.checkpoint)
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except (HarnessError, ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        notes = "".join(f"; {w.message}" for w in caught)
+        print(f"error: {exc}{notes}", file=sys.stderr)
         return 1
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     for path in artifacts:
         print(path)
     return 0

@@ -74,13 +74,10 @@ def write_frame_csv(frame: SeriesFrame, path) -> None:
 
 @dataclass
 class Pipeline:
-    """Everything the commands need: split frames, each split's windows,
+    """Everything the commands need: the loaded frame, each split's windows,
     and the (optional) global standardizer fitted on the training split."""
 
     frame: SeriesFrame
-    train_frame: SeriesFrame
-    val_frame: SeriesFrame
-    test_frame: SeriesFrame
     train_windows: WindowSequence
     val_windows: WindowSequence
     test_windows: WindowSequence
@@ -134,8 +131,8 @@ def build_pipeline(config: RunConfig, seed: int) -> Pipeline:
                           f"than lookback+horizon = "
                           f"{spec.lookback + spec.horizon}; it yields no "
                           "windows", stacklevel=2)
-    return Pipeline(frame, train_f, val_f, test_f, split_windows["train"],
-                    split_windows["val"], split_windows["test"], standardizer)
+    return Pipeline(frame, split_windows["train"], split_windows["val"],
+                    split_windows["test"], standardizer)
 
 
 def load_embedding(config: RunConfig, seed: int) -> EmbeddingMatrix:

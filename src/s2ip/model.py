@@ -27,10 +27,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import Backbone, BackboneConfig, TrainabilityPolicy
 from .backbone import parameter_shapes as backbone_shapes
-from .preprocess import (DEFAULT_EPSILON, PatchSpec, RevInState, decompose,
-                         patch, patch_count)
+from .preprocess import DEFAULT_EPSILON, PatchSpec, decompose, patch, patch_count
 from .prompt import (AnchorBank, EmbeddingMatrix, PromptSelection,
-                     alignment_term, prefix_concat, retrieve_topk)
+                     alignment_term, retrieve_topk)
 from .series import WindowSpec
 
 
@@ -260,6 +259,9 @@ class ForecastModel:
         if embedding.dim != config.backbone.embed_dim:
             raise ModelError(f"embedding width {embedding.dim} != backbone width "
                              f"{config.backbone.embed_dim}")
+        if config.n_anchors > embedding.vocab_size // 2:  # before a map is drawn
+            raise ModelError(f"n_anchors must be << vocab size (at most "
+                             f"{embedding.vocab_size // 2}), got {config.n_anchors}")
         self.config = config
         self.embedding = embedding
         self.policy = policy if policy is not None else TrainabilityPolicy()
@@ -276,19 +278,22 @@ class ForecastModel:
             self.backbone = Backbone(config.backbone,
                                      seed=int(rng.integers(2 ** 31)),
                                      drop_prefix=head_skips)
-            self.bank = AnchorBank(embedding, config.n_anchors, rng=rng)
-            values = {name: rng.normal(0.0, 0.02, size=shape) if len(shape) == 2
-                      else np.ones(shape) if name == "revin.gamma"
-                      else np.zeros(shape) for name, shape in own}
+            # the anchor map is drawn first, then the model's own weights
+            values = {"anchor_map.weight": rng.normal(0.0, 0.02, size=(
+                          config.n_anchors, embedding.vocab_size)),
+                      **{name: rng.normal(0.0, 0.02, size=shape)
+                         if len(shape) == 2 else np.ones(shape)
+                         if name == "revin.gamma" else np.zeros(shape)
+                         for name, shape in own}}
         else:
             check_arrays(config, embedding.vocab_size, arrays)
             self.backbone = Backbone(config.backbone, arrays={
                 name: arrays[f"backbone.{name}"]
                 for name in backbone_shapes(config.backbone)},
                 drop_prefix=head_skips)
-            self.bank = AnchorBank(embedding, config.n_anchors,
-                                   map_weights=arrays["anchor_map.weight"])
             values = arrays
+        self.bank = AnchorBank(embedding, config.n_anchors,
+                               values["anchor_map.weight"])
         self._backbone_trainable = self.backbone.apply_policy(self.policy)
         self.params: dict[str, Tensor] = {
             name: Tensor(values[name], requires_grad=True) for name, _ in own}
@@ -327,10 +332,11 @@ class ForecastModel:
     # -- tokenization --------------------------------------------------------
 
     def tokenize_and_embed(self, x: np.ndarray, channels
-                           ) -> tuple[Tensor, RevInState]:
+                           ) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """Normalize, decompose, patch, and project a ``(B, lookback)``
         batch of windows, one channel per row; returns the ``(B, N_P, D)``
-        embedding and the ``(B,)`` normalization statistics.
+        embedding and each window's mean and scale, ``sqrt(var + eps)``,
+        both ``(B,)``.
 
         The data-dependent part of the normalization (z-scoring by instance
         statistics) commutes with the linear decomposition and patching, so
@@ -353,13 +359,9 @@ class ForecastModel:
         # the centered windows are formed once
         mean = np.add.reduce(x, axis=1) / x.shape[1]
         centered = x - mean[:, None]
-        state = RevInState(mean=mean,
-                           variance=np.add.reduce(centered * centered, axis=1)
-                           / x.shape[1],
-                           gamma=self.params["revin.gamma"].data[channels],
-                           beta=self.params["revin.beta"].data[channels],
-                           epsilon=DEFAULT_EPSILON)
-        z = centered / state.scale[:, None]
+        scale = np.sqrt(np.add.reduce(centered * centered, axis=1) / x.shape[1]
+                        + DEFAULT_EPSILON)
+        z = centered / scale[:, None]
 
         if cfg.decomposition.enabled:
             dec = decompose(z, cfg.decomposition.period,
@@ -381,7 +383,7 @@ class ForecastModel:
                       ad.mul(self._shift_mask, beta_t))
         ts_embed = ad.linear(meta, self.params["input_projection.weight"],
                              self.params["input_projection.bias"])
-        return ts_embed, state
+        return ts_embed, mean, scale
 
     # -- forward -------------------------------------------------------------
 
@@ -419,20 +421,20 @@ class ForecastModel:
                                    pooling=self.config.pooling,
                                    anchors=anchors.data)
         indices = np.array([s.indices for s in selections])
-        return (prefix_concat(ad.gather_rows(anchors, indices), ts_embed),
+        return (ad.concat([ad.gather_rows(anchors, indices), ts_embed], axis=-2),
                 selections, anchors)
 
     def forward(self, x: np.ndarray, channels) -> ForwardPass:
         """Forecast a ``(B, lookback)`` batch of windows, one channel per
         row: tokenize, :meth:`prompt`, run the backbone, project, recombine
         the components, and invert each window's normalization."""
-        ts_embed, state = self.tokenize_and_embed(x, channels)
+        ts_embed, mean, scale = self.tokenize_and_embed(x, channels)
         z_in, selections, anchors = self.prompt(ts_embed)
         components = self._head(self.backbone.forward(z_in))
         y_norm = self._recombine(components)
         gamma_t, beta_t = self._revin_affine(channels, (ts_embed.shape[0], 1))
         yhat = ad.div(ad.sub(y_norm, beta_t), gamma_t)
-        yhat = ad.add(ad.mul(yhat, state.scale[:, None]), state.mean[:, None])
+        yhat = ad.add(ad.mul(yhat, scale[:, None]), mean[:, None])
         return ForwardPass(forecast=yhat, normalized_forecast=y_norm,
                            components=components, ts_embed=ts_embed,
                            selections=selections, anchors=anchors)
@@ -457,16 +459,12 @@ class ForecastModel:
                                            channels[start:stop]).forecast.data
         return ForecastResult(out[0] if single else out)
 
-    def joint_loss(self, batch, alignment_weight: float | None = None) -> Tensor:
-        """Mean-squared forecast error minus the (weighted) batch-mean
-        alignment bonus over a batch of (channel, input, target) windows;
-        the training objective."""
+    def joint_loss(self, batch) -> Tensor:
+        """Mean-squared forecast error minus ``config.alignment_weight``
+        times the batch-mean alignment bonus over a batch of (channel, input,
+        target) windows; the training objective."""
         if not batch:
             raise ModelError("joint_loss needs a nonempty batch")
-        lam = (self.config.alignment_weight if alignment_weight is None
-               else float(alignment_weight))
-        if lam < 0:
-            raise ModelError("alignment weight must be >= 0")
         channels, inputs, targets = zip(*batch)
         out = self.forward(np.stack(inputs), channels)
         err = ad.sub(out.forecast, Tensor(np.stack(targets)))
@@ -475,5 +473,5 @@ class ForecastModel:
             bonus = ad.tmean(alignment_term(out.ts_embed, out.selections,
                                             self.bank, pooling=self.config.pooling,
                                             anchors=out.anchors))
-            loss = ad.sub(loss, ad.mul(bonus, lam))
+            loss = ad.sub(loss, ad.mul(bonus, self.config.alignment_weight))
         return loss

@@ -66,8 +66,7 @@ class AnchorBank:
     """
 
     def __init__(self, embedding: EmbeddingMatrix, n_anchors: int,
-                 rng: np.random.Generator | None = None,
-                 map_weights: np.ndarray | None = None):
+                 map_weights: np.ndarray):
         if n_anchors < 1:
             raise PromptError("need at least one anchor")
         if n_anchors > embedding.vocab_size // 2:
@@ -75,10 +74,6 @@ class AnchorBank:
                               f"{embedding.vocab_size // 2}), got {n_anchors}")
         self.embedding = embedding
         self.n_anchors = n_anchors
-        if map_weights is None:
-            rng = rng or np.random.default_rng(0)
-            map_weights = rng.normal(0.0, 0.02,
-                                     size=(n_anchors, embedding.vocab_size))
         map_weights = np.asarray(map_weights, dtype=np.float64)
         if map_weights.shape != (n_anchors, embedding.vocab_size):
             raise PromptError(f"map_weights must be ({n_anchors}, "
@@ -229,48 +224,32 @@ def retrieve_topk(ts_embed: np.ndarray, bank: AnchorBank, k: int,
             for i, s in zip(order.tolist(), top.tolist())]
 
 
-def prefix_concat(selected_anchors: Tensor, ts_embed: Tensor) -> Tensor:
-    """Prepend the selected anchor rows (score order) to the patch rows,
-    along the sequence axis of one window or of a batch."""
-    if selected_anchors.shape[-2] == 0:
-        return ts_embed
-    if selected_anchors.shape[-1] != ts_embed.shape[-1]:
-        raise ad.ShapeError(f"anchor width {selected_anchors.shape[-1]} != "
-                            f"embedding width {ts_embed.shape[-1]}")
-    return ad.concat([selected_anchors, ts_embed], axis=-2)
-
-
-def alignment_term(ts_embed: Tensor, selection, bank: AnchorBank,
+def alignment_term(ts_embed: Tensor, selections, bank: AnchorBank,
                    pooling: str = "mean", anchors: Tensor | None = None
                    ) -> Tensor:
-    """Sum of the selected anchors' scores, as a differentiable value.
+    """Each window's sum of its selected anchors' scores, as a
+    differentiable ``(B,)`` value for a ``(B, N_P, D)`` batch with one
+    ``PromptSelection`` per window.
 
-    ``ts_embed`` is one ``(N_P, D)`` window with one ``PromptSelection``
-    (the result is a scalar), or a ``(B, N_P, D)`` batch with one selection
-    per window (the result has shape ``(B,)``). The scores are those
-    ``score_all`` ranks by, recorded on the tape: gradients flow into the
-    window embeddings and the anchor map, never into the discrete index
-    choice. Each value is bounded in [-K, K]; a degenerate row or anchor
-    contributes a cosine of 0, with a finite gradient. A pre-derived
-    ``anchors`` tensor may be passed to share one derivation across a step.
+    The scores are those ``score_all`` ranks by, recorded on the tape:
+    gradients flow into the window embeddings and the anchor map, never
+    into the discrete index choice. Each value is bounded in [-K, K]; a
+    degenerate row or anchor contributes a cosine of 0, with a finite
+    gradient. A pre-derived ``anchors`` tensor may be passed to share one
+    derivation across a step.
     """
-    single = ts_embed.ndim == 2
-    selections = [selection] if single else list(selection)
     indices = np.array([s.indices for s in selections], dtype=np.int64)
     if indices.size == 0:
-        return Tensor(0.0 if single else np.zeros(len(selections)))
+        return Tensor(np.zeros(len(selections)))
     # checked here too: a negative index would wrap to the last anchors
     if indices.min() < 0 or indices.max() >= bank.n_anchors:
         raise PromptError("selection indices outside the anchor bank")
     if anchors is None:
         anchors = bank.anchors_tensor()
-    if single:
-        ts_embed = ad.reshape(ts_embed, (1,) + ts_embed.shape)
     scores = _cosines(ts_embed, anchors, pooling)[0]                  # (B, A)
     chosen = np.zeros(scores.shape)
     np.put_along_axis(chosen, indices, 1.0, axis=1)
-    terms = ad.tsum(ad.mul(scores, chosen), axis=1)
-    return ad.reshape(terms, ()) if single else terms
+    return ad.tsum(ad.mul(scores, chosen), axis=1)
 
 
 def clustered_vocabulary(vocab_size: int, dim: int, n_clusters: int = 8,

@@ -255,11 +255,28 @@ def read_record(fh: BinaryIO) -> tuple[str, np.ndarray]:
 # checkpointing
 # ---------------------------------------------------------------------------
 
+def _check_values(arrays: dict[str, np.ndarray], refusal: str) -> None:
+    """TrainingError led by ``refusal`` if an array holds nan or inf, or an
+    entry of ``revin.gamma`` lies outside 2^-511 <= |gamma| <= 2^511: within
+    them, forecasts divide by gamma and square the result to finite values."""
+    # x @ x is finite only if every x is; huge finite values are checked by value
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, arr in arrays.items():
+            flat = arr.reshape(-1)
+            if not math.isfinite(flat @ flat) and not np.isfinite(flat).all():
+                raise TrainingError(f"{refusal}: tensor {name!r} holds nan or inf")
+    magnitude = np.abs(arrays.get("revin.gamma", 1.0))
+    if not ((magnitude >= 2.0 ** -511) & (magnitude <= 2.0 ** 511)).all():
+        raise TrainingError(f"{refusal}: revin.gamma holds an entry outside "
+                            "2^-511 <= |gamma| <= 2^511")
+
+
 def save_checkpoint(model: ForecastModel, path) -> None:
-    """Versioned checkpoint: magic, JSON config header, then one record
-    per named array, sorted by name."""
+    """Versioned checkpoint: magic, JSON config header, then one record per
+    named array, sorted by name. Refuses what :func:`load_checkpoint` does."""
     header = json.dumps(model.config.to_dict(), sort_keys=True)
     arrays = model.all_arrays()
+    _check_values(arrays, f"{path}: not saved")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         encoded = header.encode("utf-8")
@@ -299,14 +316,7 @@ def load_checkpoint(path) -> ForecastModel:
     except IOError as exc:
         raise TrainingError(f"{path}: corrupt checkpoint: {exc}") from exc
 
-    # x @ x is finite only if every x is: one pass without a temporary; a
-    # record of huge finite values that overflows it is checked by value
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, arr in arrays.items():
-            flat = arr.reshape(-1)
-            if not math.isfinite(flat @ flat) and not np.isfinite(flat).all():
-                raise TrainingError(f"{path}: corrupt checkpoint: tensor "
-                                    f"{name!r} holds nan or inf")
+    _check_values(arrays, f"{path}: corrupt checkpoint")
     if "embedding.values" not in arrays:
         raise TrainingError(f"{path}: checkpoint lacks the embedding matrix")
     embedding = EmbeddingMatrix(arrays["embedding.values"])
@@ -316,11 +326,4 @@ def load_checkpoint(path) -> ForecastModel:
     except ModelError as exc:
         raise TrainingError(f"{path}: the header claims sizes the records do "
                             f"not hold: {exc}") from exc
-    # forecasts divide by each channel's gamma, the forward's layer norms
-    # square what it scales and a squared error squares its inverse: within
-    # 2^-511 <= |gamma| <= 2^511 both squares are finite
-    magnitude = np.abs(arrays["revin.gamma"])
-    if not ((magnitude >= 2.0 ** -511) & (magnitude <= 2.0 ** 511)).all():
-        raise TrainingError(f"{path}: corrupt checkpoint: revin.gamma holds "
-                            "an entry outside 2^-511 <= |gamma| <= 2^511")
     return ForecastModel(config, embedding, arrays=arrays)

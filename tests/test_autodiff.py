@@ -32,7 +32,13 @@ def central_diff(f, arrays, eps=1e-6):
 
 
 def rel_err(a, b):
-    return np.max(np.abs(a - b) / np.maximum(1e-12, np.abs(a) + np.abs(b)))
+    """Largest entry-wise error of ``a`` against ``b``, relative to the
+    entry's magnitude but never to less than 1e-3 of the largest entry: a
+    central difference errs by about 1e-10 absolutely, which an entry near
+    zero would read as a relative error of up to 1."""
+    scale = np.abs(a) + np.abs(b)
+    return np.max(np.abs(a - b) / np.maximum(max(1e-12, 1e-3 * scale.max()),
+                                             scale))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +297,22 @@ UNARY_OPS = [
 ]
 
 
+def functional_gradients(op, arrays, rng):
+    """The tape gradients of a random linear functional of ``op(*arrays)``
+    and their central differences, one pair per input."""
+    inputs = [Tensor(x, requires_grad=True) for x in arrays]
+    weight = rng.normal(size=op(*[Tensor(x) for x in arrays]).shape)
+    with Tape():
+        loss = ad.tsum(ad.mul(op(*inputs), Tensor(weight)))
+    backward(loss)
+
+    def f():
+        return float(np.sum(op(*[Tensor(t.data) for t in inputs]).data * weight))
+
+    return ([t.grad for t in inputs],
+            central_diff(f, [t.data for t in inputs]))
+
+
 def op_seed(name):
     """The same seed in every process: ``hash`` of a str is salted per
     process, and about one suite run in 200 drew an entry whose gradient is
@@ -302,37 +324,38 @@ def op_seed(name):
 @pytest.mark.parametrize("name,make,op", OPS, ids=[o[0] for o in OPS])
 def test_binary_op_gradients(name, make, op):
     rng = np.random.default_rng(op_seed(name))
-    a_data, b_data = make(rng)
-    a = Tensor(a_data, requires_grad=True)
-    b = Tensor(b_data, requires_grad=True)
-    weight = rng.normal(size=op(a, b).shape)  # random linear functional
-    with Tape():
-        loss = ad.tsum(ad.mul(op(a, b), Tensor(weight)))
-    backward(loss)
-
-    def f():
-        av, bv = Tensor(a.data), Tensor(b.data)
-        return float(np.sum(op(av, bv).data * weight))
-
-    expected = central_diff(f, [a.data, b.data])
-    assert rel_err(a.grad, expected[0]) <= 1e-5
-    assert rel_err(b.grad, expected[1]) <= 1e-5
+    grads, expected = functional_gradients(op, make(rng), rng)
+    for grad, oracle in zip(grads, expected):
+        assert rel_err(grad, oracle) <= 1e-5
 
 
 @pytest.mark.parametrize("name,op,make", UNARY_OPS, ids=[o[0] for o in UNARY_OPS])
 def test_unary_op_gradients(name, op, make):
     rng = np.random.default_rng(op_seed(name))
-    x = Tensor(make(rng), requires_grad=True)
-    weight = rng.normal(size=op(Tensor(x.data)).shape)
-    with Tape():
-        loss = ad.tsum(ad.mul(op(x), Tensor(weight)))
-    backward(loss)
+    grads, expected = functional_gradients(op, [make(rng)], rng)
+    assert rel_err(grads[0], expected[0]) <= 1e-5
 
-    def f():
-        return float(np.sum(op(Tensor(x.data)).data * weight))
 
-    expected = central_diff(f, [x.data])
-    assert rel_err(x.grad, expected[0]) <= 1e-5
+def test_oracle_passes_a_correct_gradient_with_an_entry_near_zero():
+    # this draw gives b an entry of -1.4e-10 whose central difference is
+    # 0.0, which an element-wise relative error reads as 1
+    _, make, op = next(case for case in OPS if case[0] == "mul_batch_scalars")
+    rng = np.random.default_rng(1056)
+    grads, expected = functional_gradients(op, make(rng), rng)
+    assert np.min(np.abs(grads[1])) < 1e-9
+    for grad, oracle in zip(grads, expected):
+        assert rel_err(grad, oracle) <= 1e-5
+
+
+@pytest.mark.parametrize("name, op, arrays", [
+    (name, op, make) for name, make, op in OPS] + [
+    (name, op, lambda rng, make=make: [make(rng)]) for name, op, make in UNARY_OPS],
+    ids=[o[0] for o in OPS] + [o[0] for o in UNARY_OPS])
+def test_oracle_fails_a_derivative_off_by_0_3_percent(name, op, arrays):
+    rng = np.random.default_rng(op_seed(name))
+    grads, expected = functional_gradients(op, arrays(rng), rng)
+    for grad, oracle in zip(grads, expected):
+        assert rel_err(grad * 1.003, oracle) > 1e-5
 
 
 def test_layer_norm_gradients():

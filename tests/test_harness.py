@@ -1,12 +1,18 @@
 import csv
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import s2ip
+from s2ip import harness
 from s2ip.backbone import TrainabilityPolicy
 from s2ip.cli import main
 from s2ip.config import (FIELDS, SCHEMA, ConfigError, RunConfig, parse_config,
@@ -15,8 +21,9 @@ from s2ip.harness import build_pipeline, synthetic_frame
 from s2ip.model import ModelConfig, ModelError, flatten_dataclass
 from s2ip.prompt import retrieve_topk
 from s2ip.series import SeriesError, SplitSpec
-from s2ip.training import (TrainConfig, TrainingError, load_checkpoint,
-                           read_record, save_checkpoint, write_record)
+from s2ip.training import (CHECKPOINT_MAGIC, TrainConfig, TrainingError,
+                           load_checkpoint, read_record, save_checkpoint,
+                           write_record)
 
 TINY = """
 synthetic.length = 200
@@ -107,6 +114,7 @@ NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("build, error", [
+    (lambda: RunConfig({"no.such.key": 1}), ConfigError),
     (lambda: RunConfig({"window.lookback": "96"}), ConfigError),
     (lambda: RunConfig().override({"window.lookback": "96"}), ConfigError),
     (lambda: RunConfig({"prompt.k": True}), ConfigError),
@@ -123,7 +131,7 @@ NAN, INF = float("nan"), float("inf")
     (lambda: TrainConfig(clip_norm=NAN), TrainingError),
     (lambda: ModelConfig(alignment_weight=NAN), ModelError),
     (lambda: SplitSpec(NAN, 0.5, 0.5), SeriesError),
-], ids=["str_for_int", "str_for_int_override", "bool_for_int",
+], ids=["unknown_key", "str_for_int", "str_for_int_override", "bool_for_int",
         "float_for_int_override", "int_for_bool", "int_for_ints",
         "float_in_ints_override", "nan_learning_rate",
         "inf_alignment_weight_override", "nan_synthetic", "nan_few_shot_override",
@@ -350,6 +358,16 @@ def test_nonpositive_synthetic_period_exits_2_before_any_output(
     assert not out.exists()
 
 
+def save_unchecked(model, path):
+    """The file ``save_checkpoint`` writes, for values that it refuses."""
+    header = json.dumps(model.config.to_dict(), sort_keys=True).encode()
+    arrays = model.all_arrays()
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header)
+        for name in sorted(arrays):
+            write_record(fh, name, arrays[name])
+
+
 def test_evaluate_refuses_a_checkpoint_with_zero_gamma(tmp_path, capsys):
     cfg = tiny_config_file(tmp_path)
     out = tmp_path / "run"
@@ -357,7 +375,7 @@ def test_evaluate_refuses_a_checkpoint_with_zero_gamma(tmp_path, capsys):
                  "--out", str(out)]) == 0
     model = load_checkpoint(out / "model.ckpt")
     model.params["revin.gamma"].data[:] = 0.0
-    save_checkpoint(model, out / "model.ckpt")
+    save_unchecked(model, out / "model.ckpt")
     (out / "metrics.csv").unlink(missing_ok=True)
     assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 1
     assert "corrupt checkpoint" in capsys.readouterr().err
@@ -469,7 +487,7 @@ def test_evaluate_refuses_a_checkpoint_with_gamma_out_of_range(tmp_path,
                  "--out", str(out)]) == 0
     model = load_checkpoint(out / "model.ckpt")
     model.params["revin.gamma"].data[1] = gamma
-    save_checkpoint(model, out / "model.ckpt")
+    save_unchecked(model, out / "model.ckpt")
     capsys.readouterr()
     assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -751,16 +769,117 @@ def test_short_split_warns_and_yields_no_windows(tmp_path):
     assert any("val split" in str(w.message) for w in caught)
 
 
+def run_cli(args):
+    """``s2ip`` in a child process, whose warnings reach its stderr as a
+    user's would; pytest records them in this one."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(s2ip.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "s2ip.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def write_embedding(path, rows, width):
+    with open(path, "wb") as fh:
+        write_record(fh, "E", np.random.default_rng(rows).normal(size=(rows, width)))
+    return str(path)
+
+
+def write_checkpoint(path, kind):
+    """A checkpoint of an untrained model of the tiny config, ``valid``,
+    or one that ``load_checkpoint`` refuses, as ``kind`` names."""
+    model = harness.build_model(parse_config_text(TINY), 2, 0)
+    save_checkpoint(model, path)
+    header = json.dumps(model.config.to_dict()).encode()
+    if kind == "extra_tensor":
+        with open(path, "ab") as fh:
+            write_record(fh, "extra", np.ones(1))
+    elif kind == "no_embedding":
+        with open(path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header)
+            write_record(fh, "revin.gamma", np.ones(2))
+    elif kind == "header_length":
+        path.write_bytes(CHECKPOINT_MAGIC + b"\x01\x02")
+    elif kind == "header":
+        path.write_bytes(CHECKPOINT_MAGIC + (len(header) + 1).to_bytes(8, "little")
+                         + header)
+    return str(path)
+
+
+SHORT_TEST = {"split.train": "0.75", "split.val": "0.2", "split.test": "0.05"}
+
+
+@pytest.mark.parametrize("command, overrides, checkpoint, message", [
+    ("evaluate", {}, "header_length", "truncated checkpoint header"),
+    ("evaluate", {}, "header", "truncated checkpoint header"),
+    ("forecast", {}, "no_embedding", "checkpoint lacks the embedding matrix"),
+    ("evaluate", {}, "extra_tensor",
+     "checkpoint has unexpected tensors: ['extra']"),
+    ("train", {"prompt.embedding_path": (40, 8)}, None,
+     "embedding width 8 != backbone width 16"),
+    ("train", {"prompt.embedding_path": (10, 16)}, None,
+     "n_anchors must be << vocab size (at most 5), got 8"),
+    ("train", {"synthetic.length": "60"}, None,
+     "training split yields no windows; increase data length or shrink "
+     "lookback/horizon; train split has 36 rows, fewer than "
+     "lookback+horizon = 40; it yields no windows"),
+    ("evaluate", SHORT_TEST, "valid",
+     "test split yields no windows; test split has 10 rows, fewer than "
+     "lookback+horizon = 40; it yields no windows"),
+    ("forecast", {"synthetic.length": "20"}, "valid",
+     "need at least 32 rows to forecast"),
+    ("ablate", {"synthetic.length": "60"}, None,
+     "ablation cell 'baseline' has no windows; train split has 36 rows"),
+    ("export-embeddings", SHORT_TEST, "valid",
+     "no test windows to embed; test split has 10 rows"),
+], ids=["checkpoint_header_length", "checkpoint_header", "no_embedding",
+        "unexpected_tensor", "embedding_width", "too_many_anchors",
+        "no_train_windows", "no_test_windows", "short_forecast_input",
+        "ablation_cell", "nothing_to_embed"])
+def test_each_refusal_prints_one_line_and_writes_nothing(
+        tmp_path, command, overrides, checkpoint, message):
+    # through a child process, so a warning printed before the error shows
+    overrides = dict(overrides)
+    if "prompt.embedding_path" in overrides:
+        overrides["prompt.embedding_path"] = write_embedding(
+            tmp_path / "E.tensor", *overrides["prompt.embedding_path"])
+    out = tmp_path / "out"
+    args = [command, "--config", tiny_config_file(tmp_path, overrides),
+            "--out", str(out)]
+    if checkpoint is not None:
+        args += ["--checkpoint",
+                 write_checkpoint(tmp_path / "model.ckpt", checkpoint)]
+    done = run_cli(args)
+    assert done.returncode == 1
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert done.stderr.startswith("error: ") and message in done.stderr
+    assert done.stdout == ""
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_run_that_goes_on_still_shows_its_warning(tmp_path):
+    cfg = tiny_config_file(tmp_path, {"split.train": "0.7", "split.val": "0.1",
+                                      "train.epochs": "1"})
+    done = run_cli(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert done.returncode == 0
+    assert ("UserWarning: val split has 20 rows, fewer than lookback+horizon "
+            "= 40; it yields no windows") in done.stderr
+    assert "error" not in done.stderr
+    assert (tmp_path / "out" / "model.ckpt").exists()
+
+
 def test_few_shot_config_wiring(tmp_path):
     from s2ip.config import RunConfig
-    from s2ip.harness import build_pipeline
+    from s2ip.harness import build_pipeline, load_frame, split_frame
 
     config = RunConfig({"synthetic.length": 400, "split.few_shot": 0.5,
                         "window.lookback": 32, "window.horizon": 8,
                         "decomposition.period": 8,
                         "decomposition.trend_window": 9})
+    train_frame = split_frame(config, load_frame(config, 0))[0]
+    assert train_frame.length == 140  # floor(0.5 * 280)
     pipeline = build_pipeline(config, 0)
-    assert pipeline.train_frame.length == 140  # floor(0.5 * 280)
+    assert len(pipeline.train_windows) == train_frame.n_channels * (140 - 40 + 1)
 
 
 def test_embedding_file_interface(tmp_path):

@@ -98,7 +98,7 @@ def test_embedding_shape_96_16_8():
                                             n_heads=4, max_seq_len=32)),
         clustered_vocabulary(100, 64, seed=0), seed=0)
     x = np.random.default_rng(0).normal(size=(3, 96))
-    ts_embed, _ = model.tokenize_and_embed(x, [0, 0, 0])
+    ts_embed = model.tokenize_and_embed(x, [0, 0, 0])[0]
     assert ts_embed.shape == (3, 12, 64)
 
 
@@ -106,18 +106,18 @@ def test_constant_window_embeds_to_bias():
     # constant input -> zero normalized series -> zero meta token (beta = 0),
     # so every patch row embeds to the projection bias
     model = tiny_model()
-    ts_embed, state = model.tokenize_and_embed(np.full((1, 32), 7.0), [0])
+    ts_embed, mean, _ = model.tokenize_and_embed(np.full((1, 32), 7.0), [0])
     bias = model.params["input_projection.bias"].data
     assert np.allclose(ts_embed.data, np.broadcast_to(bias, ts_embed.shape),
                        atol=1e-12)
-    assert state.mean[0] == 7.0
+    assert mean[0] == 7.0
 
 
 def test_tokenize_deterministic():
     model = tiny_model()
     x = np.random.default_rng(1).normal(size=(2, 32))
-    a, _ = model.tokenize_and_embed(x, [1, 0])
-    b, _ = model.tokenize_and_embed(x, [1, 0])
+    a = model.tokenize_and_embed(x, [1, 0])[0]
+    b = model.tokenize_and_embed(x, [1, 0])[0]
     assert np.array_equal(a.data, b.data)
 
 
@@ -140,10 +140,10 @@ def test_normalized_embedding_invariant_to_affine_input(monkeypatch):
     model = tiny_model()
     rng = np.random.default_rng(2)
     x = rng.normal(size=32)
-    base_embed, _ = model.tokenize_and_embed(x[None], [0])
+    base_embed = model.tokenize_and_embed(x[None], [0])[0]
     base = forward_one(model, x, 0).selections[0]
     for a, b in ((2.0, 0.0), (0.5, -3.0), (10.0, 100.0)):
-        embed, _ = model.tokenize_and_embed((a * x + b)[None], [0])
+        embed = model.tokenize_and_embed((a * x + b)[None], [0])[0]
         assert np.allclose(embed.data, base_embed.data, atol=1e-9)
         result = forward_one(model, a * x + b, 0).selections[0]
         assert result.indices == base.indices
@@ -209,9 +209,9 @@ def test_forecast_prompt_rows_feed_backbone():
 # ---------------------------------------------------------------------------
 
 def test_loss_lambda_zero_is_mse():
-    model = tiny_model()
+    model = tiny_model(alignment_weight=0.0)
     batch = make_batch(model, 4, seed=8)
-    loss = model.joint_loss(batch, alignment_weight=0.0).item()
+    loss = model.joint_loss(batch).item()
     per_window = []
     for channel, x, y in batch:
         result = model.forward_forecast(x, channel)
@@ -220,11 +220,13 @@ def test_loss_lambda_zero_is_mse():
 
 
 def test_loss_decomposes_into_mse_minus_alignment():
-    model = tiny_model()
-    batch = make_batch(model, 3, seed=9)
+    # the weight does not enter initialization: both models hold the same
+    # parameters
     lam = 0.037
-    loss = model.joint_loss(batch, alignment_weight=lam).item()
-    mse = model.joint_loss(batch, alignment_weight=0.0).item()
+    model = tiny_model(alignment_weight=lam)
+    batch = make_batch(model, 3, seed=9)
+    loss = model.joint_loss(batch).item()
+    mse = tiny_model(alignment_weight=0.0).joint_loss(batch).item()
     aligns = []
     for channel, x, _ in batch:
         out = forward_one(model, x, channel)
@@ -234,12 +236,12 @@ def test_loss_decomposes_into_mse_minus_alignment():
 
 
 def test_loss_perfect_forecast_is_minus_lambda_alignment():
-    model = tiny_model()
+    lam = 0.05
+    model = tiny_model(alignment_weight=lam)
     rng = np.random.default_rng(10)
     xs = [rng.normal(size=32) for _ in range(2)]
     batch = [(0, x, model.forward_forecast(x, 0).forecast) for x in xs]
-    lam = 0.05
-    loss = model.joint_loss(batch, alignment_weight=lam).item()
+    loss = model.joint_loss(batch).item()
     aligns = [sum(forward_one(model, x, 0).selections[0].scores) for x in xs]
     assert loss == pytest.approx(-lam * np.mean(aligns), abs=1e-10)
 
@@ -387,5 +389,5 @@ def test_tokenization_matches_direct_pipeline(method):
                           patch(dec.residual, spec)])
         expected = (meta @ model.params["input_projection.weight"].data
                     + model.params["input_projection.bias"].data)
-        ts_embed, _ = model.tokenize_and_embed(x[None], [0])
+        ts_embed = model.tokenize_and_embed(x[None], [0])[0]
         assert np.max(np.abs(ts_embed.data[0] - expected)) <= 1e-12

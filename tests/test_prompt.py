@@ -6,10 +6,13 @@ import pytest
 import s2ip.autodiff as ad
 import s2ip.prompt as pr
 from s2ip.autodiff import Tensor
+from s2ip.backbone import BackboneConfig
+from s2ip.model import DecompositionConfig, ForecastModel, ModelConfig, ModelError
+from s2ip.preprocess import PatchSpec
 from s2ip.prompt import (AnchorBank, EmbeddingMatrix, PromptError,
                          PromptSelection, alignment_term, clustered_vocabulary,
-                         derive_anchors, prefix_concat, retrieve_topk,
-                         score_all)
+                         derive_anchors, retrieve_topk, score_all)
+from s2ip.series import WindowSpec
 
 
 def brute_force_topk(ts_embed, anchors, k):
@@ -28,7 +31,8 @@ def brute_force_topk(ts_embed, anchors, k):
 def make_bank(v=20, d=4, n_anchors=6, seed=0):
     rng = np.random.default_rng(seed)
     emb = EmbeddingMatrix(rng.normal(size=(v, d)))
-    return AnchorBank(emb, n_anchors, rng=rng)
+    return AnchorBank(emb, n_anchors,
+                      rng.normal(0.0, 0.02, size=(n_anchors, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +69,7 @@ def test_derive_anchors_matches_manual_product():
 def test_bank_rejects_too_many_anchors():
     emb = EmbeddingMatrix(np.zeros((10, 4)) + 1.0)
     with pytest.raises(PromptError):
-        AnchorBank(emb, 6)  # > V/2
+        AnchorBank(emb, 6, np.zeros((6, 10)))  # > V/2
 
 
 # ---------------------------------------------------------------------------
@@ -223,44 +227,61 @@ def test_alignment_rejects_indices_outside_the_bank(indices):
     ts = Tensor(np.random.default_rng(3).normal(size=(5, 4)))
     selection = SimpleNamespace(indices=indices)
     with pytest.raises(PromptError, match="outside the anchor bank"):
-        alignment_term(ts, selection, bank)
-    with pytest.raises(PromptError, match="outside the anchor bank"):
         alignment_term(ad.reshape(ts, (1, 5, 4)), [selection], bank)
 
 
 # ---------------------------------------------------------------------------
-# prefix concatenation
+# prefix concatenation, in ForecastModel.prompt
 # ---------------------------------------------------------------------------
 
+def prompt_model(k, vocab_dim=8):
+    config = ModelConfig(window=WindowSpec(32, 8), patch=PatchSpec(8, 4),
+                         decomposition=DecompositionConfig(enabled=False),
+                         backbone=BackboneConfig(embed_dim=8, n_layers=1,
+                                                 n_heads=2, max_seq_len=16),
+                         prompt_k=k, n_anchors=8)
+    return ForecastModel(config, clustered_vocabulary(20, vocab_dim, seed=k))
+
+
+def assert_prefix_layout(model, ts):
+    """Each window's sequence is its anchor rows in score order, then its
+    patch rows verbatim."""
+    k = model.config.prompt_k
+    sequence, selections, anchors = model.prompt(Tensor(ts))
+    assert sequence.shape == (len(ts), k + ts.shape[1], ts.shape[2])
+    assert np.array_equal(anchors.data, model.bank.anchors_tensor().data)
+    for row, selection, window in zip(sequence.data, selections, ts):
+        idx, _ = brute_force_topk(window, anchors.data, k)
+        assert list(selection.indices) == idx
+        assert np.array_equal(row[:k], anchors.data[idx])
+        assert np.array_equal(row[k:], window)
+
+
 def test_prefix_layout():
-    anchors = Tensor(np.arange(8.0).reshape(2, 4))
-    ts = Tensor(np.arange(100.0, 112.0).reshape(3, 4))
-    out = prefix_concat(anchors, ts)
-    assert out.shape == (5, 4)
-    assert np.array_equal(out.data[:2], anchors.data)
-    assert np.array_equal(out.data[2:], ts.data)
+    model = prompt_model(k=2)
+    assert_prefix_layout(model, np.arange(32.0).reshape(1, 4, 8))
 
 
 def test_prefix_disabled_is_identity():
-    ts = Tensor(np.ones((3, 4)))
-    out = prefix_concat(Tensor(np.zeros((0, 4))), ts)
-    assert out is ts
+    ts = Tensor(np.ones((3, 4, 8)))
+    sequence, selections, anchors = prompt_model(k=0).prompt(ts)
+    assert sequence is ts and anchors is None
+    assert [s.k for s in selections] == [0, 0, 0]
 
 
 def test_prefix_rows_verbatim_random():
     rng = np.random.default_rng(8)
-    for _ in range(20):
-        k, n, d = (int(rng.integers(1, 5)), int(rng.integers(1, 6)),
+    for _ in range(10):
+        k, b, n = (int(rng.integers(1, 9)), int(rng.integers(1, 4)),
                    int(rng.integers(1, 6)))
-        anchors = rng.normal(size=(k, d))
-        ts = rng.normal(size=(n, d))
-        out = prefix_concat(Tensor(anchors), Tensor(ts))
-        assert np.array_equal(out.data, np.vstack([anchors, ts]))
+        assert_prefix_layout(prompt_model(k), rng.normal(size=(b, n, 8)))
 
 
 def test_prefix_dim_mismatch():
-    with pytest.raises(ad.ShapeError):
-        prefix_concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+    # anchors share the embedding's width, so the model refuses an
+    # embedding whose width differs from the backbone's
+    with pytest.raises(ModelError, match="embedding width 4 != backbone width 8"):
+        prompt_model(k=2, vocab_dim=4)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +293,9 @@ def test_alignment_parallel_is_k():
     bank = AnchorBank(emb, 2, map_weights=np.zeros((2, 4)))
     bank.map_weights.data[0] = [2.0, 0, 0, 0]
     bank.map_weights.data[1] = [5.0, 0, 0, 0]
-    ts = Tensor(np.tile([3.0, 0.0, 0.0, 0.0], (4, 1)))
-    selection = retrieve_topk(ts.data, bank, k=2)
-    value = alignment_term(ts, selection, bank).item()
+    ts = Tensor(np.tile([3.0, 0.0, 0.0, 0.0], (1, 4, 1)))
+    selections = retrieve_topk(ts.data, bank, k=2)
+    value = alignment_term(ts, selections, bank).item()
     assert value == pytest.approx(2.0, abs=1e-12)
 
 
@@ -283,9 +304,9 @@ def test_alignment_orthogonal_is_zero():
     bank = AnchorBank(emb, 2, map_weights=np.zeros((2, 4)))
     bank.map_weights.data[0] = [0, 1.0, 0, 0]
     bank.map_weights.data[1] = [0, 0, 1.0, 0]
-    ts = Tensor(np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+    ts = Tensor(np.tile([1.0, 0.0, 0.0, 0.0], (1, 3, 1)))
     selection = PromptSelection((0, 1), (0.0, 0.0))
-    assert alignment_term(ts, selection, bank).item() == pytest.approx(0.0, abs=1e-12)
+    assert alignment_term(ts, [selection], bank).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_alignment_matches_recomputed_cosines():
@@ -294,7 +315,7 @@ def test_alignment_matches_recomputed_cosines():
         bank = make_bank(seed=int(rng.integers(1e6)))
         ts = rng.normal(size=(5, 4))
         selection = retrieve_topk(ts, bank, k=3)
-        value = alignment_term(Tensor(ts), selection, bank).item()
+        value = alignment_term(Tensor(ts[None]), [selection], bank).item()
         scores = score_all(ts, bank.anchors())
         expected = sum(scores[i] for i in selection.indices)
         assert abs(value - expected) <= 1e-12
@@ -303,18 +324,19 @@ def test_alignment_matches_recomputed_cosines():
 
 def test_alignment_empty_selection():
     bank = make_bank()
-    value = alignment_term(Tensor(np.ones((2, 4))), PromptSelection((), ()), bank)
-    assert value.item() == 0.0
+    value = alignment_term(Tensor(np.ones((1, 2, 4))), [PromptSelection((), ())],
+                           bank)
+    assert value.shape == (1,) and value.item() == 0.0
 
 
 def test_alignment_gradients_flow():
     bank = make_bank(seed=10)
     rng = np.random.default_rng(11)
-    ts = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-    selection = retrieve_topk(ts.data, bank, k=2)
+    ts = Tensor(rng.normal(size=(1, 4, 4)), requires_grad=True)
+    selections = retrieve_topk(ts.data, bank, k=2)
 
     def f():
-        return alignment_term(ts, selection, bank)
+        return ad.tsum(alignment_term(ts, selections, bank))
 
     err = ad.grad_check(f, [ts, bank.map_weights], eps=1e-6)
     assert err <= 1e-5
@@ -325,7 +347,7 @@ def test_alignment_per_patch_pooling():
     rng = np.random.default_rng(13)
     ts = rng.normal(size=(5, 4))
     selection = retrieve_topk(ts, bank, k=2, pooling="per_patch")
-    value = alignment_term(Tensor(ts), selection, bank,
+    value = alignment_term(Tensor(ts[None]), [selection], bank,
                            pooling="per_patch").item()
     anchors = bank.anchors()
     expected = 0.0

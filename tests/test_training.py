@@ -824,15 +824,60 @@ def test_checkpoint_tensor_name_not_utf8_is_corrupt(tmp_path):
         "gamma-above-bound"])
 def test_checkpoint_with_nonfinite_value_or_zero_gamma_is_corrupt(tmp_path,
                                                                   tamper):
+    # save_checkpoint refuses the values before it opens the file, so the
+    # file load_checkpoint refuses is written record by record here
     model = tiny_model()
     tamper(model)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
+    with pytest.raises(TrainingError, match="model.ckpt: not saved: "):
+        save_checkpoint(model, path)
+    assert not path.exists()
+    header = json.dumps(model.config.to_dict(), sort_keys=True).encode()
+    arrays = model.all_arrays()
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header)
+        for name in sorted(arrays):
+            write_record(fh, name, arrays[name])
     with pytest.raises(TrainingError, match="corrupt checkpoint"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("gamma", [2.0 ** -511, -(2.0 ** 511), 1e-150])
+def test_a_gamma_driven_toward_0_aborts_with_the_best_parameters_restored(
+        tmp_path, monkeypatch):
+    # the first step of epoch 2 leaves revin.gamma at 2^-600 of its value,
+    # below the bound, where the next loss overflows: train aborts and
+    # restores epoch 1, which saves and loads; the driven model is not saved
+    model = tiny_model()
+    steps, epoch_1 = [], {}
+
+    def driving_step(named, state, config):
+        adam_step(named, state, config)
+        steps.append(1)
+        if len(steps) == 3:  # 20 windows in batches of 8: the end of epoch 1
+            epoch_1.update((n, t.data.copy()) for n, t in named)
+        if len(steps) == 4:
+            gamma = model.params["revin.gamma"]
+            gamma.data = gamma.data * 2.0 ** -600
+            with pytest.raises(TrainingError, match="revin.gamma holds an entry"):
+                save_checkpoint(model, tmp_path / "driven.ckpt")
+
+    monkeypatch.setattr(training, "adam_step", driving_step)
+    config = TrainConfig(epochs=3, batch_size=8, seed=0)
+    with pytest.raises(TrainingError) as info, np.errstate(over="ignore"):
+        train(model, sine_windows(20, seed=8), sine_windows(8, seed=5), config)
+    assert str(info.value) == ("non-finite loss (inf) at epoch 2; best "
+                               "parameters restored")
+    assert len(steps) == 4 and not (tmp_path / "driven.ckpt").exists()
+    for name, tensor in model.named_parameters():
+        assert np.array_equal(tensor.data, epoch_1[name]), name
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    assert np.array_equal(loaded.params["revin.gamma"].data,
+                          epoch_1["revin.gamma"])
+
+
+@pytest.mark.parametrize("gamma", [2.0 ** -511, -(2.0 ** 511), 2.0 ** 511,
+                                   1e-150])
 def test_checkpoint_gamma_at_its_bounds_loads(tmp_path, gamma):
     model = tiny_model()
     model.params["revin.gamma"].data[0] = gamma
