@@ -101,7 +101,8 @@ class Backbone:
             elif ".ln1." in name or ".ln2." in name or name.startswith("final_ln"):
                 flag = policy.layer_norms
             elif ".attn." in name:
-                flag = policy.attention
+                # softmax cancels the key bias, so its gradient is exactly 0
+                flag = policy.attention and not name.endswith(".bk")
             elif ".ffn." in name:
                 flag = policy.ffn
             else:  # pragma: no cover - every parameter matches a group above

@@ -47,7 +47,8 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else config["train.seed"]
     try:
         # a refusal prints one line: NumPy's warnings are noise, and the
-        # run's own (a split too short for one window) join the error line
+        # run's own (a split too short for one window) are dropped, since a
+        # refusal about a split names its row count itself
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
                 warnings.catch_warnings(record=True) as caught:
             artifacts = run(args.command, config, seed, args.out,
@@ -56,8 +57,7 @@ def main(argv=None) -> int:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except (HarnessError, ValueError, RuntimeError, OSError) as exc:
-        notes = "".join(f"; {w.message}" for w in caught)
-        print(f"error: {exc}{notes}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)

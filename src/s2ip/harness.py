@@ -75,13 +75,15 @@ def write_frame_csv(frame: SeriesFrame, path) -> None:
 @dataclass
 class Pipeline:
     """Everything the commands need: the loaded frame, each split's windows,
-    and the (optional) global standardizer fitted on the training split."""
+    the (optional) global standardizer fitted on the training split, and,
+    for each split that yields no windows, why (its row count)."""
 
     frame: SeriesFrame
     train_windows: WindowSequence
     val_windows: WindowSequence
     test_windows: WindowSequence
     standardizer: Standardizer | None
+    shortfalls: dict[str, str]
 
 
 def load_frame(config: RunConfig, seed: int) -> SeriesFrame:
@@ -122,17 +124,20 @@ def build_pipeline(config: RunConfig, seed: int) -> Pipeline:
         val_f = standardizer.transform(val_f) if val_f.length else val_f
         test_f = standardizer.transform(test_f) if test_f.length else test_f
     spec = config.model_config(frame.n_channels).window
-    split_windows = {}
+    split_windows, shortfalls = {}, {}
     for name, frame_part in (("train", train_f), ("val", val_f),
                              ("test", test_f)):
         split_windows[name] = windows(frame_part, spec)
-        if frame_part.length and not split_windows[name]:
-            warnings.warn(f"{name} split has {frame_part.length} rows, fewer "
-                          f"than lookback+horizon = "
-                          f"{spec.lookback + spec.horizon}; it yields no "
-                          "windows", stacklevel=2)
+        if split_windows[name]:
+            continue
+        shortfalls[name] = (f"{name} split has {frame_part.length} rows, "
+                            f"fewer than lookback+horizon = "
+                            f"{spec.lookback + spec.horizon}")
+        if frame_part.length:
+            warnings.warn(f"{shortfalls[name]}; it yields no windows",
+                          stacklevel=2)
     return Pipeline(frame, split_windows["train"], split_windows["val"],
-                    split_windows["test"], standardizer)
+                    split_windows["test"], standardizer, shortfalls)
 
 
 def load_embedding(config: RunConfig, seed: int) -> EmbeddingMatrix:
@@ -173,7 +178,8 @@ def cmd_gen_data(config: RunConfig, seed: int, outdir: str) -> list[str]:
 def cmd_train(config: RunConfig, seed: int, outdir: str) -> list[str]:
     pipeline = build_pipeline(config, seed)
     if not pipeline.train_windows:
-        raise HarnessError("training split yields no windows; increase data "
+        raise HarnessError(f"training split yields no windows: "
+                           f"{pipeline.shortfalls['train']}; increase data "
                            "length or shrink lookback/horizon")
     model = build_model(config, pipeline.frame.n_channels, seed)
     report = train(model, pipeline.train_windows, pipeline.val_windows,
@@ -200,7 +206,8 @@ def cmd_evaluate(config: RunConfig, seed: int, outdir: str,
     model = _load_model(outdir, checkpoint)
     pipeline = build_pipeline(config, seed)
     if not pipeline.test_windows:
-        raise HarnessError("test split yields no windows")
+        raise HarnessError(f"test split yields no windows: "
+                           f"{pipeline.shortfalls['test']}")
     dump_path = os.path.join(outdir, "per_window_metrics.csv")
     report = evaluate_model(model, pipeline.test_windows,
                             mode=config["eval.mode"],
@@ -283,8 +290,11 @@ def cmd_ablate(cells: list[tuple[str, RunConfig]], seed: int,
     rows = []
     for name, cell_config in cells:
         pipeline = build_pipeline(cell_config, seed)
-        if not pipeline.train_windows or not pipeline.test_windows:
-            raise HarnessError(f"ablation cell {name!r} has no windows")
+        short = [pipeline.shortfalls[split] for split in ("train", "test")
+                 if split in pipeline.shortfalls]
+        if short:
+            raise HarnessError(f"ablation cell {name!r} has no windows: "
+                               + "; ".join(short))
         model = build_model(cell_config, pipeline.frame.n_channels, seed)
         train(model, pipeline.train_windows, pipeline.val_windows,
               cell_config.train_config(seed))
@@ -310,7 +320,8 @@ def cmd_export_embeddings(config: RunConfig, seed: int, outdir: str,
     pipeline = build_pipeline(config, seed)
     selected = pipeline.test_windows[:config["export.max_windows"]]
     if not selected:
-        raise HarnessError("no test windows to embed")
+        raise HarnessError(f"no test windows to embed: "
+                           f"{pipeline.shortfalls['test']}")
     channels, inputs, _ = zip(*selected)
     ts_embed = model.tokenize_and_embed(np.stack(inputs), channels)[0]
     prompted = model.prompt(ts_embed)[0]
@@ -333,15 +344,29 @@ def run(command: str, config: RunConfig, seed: int, outdir: str,
                            f"{COMMANDS}")
     # every configuration is built and validated before any output exists
     cells = ablation_cells(config) if command == "ablate" else None
+    # the directories this call creates, deepest first; a failed command
+    # removes those it left empty, and nothing that existed before
+    created, path = [], os.path.abspath(outdir)
+    while not os.path.exists(path):
+        created.append(path)
+        path = os.path.dirname(path)
     os.makedirs(outdir, exist_ok=True)
-    if command == "gen-data":
-        return cmd_gen_data(config, seed, outdir)
-    if command == "train":
-        return cmd_train(config, seed, outdir)
-    if command == "evaluate":
-        return cmd_evaluate(config, seed, outdir, checkpoint)
-    if command == "forecast":
-        return cmd_forecast(config, seed, outdir, checkpoint)
-    if command == "ablate":
-        return cmd_ablate(cells, seed, outdir)
-    return cmd_export_embeddings(config, seed, outdir, checkpoint)
+    try:
+        if command == "gen-data":
+            return cmd_gen_data(config, seed, outdir)
+        if command == "train":
+            return cmd_train(config, seed, outdir)
+        if command == "evaluate":
+            return cmd_evaluate(config, seed, outdir, checkpoint)
+        if command == "forecast":
+            return cmd_forecast(config, seed, outdir, checkpoint)
+        if command == "ablate":
+            return cmd_ablate(cells, seed, outdir)
+        return cmd_export_embeddings(config, seed, outdir, checkpoint)
+    except BaseException:
+        for path in created:
+            try:
+                os.rmdir(path)  # refuses a directory that holds anything
+            except OSError:
+                break
+        raise

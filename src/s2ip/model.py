@@ -29,7 +29,7 @@ from .backbone import Backbone, BackboneConfig, TrainabilityPolicy
 from .backbone import parameter_shapes as backbone_shapes
 from .preprocess import DEFAULT_EPSILON, PatchSpec, decompose, patch, patch_count
 from .prompt import (AnchorBank, EmbeddingMatrix, PromptSelection,
-                     alignment_term, retrieve_topk)
+                     alignment_term, retrieve_topk, score)
 from .series import WindowSpec
 
 
@@ -246,7 +246,7 @@ class ForwardPass:
     components: Tensor                  # (B, n_components * horizon)
     ts_embed: Tensor                    # (B, N_P, D)
     selections: list[PromptSelection]   # one per window
-    anchors: Tensor | None              # the step's anchors; None without prompts
+    scores: Tensor | None               # (B, n_anchors); None without prompts
 
 
 class ForecastModel:
@@ -408,28 +408,30 @@ class ForecastModel:
 
     def prompt(self, ts_embed: Tensor
                ) -> tuple[Tensor, list[PromptSelection], Tensor | None]:
-        """Retrieve each window's top-K anchors and prepend them to its
-        patch embeddings: the backbone's input sequence, one selection per
-        window, and the anchors (None without prompts). The anchors come
-        from :meth:`AnchorBank.anchors_tensor`: derived on the active tape,
-        or reused with no tape while the anchor map is unchanged."""
+        """Score the windows against every anchor once, keep each window's
+        top-K and prepend them to its patch embeddings: the backbone's input
+        sequence, one selection per window, and the ``(B, n_anchors)``
+        scores the selections were ranked by, on the active tape, for the
+        alignment bonus (None without prompts). The anchors come from
+        :meth:`AnchorBank.anchors_tensor`: derived on the active tape, or
+        reused with no tape while the anchor map is unchanged."""
         k = self.config.prompt_k
         if k == 0:
             return ts_embed, [PromptSelection((), ())] * ts_embed.shape[0], None
         anchors = self.bank.anchors_tensor()
+        scores = score(ts_embed, anchors, self.config.pooling)
         selections = retrieve_topk(ts_embed.data, self.bank, k,
-                                   pooling=self.config.pooling,
-                                   anchors=anchors.data)
+                                   scores=scores.data)
         indices = np.array([s.indices for s in selections])
         return (ad.concat([ad.gather_rows(anchors, indices), ts_embed], axis=-2),
-                selections, anchors)
+                selections, scores)
 
     def forward(self, x: np.ndarray, channels) -> ForwardPass:
         """Forecast a ``(B, lookback)`` batch of windows, one channel per
         row: tokenize, :meth:`prompt`, run the backbone, project, recombine
         the components, and invert each window's normalization."""
         ts_embed, mean, scale = self.tokenize_and_embed(x, channels)
-        z_in, selections, anchors = self.prompt(ts_embed)
+        z_in, selections, scores = self.prompt(ts_embed)
         components = self._head(self.backbone.forward(z_in))
         y_norm = self._recombine(components)
         gamma_t, beta_t = self._revin_affine(channels, (ts_embed.shape[0], 1))
@@ -437,7 +439,7 @@ class ForecastModel:
         yhat = ad.add(ad.mul(yhat, scale[:, None]), mean[:, None])
         return ForwardPass(forecast=yhat, normalized_forecast=y_norm,
                            components=components, ts_embed=ts_embed,
-                           selections=selections, anchors=anchors)
+                           selections=selections, scores=scores)
 
     def forward_forecast(self, x: np.ndarray, channel=0) -> ForecastResult:
         """Denormalized forecasts: a ``(lookback,)`` window of ``channel``
@@ -469,9 +471,7 @@ class ForecastModel:
         out = self.forward(np.stack(inputs), channels)
         err = ad.sub(out.forecast, Tensor(np.stack(targets)))
         loss = ad.tmean(ad.mul(err, err))
-        if out.anchors is not None:
-            bonus = ad.tmean(alignment_term(out.ts_embed, out.selections,
-                                            self.bank, pooling=self.config.pooling,
-                                            anchors=out.anchors))
+        if out.scores is not None:
+            bonus = ad.tmean(alignment_term(out.scores, out.selections))
             loss = ad.sub(loss, ad.mul(bonus, self.config.alignment_weight))
         return loss

@@ -2,11 +2,11 @@
 
 A trainable linear map compresses a (large) reference embedding matrix into
 a small bank of anchor vectors. Window embeddings are scored against every
-anchor by cosine similarity; the top-K anchors are prepended to the patch
-sequence, and the sum of the selected cosines doubles as a differentiable
-alignment bonus in the training objective. The discrete selection itself
-carries no gradient (straight-through): indices are fixed, scores stay
-differentiable.
+anchor by cosine similarity, once per forward; the top-K anchors are
+prepended to the patch sequence, and the sum of the selected scores doubles
+as a differentiable alignment bonus in the training objective. The discrete
+selection itself carries no gradient (straight-through): indices are fixed,
+scores stay differentiable.
 """
 
 from __future__ import annotations
@@ -177,44 +177,50 @@ def _cosines(ts_embed: Tensor, anchors: Tensor, pooling: str
     return cosines, flat[..., 0], anchor_flat
 
 
-def score_all(ts_embed: np.ndarray, anchors: np.ndarray,
-              pooling: str = "mean") -> np.ndarray:
-    """Cosine score of each window embedding against every anchor row.
+def score(ts_embed: Tensor, anchors: Tensor, pooling: str = "mean") -> Tensor:
+    """The ``(B, A)`` cosine scores of ``(B, N_P, D)`` windows against
+    ``(A, D)`` anchors, recorded on the active tape when an input is.
 
-    ``ts_embed`` is one ``(N_P, D)`` window or a ``(B, N_P, D)`` batch; the
-    scores are ``(A,)`` or ``(B, A)``. A score whose pooled embedding (or,
-    under per-patch pooling, whose patch row) or anchor is numerically zero
-    is 0. Each window with such a row counts once as a degenerate event, and
-    each such anchor once per other window.
+    A score whose pooled embedding (or, under per-patch pooling, whose patch
+    row) or anchor is numerically zero is 0. Each window with such a row
+    counts once as a degenerate event, and each such anchor once per other
+    window.
     """
     global _degenerate_events
+    scores, flat, anchor_flat = _cosines(ts_embed, anchors, pooling)
+    flat = flat.reshape(len(flat), -1).any(axis=1)
+    _degenerate_events += int(flat.sum()
+                              + (flat.size - flat.sum()) * anchor_flat.sum())
+    return scores
+
+
+def score_all(ts_embed: np.ndarray, anchors: np.ndarray,
+              pooling: str = "mean") -> np.ndarray:
+    """:func:`score` on arrays: ``ts_embed`` is one ``(N_P, D)`` window or
+    a ``(B, N_P, D)`` batch, and the scores are ``(A,)`` or ``(B, A)``."""
     ts_embed = np.asarray(ts_embed, dtype=np.float64)
     if ts_embed.ndim not in (2, 3):
         raise PromptError(f"expected an (N_P, D) or (B, N_P, D) embedding, "
                           f"got {ts_embed.shape}")
-    scores, flat, anchor_flat = _cosines(
-        Tensor(ts_embed.reshape((-1,) + ts_embed.shape[-2:])),
-        Tensor(anchors), pooling)
-    flat = flat.reshape(len(flat), -1).any(axis=1)
-    _degenerate_events += int(flat.sum()
-                              + (flat.size - flat.sum()) * anchor_flat.sum())
+    scores = score(Tensor(ts_embed.reshape((-1,) + ts_embed.shape[-2:])),
+                   Tensor(anchors), pooling)
     return scores.data.reshape(ts_embed.shape[:-2] + scores.shape[-1:])
 
 
 def retrieve_topk(ts_embed: np.ndarray, bank: AnchorBank, k: int,
-                  pooling: str = "mean", anchors: np.ndarray | None = None
+                  pooling: str = "mean", scores: np.ndarray | None = None
                   ) -> PromptSelection | list[PromptSelection]:
-    """Score every anchor and keep the k best, lower index first on ties.
+    """Keep each window's k best-scored anchors, lower index first on ties.
 
     An ``(N_P, D)`` window gives one selection, a ``(B, N_P, D)`` batch one
-    per window. ``anchors`` is the bank's current anchor matrix when the
-    caller already holds it; by default it is derived from the bank.
+    per window. ``scores`` are the windows' scores against the bank's
+    anchors when the caller already holds them, as :meth:`ForecastModel.prompt`
+    does from :func:`score`; by default :func:`score_all` computes them.
     """
     if not 1 <= k <= bank.n_anchors:
         raise PromptError(f"k must lie in [1, {bank.n_anchors}], got {k}")
-    if anchors is None:
-        anchors = bank.anchors()
-    scores = score_all(ts_embed, anchors, pooling=pooling)
+    if scores is None:
+        scores = score_all(ts_embed, bank.anchors(), pooling=pooling)
     # stable sort on negated scores: equal scores keep ascending index order
     order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     top = np.take_along_axis(scores, order, axis=-1)
@@ -224,29 +230,22 @@ def retrieve_topk(ts_embed: np.ndarray, bank: AnchorBank, k: int,
             for i, s in zip(order.tolist(), top.tolist())]
 
 
-def alignment_term(ts_embed: Tensor, selections, bank: AnchorBank,
-                   pooling: str = "mean", anchors: Tensor | None = None
-                   ) -> Tensor:
+def alignment_term(scores: Tensor, selections) -> Tensor:
     """Each window's sum of its selected anchors' scores, as a
-    differentiable ``(B,)`` value for a ``(B, N_P, D)`` batch with one
-    ``PromptSelection`` per window.
+    differentiable ``(B,)`` value, from the ``(B, A)`` :func:`score` tensor
+    the selections were ranked by and one ``PromptSelection`` per window.
 
-    The scores are those ``score_all`` ranks by, recorded on the tape:
-    gradients flow into the window embeddings and the anchor map, never
-    into the discrete index choice. Each value is bounded in [-K, K]; a
-    degenerate row or anchor contributes a cosine of 0, with a finite
-    gradient. A pre-derived ``anchors`` tensor may be passed to share one
-    derivation across a step.
+    When the scores are on the tape, gradients flow into the window
+    embeddings and the anchor map, never into the discrete index choice.
+    Each value is bounded in [-K, K]; a degenerate row or anchor contributes
+    a cosine of 0, with a finite gradient.
     """
     indices = np.array([s.indices for s in selections], dtype=np.int64)
     if indices.size == 0:
         return Tensor(np.zeros(len(selections)))
     # checked here too: a negative index would wrap to the last anchors
-    if indices.min() < 0 or indices.max() >= bank.n_anchors:
+    if indices.min() < 0 or indices.max() >= scores.shape[1]:
         raise PromptError("selection indices outside the anchor bank")
-    if anchors is None:
-        anchors = bank.anchors_tensor()
-    scores = _cosines(ts_embed, anchors, pooling)[0]                  # (B, A)
     chosen = np.zeros(scores.shape)
     np.put_along_axis(chosen, indices, 1.0, axis=1)
     return ad.tsum(ad.mul(scores, chosen), axis=1)

@@ -890,7 +890,7 @@ def backbone_gradients(model, forward, x, weight):
 def test_backbone_matches_the_composed_ops():
     model = Backbone(BackboneConfig(embed_dim=64, n_layers=2, n_heads=4,
                                     max_seq_len=20), seed=3)
-    model.apply_policy(ALL_TRAINABLE)
+    trained = [name for name, _ in model.apply_policy(ALL_TRAINABLE)]
     rng = np.random.default_rng(4)
     for tensor in model.params.values():  # nonzero biases and gains
         if tensor.ndim == 1:
@@ -900,8 +900,11 @@ def test_backbone_matches_the_composed_ops():
     expected, expected_grads = backbone_gradients(
         model, lambda t: composed_backbone_forward(model, t), x, weight)
     assert np.array_equal(out, expected)
-    assert_grads_close([grads[n] for n in model.params],
-                       [expected_grads[n] for n in model.params])
+    # every parameter but the key biases, which no policy trains
+    assert set(model.params) - set(trained) == {"layer.0.attn.bk",
+                                                "layer.1.attn.bk"}
+    assert_grads_close([grads[n] for n in trained],
+                       [expected_grads[n] for n in trained])
 
 
 def test_backbone_grad_check_with_every_group_trainable():

@@ -26,7 +26,7 @@ from s2ip.metrics import mse_mae
 from s2ip.model import (FORECAST_CHUNK, DecompositionConfig, ForecastModel,
                         ModelConfig, ModelError)
 from s2ip.preprocess import DEFAULT_EPSILON, PatchSpec, decompose, patch
-from s2ip.prompt import clustered_vocabulary
+from s2ip.prompt import clustered_vocabulary, retrieve_topk, score_all
 from s2ip.series import WindowSpec
 from s2ip.training import AdamState, TrainConfig, adam_step
 
@@ -274,6 +274,77 @@ def test_joint_loss_and_gradients_match_per_window_reference(name):
         assert np.max(np.abs(grads[param] - expected)) <= 1e-10, param
 
 
+def two_pass_forward(model, x, channels):
+    """:meth:`ForecastModel.forward` with the selection scored apart, by
+    ``score_all`` on arrays with no tape: the forecast, the window
+    embeddings, the selections and the anchors."""
+    cfg = model.config
+    ts_embed, mean, scale = model.tokenize_and_embed(x, channels)
+    anchors = model.bank.anchors_tensor()
+    scores = score_all(ts_embed.data, anchors.data, cfg.pooling)
+    selections = retrieve_topk(None, model.bank, cfg.prompt_k, scores=scores)
+    indices = np.array([s.indices for s in selections])
+    z_in = ad.concat([ad.gather_rows(anchors, indices), ts_embed], axis=-2)
+    y_norm = model._recombine(model._head(model.backbone.forward(z_in)))
+    gamma, beta = model._revin_affine(np.asarray(channels), (len(x), 1))
+    yhat = ad.div(ad.sub(y_norm, beta), gamma)
+    yhat = ad.add(ad.mul(yhat, scale[:, None]), mean[:, None])
+    return yhat, ts_embed, selections, anchors
+
+
+def two_pass_joint_loss(model, batch):
+    """The joint loss with the alignment bonus from a second scoring pass,
+    a separate ``_cosines`` call on the tape."""
+    channels, inputs, targets = zip(*batch)
+    yhat, ts_embed, selections, anchors = two_pass_forward(
+        model, np.stack(inputs), channels)
+    err = ad.sub(yhat, Tensor(np.stack(targets)))
+    loss = ad.tmean(ad.mul(err, err))
+    cosines = prompt._cosines(ts_embed, anchors, model.config.pooling)[0]
+    chosen = np.zeros(cosines.shape)
+    np.put_along_axis(chosen, np.array([s.indices for s in selections]), 1.0,
+                      axis=1)
+    bonus = ad.tmean(ad.tsum(ad.mul(cosines, chosen), axis=1))
+    return ad.sub(loss, ad.mul(bonus, model.config.alignment_weight))
+
+
+@pytest.mark.parametrize("name", ["classical-mean", "classical-per_patch",
+                                  "stl-mean", "stl-per_patch"])
+def test_one_score_tensor_matches_the_two_pass_oracle(name):
+    # the selection and the bonus read one score tensor: the loss is the
+    # same bit for bit, and the gradients differ only in the order the
+    # anchors' contributions are summed
+    model = make_model(seed=5, **CONFIGS[name])
+    batch = make_batch(6, seed=6)
+    ref_value, ref_grads = gradients(model,
+                                     lambda: two_pass_joint_loss(model, batch))
+    value, grads = gradients(model, lambda: model.joint_loss(batch))
+    assert value == ref_value
+    for param, expected in ref_grads.items():
+        assert np.all(np.isfinite(grads[param])), param
+        assert (np.max(np.abs(grads[param] - expected))
+                <= 1e-12 * np.max(np.abs(expected))), param
+    channels, inputs, _ = zip(*batch)
+    assert active_tape() is None
+    assert np.array_equal(
+        model.forward_forecast(np.stack(inputs), channels).forecast,
+        two_pass_forward(model, np.stack(inputs), channels)[0].data)
+
+
+def test_one_scoring_pass_per_forward(monkeypatch):
+    model = make_model()
+    calls, cosines = [], prompt._cosines
+    monkeypatch.setattr(prompt, "_cosines",
+                        lambda *args: calls.append(args) or cosines(*args))
+    with Tape():
+        model.joint_loss(make_batch(4, seed=7))
+    assert len(calls) == 1
+    batch = make_batch(FORECAST_CHUNK + 1, seed=8)
+    model.forward_forecast(np.stack([x for _, x, _ in batch]),
+                           [channel for channel, _, _ in batch])
+    assert len(calls) == 3  # one per chunk
+
+
 def test_trimmed_backbone_equals_the_untrimmed_rows_it_keeps():
     config = RunConfig({})
     pipeline = harness.build_pipeline(config, 0)
@@ -432,7 +503,7 @@ def test_anchors_on_an_active_tape_are_derived_and_train(monkeypatch):
         out = model.forward(np.stack([x for _, x, _ in batch]), [0, 1, 0, 1])
         loss = model.joint_loss(batch)
     assert len(calls) == 2
-    assert out.anchors.tape is not None and out.anchors.requires_grad
+    assert out.scores.tape is not None and out.scores.requires_grad
     model.bank.map_weights.grad = None
     backward(loss)
     assert model.bank.map_weights.grad is not None

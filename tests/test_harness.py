@@ -454,7 +454,7 @@ def test_a_channel_too_large_to_standardize_exits_1_with_one_line(tmp_path,
         assert capsys.readouterr().err == (
             "error: channel 'a' is too large to standardize: its mean or "
             "std is not finite\n"), command
-        assert list(out.iterdir()) == [], command
+        assert not out.exists(), command
 
 
 def test_an_overflowing_training_forward_exits_1_with_one_line(tmp_path,
@@ -473,7 +473,7 @@ def test_an_overflowing_training_forward_exits_1_with_one_line(tmp_path,
         assert main(["train", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: non-finite loss (inf) at epoch 1; best parameters restored\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("gamma", [1e-300, 1e300])
@@ -687,8 +687,7 @@ def test_export_matches_numpy_prompt_step(tmp_path, overrides):
     prompted = ts_embed
     if model.config.prompt_k > 0:
         selections = retrieve_topk(ts_embed, model.bank, model.config.prompt_k,
-                                   pooling=model.config.pooling,
-                                   anchors=anchors)
+                                   pooling=model.config.pooling)
         indices = np.array([s.indices for s in selections])
         prompted = np.concatenate([anchors[indices], ts_embed], axis=1)
     expected = {"anchors": anchors, "ts_embeddings": ts_embed.mean(axis=1),
@@ -806,7 +805,9 @@ def write_checkpoint(path, kind):
     return str(path)
 
 
-SHORT_TEST = {"split.train": "0.75", "split.val": "0.2", "split.test": "0.05"}
+# 200 rows: a 30-row val split and a 10-row test split, both too short for
+# one window, so each warns; a refusal about one names that one alone
+SHORT_TEST = {"split.train": "0.8", "split.val": "0.15", "split.test": "0.05"}
 
 
 @pytest.mark.parametrize("command, overrides, checkpoint, message", [
@@ -817,21 +818,24 @@ SHORT_TEST = {"split.train": "0.75", "split.val": "0.2", "split.test": "0.05"}
      "checkpoint has unexpected tensors: ['extra']"),
     ("train", {"prompt.embedding_path": (40, 8)}, None,
      "embedding width 8 != backbone width 16"),
-    ("train", {"prompt.embedding_path": (10, 16)}, None,
+    ("train", {"prompt.embedding_path": (10, 16), **SHORT_TEST}, None,
      "n_anchors must be << vocab size (at most 5), got 8"),
     ("train", {"synthetic.length": "60"}, None,
-     "training split yields no windows; increase data length or shrink "
-     "lookback/horizon; train split has 36 rows, fewer than "
-     "lookback+horizon = 40; it yields no windows"),
+     "training split yields no windows: train split has 36 rows, fewer "
+     "than lookback+horizon = 40; increase data length or shrink "
+     "lookback/horizon"),
     ("evaluate", SHORT_TEST, "valid",
-     "test split yields no windows; test split has 10 rows, fewer than "
-     "lookback+horizon = 40; it yields no windows"),
+     "test split yields no windows: test split has 10 rows, fewer than "
+     "lookback+horizon = 40"),
     ("forecast", {"synthetic.length": "20"}, "valid",
      "need at least 32 rows to forecast"),
     ("ablate", {"synthetic.length": "60"}, None,
-     "ablation cell 'baseline' has no windows; train split has 36 rows"),
+     "ablation cell 'baseline' has no windows: train split has 36 rows, "
+     "fewer than lookback+horizon = 40; test split has 12 rows, fewer than "
+     "lookback+horizon = 40"),
     ("export-embeddings", SHORT_TEST, "valid",
-     "no test windows to embed; test split has 10 rows"),
+     "no test windows to embed: test split has 10 rows, fewer than "
+     "lookback+horizon = 40"),
 ], ids=["checkpoint_header_length", "checkpoint_header", "no_embedding",
         "unexpected_tensor", "embedding_width", "too_many_anchors",
         "no_train_windows", "no_test_windows", "short_forecast_input",
@@ -852,9 +856,36 @@ def test_each_refusal_prints_one_line_and_writes_nothing(
     done = run_cli(args)
     assert done.returncode == 1
     assert done.stderr.count("\n") == 1, done.stderr
-    assert done.stderr.startswith("error: ") and message in done.stderr
+    # the line ends with the refusal's own message, and a split's
+    # warning that is not about the refusal does not join it
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.endswith(f"{message}\n")
+    assert "val split" not in done.stderr
     assert done.stdout == ""
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_a_failed_command_removes_only_the_empty_directories_it_made(
+        tmp_path, monkeypatch):
+    def refuse(config, seed, outdir):
+        raise harness.HarnessError("refused")
+
+    def write_then_refuse(config, seed, outdir):
+        Path(outdir, "partial.csv").write_text("t\n", encoding="utf-8")
+        refuse(config, seed, outdir)
+
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    monkeypatch.setattr(harness, "cmd_gen_data", refuse)
+    for out in (tmp_path / "a" / "b" / "c", existing, existing / "new"):
+        with pytest.raises(harness.HarnessError):
+            harness.run("gen-data", RunConfig(), 0, str(out))
+    assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+    assert list(existing.iterdir()) == []
+    monkeypatch.setattr(harness, "cmd_gen_data", write_then_refuse)
+    with pytest.raises(harness.HarnessError):
+        harness.run("gen-data", RunConfig(), 0, str(tmp_path / "d" / "e"))
+    assert (tmp_path / "d" / "e" / "partial.csv").exists()
 
 
 def test_a_run_that_goes_on_still_shows_its_warning(tmp_path):

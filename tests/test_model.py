@@ -8,6 +8,7 @@ from s2ip.model import DecompositionConfig, ForecastModel, ModelConfig, ModelErr
 from s2ip.preprocess import DEFAULT_EPSILON, PatchSpec
 from s2ip.prompt import clustered_vocabulary, score_all
 from s2ip.series import WindowSpec
+from s2ip.training import AdamState, TrainConfig, adam_step
 
 
 def tiny_config(**overrides):
@@ -274,12 +275,39 @@ def test_loss_grad_check_with_every_backbone_group_trainable():
     batch = make_batch(model, 2, seed=13)
     weights = [t for name, t in model.named_parameters()
                if ".attn." in name or ".ffn." in name]
-    assert len(weights) == 12
+    assert len(weights) == 11  # every attention and FFN array but attn.bk
 
     def f():
         return model.joint_loss(batch)
 
     assert ad.grad_check(f, weights, eps=1e-5) <= 1e-4
+
+
+def test_an_all_trainable_step_leaves_the_attention_key_bias():
+    # softmax cancels the key bias, whose exact gradient is 0: checkpoints
+    # keep it, but no policy trains it
+    config = tiny_config()
+    model = ForecastModel(config, clustered_vocabulary(50, 16), seed=0,
+                          policy=TrainabilityPolicy(True, True, True, True))
+    names = [name for name, _ in model.named_parameters()]
+    assert "backbone.layer.0.attn.bk" not in names
+    assert "backbone.layer.0.attn.bk" in model.all_arrays()
+    params = model.backbone.params
+    params["layer.0.attn.bk"].data[:] = np.linspace(-0.1, 0.1, 16)
+    before = {name: params[name].data.copy()
+              for name in ("layer.0.attn.bk", "layer.0.attn.bq")}
+    named = model.named_parameters()
+    state = AdamState(named)
+    for seed in range(2):
+        with ad.Tape():
+            loss = model.joint_loss(make_batch(model, 3, seed=seed))
+        ad.backward(loss)
+        adam_step(named, state, TrainConfig(learning_rate=0.05))
+    assert params["layer.0.attn.bk"].grad is None
+    assert np.array_equal(params["layer.0.attn.bk"].data,
+                          before["layer.0.attn.bk"])
+    assert not np.array_equal(params["layer.0.attn.bq"].data,
+                              before["layer.0.attn.bq"])
 
 
 @pytest.mark.parametrize("pooling, nodes", [("mean", 62), ("per_patch", 62)])

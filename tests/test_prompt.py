@@ -11,7 +11,7 @@ from s2ip.model import DecompositionConfig, ForecastModel, ModelConfig, ModelErr
 from s2ip.preprocess import PatchSpec
 from s2ip.prompt import (AnchorBank, EmbeddingMatrix, PromptError,
                          PromptSelection, alignment_term, clustered_vocabulary,
-                         derive_anchors, retrieve_topk, score_all)
+                         derive_anchors, retrieve_topk, score, score_all)
 from s2ip.series import WindowSpec
 
 
@@ -33,6 +33,12 @@ def make_bank(v=20, d=4, n_anchors=6, seed=0):
     emb = EmbeddingMatrix(rng.normal(size=(v, d)))
     return AnchorBank(emb, n_anchors,
                       rng.normal(0.0, 0.02, size=(n_anchors, v)))
+
+
+def bank_scores(ts, bank, pooling="mean"):
+    """The ``(B, A)`` scores of a ``(B, N_P, D)`` tensor against the bank's
+    anchors, recorded on the active tape if there is one."""
+    return score(ts, bank.anchors_tensor(), pooling)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +230,10 @@ def test_alignment_rejects_indices_outside_the_bank(indices):
     # a negative index would silently score one of the last anchors; the
     # selection bypasses PromptSelection's own check
     bank = make_bank()
-    ts = Tensor(np.random.default_rng(3).normal(size=(5, 4)))
+    ts = Tensor(np.random.default_rng(3).normal(size=(1, 5, 4)))
     selection = SimpleNamespace(indices=indices)
     with pytest.raises(PromptError, match="outside the anchor bank"):
-        alignment_term(ad.reshape(ts, (1, 5, 4)), [selection], bank)
+        alignment_term(bank_scores(ts, bank), [selection])
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +251,17 @@ def prompt_model(k, vocab_dim=8):
 
 def assert_prefix_layout(model, ts):
     """Each window's sequence is its anchor rows in score order, then its
-    patch rows verbatim."""
+    patch rows verbatim; the scores are every anchor's, as ``score_all``
+    gives them."""
     k = model.config.prompt_k
-    sequence, selections, anchors = model.prompt(Tensor(ts))
+    sequence, selections, scores = model.prompt(Tensor(ts))
+    anchors = model.bank.anchors()
     assert sequence.shape == (len(ts), k + ts.shape[1], ts.shape[2])
-    assert np.array_equal(anchors.data, model.bank.anchors_tensor().data)
+    assert np.array_equal(scores.data, score_all(ts, anchors))
     for row, selection, window in zip(sequence.data, selections, ts):
-        idx, _ = brute_force_topk(window, anchors.data, k)
+        idx, _ = brute_force_topk(window, anchors, k)
         assert list(selection.indices) == idx
-        assert np.array_equal(row[:k], anchors.data[idx])
+        assert np.array_equal(row[:k], anchors[idx])
         assert np.array_equal(row[k:], window)
 
 
@@ -264,8 +272,8 @@ def test_prefix_layout():
 
 def test_prefix_disabled_is_identity():
     ts = Tensor(np.ones((3, 4, 8)))
-    sequence, selections, anchors = prompt_model(k=0).prompt(ts)
-    assert sequence is ts and anchors is None
+    sequence, selections, scores = prompt_model(k=0).prompt(ts)
+    assert sequence is ts and scores is None
     assert [s.k for s in selections] == [0, 0, 0]
 
 
@@ -295,7 +303,7 @@ def test_alignment_parallel_is_k():
     bank.map_weights.data[1] = [5.0, 0, 0, 0]
     ts = Tensor(np.tile([3.0, 0.0, 0.0, 0.0], (1, 4, 1)))
     selections = retrieve_topk(ts.data, bank, k=2)
-    value = alignment_term(ts, selections, bank).item()
+    value = alignment_term(bank_scores(ts, bank), selections).item()
     assert value == pytest.approx(2.0, abs=1e-12)
 
 
@@ -306,7 +314,8 @@ def test_alignment_orthogonal_is_zero():
     bank.map_weights.data[1] = [0, 0, 1.0, 0]
     ts = Tensor(np.tile([1.0, 0.0, 0.0, 0.0], (1, 3, 1)))
     selection = PromptSelection((0, 1), (0.0, 0.0))
-    assert alignment_term(ts, [selection], bank).item() == pytest.approx(0.0, abs=1e-12)
+    value = alignment_term(bank_scores(ts, bank), [selection]).item()
+    assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_alignment_matches_recomputed_cosines():
@@ -315,7 +324,8 @@ def test_alignment_matches_recomputed_cosines():
         bank = make_bank(seed=int(rng.integers(1e6)))
         ts = rng.normal(size=(5, 4))
         selection = retrieve_topk(ts, bank, k=3)
-        value = alignment_term(Tensor(ts[None]), [selection], bank).item()
+        value = alignment_term(bank_scores(Tensor(ts[None]), bank),
+                               [selection]).item()
         scores = score_all(ts, bank.anchors())
         expected = sum(scores[i] for i in selection.indices)
         assert abs(value - expected) <= 1e-12
@@ -324,8 +334,8 @@ def test_alignment_matches_recomputed_cosines():
 
 def test_alignment_empty_selection():
     bank = make_bank()
-    value = alignment_term(Tensor(np.ones((1, 2, 4))), [PromptSelection((), ())],
-                           bank)
+    value = alignment_term(bank_scores(Tensor(np.ones((1, 2, 4))), bank),
+                           [PromptSelection((), ())])
     assert value.shape == (1,) and value.item() == 0.0
 
 
@@ -336,7 +346,7 @@ def test_alignment_gradients_flow():
     selections = retrieve_topk(ts.data, bank, k=2)
 
     def f():
-        return ad.tsum(alignment_term(ts, selections, bank))
+        return ad.tsum(alignment_term(bank_scores(ts, bank), selections))
 
     err = ad.grad_check(f, [ts, bank.map_weights], eps=1e-6)
     assert err <= 1e-5
@@ -347,8 +357,8 @@ def test_alignment_per_patch_pooling():
     rng = np.random.default_rng(13)
     ts = rng.normal(size=(5, 4))
     selection = retrieve_topk(ts, bank, k=2, pooling="per_patch")
-    value = alignment_term(Tensor(ts[None]), [selection], bank,
-                           pooling="per_patch").item()
+    value = alignment_term(bank_scores(Tensor(ts[None]), bank, "per_patch"),
+                           [selection]).item()
     anchors = bank.anchors()
     expected = 0.0
     for i in selection.indices:
@@ -376,7 +386,7 @@ def test_alignment_degenerate_rows_score_zero(pooling):
     scores = score_all(data, anchors, pooling=pooling)
     expected = scores[:, :3].sum(axis=1)
     with ad.Tape():
-        terms = alignment_term(ts, selections, bank, pooling=pooling)
+        terms = alignment_term(bank_scores(ts, bank, pooling), selections)
         loss = ad.tsum(terms)
     assert np.all(np.abs(terms.data - expected) <= 1e-12)
     assert terms.data[0] == 0.0
@@ -428,10 +438,10 @@ def oracle_alignment_term(ts_embed, selections, anchors, pooling):
 
 @pytest.mark.parametrize("pooling", ["mean", "per_patch"])
 def test_alignment_matches_the_elementwise_tape_oracle(pooling):
-    # differential test of the shared cosine kernel against the tape path it
+    # differential test of the shared score tensor against the tape path it
     # replaced, with a zero anchor (0), a zero window (0) and a zero patch
-    # row (window 1): values and gradients agree to 1e-12, and the kernel
-    # on a tape scores bit for bit as score_all does
+    # row (window 1): values and gradients agree to 1e-12, and the scores
+    # on a tape are bit for bit those score_all gives
     bank = make_bank(v=40, d=8, n_anchors=10, seed=17)
     bank.map_weights.data[0] = 0.0
     data = np.random.default_rng(18).normal(size=(5, 6, 8))
@@ -447,9 +457,8 @@ def test_alignment_matches_the_elementwise_tape_oracle(pooling):
         with ad.Tape():
             anchors = bank.anchors_tensor()
             if alignment is alignment_term:
-                terms = alignment(ts, selections, bank, pooling=pooling,
-                                  anchors=anchors)
-                scores = pr._cosines(ts, anchors, pooling)[0]
+                scores = score(ts, anchors, pooling)
+                terms = alignment(scores, selections)
             else:
                 terms = alignment(ts, selections, anchors, pooling)
             loss = ad.tsum(terms)
