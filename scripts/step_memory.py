@@ -9,7 +9,9 @@ size, prints the memory live once ``joint_loss`` has recorded the forward,
 the peak through ``joint_loss`` (the forward's own peak), the peak through
 ``backward`` and the number of tape nodes; then the peak of one tape-free
 ``forward_forecast`` chunk (``model.FORECAST_CHUNK`` test windows, the
-anchors already derived). Every figure is tracemalloc's (Python objects and
+anchors already derived), and of one ``forward_forecast`` call over twice
+as many windows split over two threads, whose chunks are live at once.
+Every figure is tracemalloc's (Python objects and
 numpy buffers), counted from just before the call it measures, so the
 model's parameters are not in them. Stdlib and ``s2ip`` only.
 """
@@ -25,14 +27,26 @@ ROOT = Path(__file__).resolve().parent.parent
 MIB = float(1 << 20)
 
 
+def traced_peak(fn, *args) -> int:
+    """tracemalloc's peak, in bytes, through ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def step_memory(config) -> dict:
     """``live_mib`` after ``joint_loss``, ``forward_peak_mib`` through it,
     ``peak_mib`` through ``backward`` and ``tape_nodes`` for one step of
-    ``config``, a ``RunConfig``, and ``forecast_peak_mib`` of one tape-free
-    ``forward_forecast`` chunk."""
+    ``config``, a ``RunConfig``; ``forecast_peak_mib`` of one tape-free
+    ``forward_forecast`` chunk and ``split_forecast_peak_mib`` of two chunks
+    on two threads."""
     import numpy as np
 
     from s2ip import harness
+    from s2ip import model as model_module
     from s2ip.autodiff import Tape, backward
     from s2ip.model import FORECAST_CHUNK
 
@@ -49,18 +63,20 @@ def step_memory(config) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    channels, inputs, _ = zip(*pipeline.test_windows[:FORECAST_CHUNK])
+    channels, inputs, _ = zip(*pipeline.test_windows[:2 * FORECAST_CHUNK])
     x, channels = np.stack(inputs), np.array(channels)
     model.forward_forecast(x[0], channels[0])  # derives the anchors tape-free
-    tracemalloc.start()
+    forecast_peak = traced_peak(model.forward_forecast, x[:FORECAST_CHUNK],
+                                channels[:FORECAST_CHUNK])
+    threads, model_module.FORECAST_THREADS = model_module.FORECAST_THREADS, 2
     try:
-        model.forward_forecast(x, channels)
-        forecast_peak = tracemalloc.get_traced_memory()[1]
+        split_peak = traced_peak(model.forward_forecast, x, channels)
     finally:
-        tracemalloc.stop()
+        model_module.FORECAST_THREADS = threads
     return {"live_mib": live / MIB, "forward_peak_mib": forward_peak / MIB,
             "peak_mib": peak / MIB, "tape_nodes": len(tape),
-            "forecast_peak_mib": forecast_peak / MIB}
+            "forecast_peak_mib": forecast_peak / MIB,
+            "split_forecast_peak_mib": split_peak / MIB}
 
 
 def main(argv=None) -> int:
@@ -77,7 +93,9 @@ def main(argv=None) -> int:
             ("peak through backward", f"{result['peak_mib']:.2f} MiB"),
             ("tape nodes", str(result["tape_nodes"])),
             ("peak of a forecast chunk",
-             f"{result['forecast_peak_mib']:.2f} MiB"))
+             f"{result['forecast_peak_mib']:.2f} MiB"),
+            ("peak of a split forecast",
+             f"{result['split_forecast_peak_mib']:.2f} MiB"))
     for label, value in rows:
         print(f"{label:<25}{value}")
     return 0

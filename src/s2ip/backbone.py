@@ -135,6 +135,8 @@ class Backbone:
 
         # the (L, D) positional table and the (L, L) causal mask broadcast
         # over the batch (and the heads); the mask is built once per length
+        # (threads of one forecast that race here build equal masks, and
+        # the dict keeps one of them)
         x = ad.add(x, ad.narrow(self.params["positional"], 0, 0, length))
         mask = self._masks.get(length)
         if mask is None:

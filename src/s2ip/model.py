@@ -16,7 +16,10 @@ policy allows (positional embeddings and layer norms by default).
 
 from __future__ import annotations
 
+import contextvars
+import os
 import re
+import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from typing import get_type_hints
@@ -39,6 +42,11 @@ from .series import WindowSpec
 # default config) and run ~20% faster than 8 on the evaluation benchmark at
 # the same peak RSS; 32 added 2.3-2.8 MiB (5-6%) to it, over its 5% bound
 FORECAST_CHUNK = 16
+
+# threads per tape-free ``forward_forecast`` call of several chunks, one per
+# usable core: NumPy's ufuncs and BLAS release the GIL
+FORECAST_THREADS = (len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 # checkpoint header keys of older S2IP1 writers -> the dotted field name now
 _HEADER_ALIASES = {"patch.length": "patch.patch_length"}
@@ -447,7 +455,13 @@ class ForecastModel:
         row gives ``(N, horizon)``. Runs :meth:`forward` over consecutive
         chunks of :data:`FORECAST_CHUNK` windows from the first; with no
         active tape it records nothing, the chunks share one derivation of
-        the anchors, and each chunk's activations are freed before the next."""
+        the anchors, and each chunk's activations are freed before the next.
+
+        With no active tape, several chunks are spread over up to
+        :data:`FORECAST_THREADS` threads, the caller's among them; each
+        chunk writes its own rows, so the output is bit for bit the serial
+        one. An error is raised once every thread has finished: that of
+        the first chunk that failed, as the serial loop would."""
         single = np.ndim(x) == 1
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         channels = np.atleast_1d(np.asarray(channel, dtype=np.int64))
@@ -455,10 +469,40 @@ class ForecastModel:
             raise ModelError(f"need one channel per window, got shape "
                              f"{channels.shape} for {len(x)} windows")
         out = np.empty((len(x), self.config.window.horizon))
-        for start in range(0, len(x), FORECAST_CHUNK):
-            stop = start + FORECAST_CHUNK
-            out[start:stop] = self.forward(x[start:stop],
-                                           channels[start:stop]).forecast.data
+        starts = range(0, len(x), FORECAST_CHUNK)
+        errors = {}
+
+        def run(share):
+            for start in share:
+                stop = start + FORECAST_CHUNK
+                try:
+                    out[start:stop] = self.forward(
+                        x[start:stop], channels[start:stop]).forecast.data
+                except Exception as exc:
+                    errors[start] = exc
+                    return
+
+        # the tape stack is one per process, so a tape keeps to one thread
+        n = min(FORECAST_THREADS, len(starts))
+        if n < 2 or ad.active_tape() is not None:
+            run(starts)
+        else:
+            if self.config.prompt_k > 0:
+                self.bank.anchors_tensor()  # derived once, for every thread
+            # each in a copy of the caller's context, so np.errstate holds
+            workers = [threading.Thread(target=contextvars.copy_context().run,
+                                        args=(run, starts[i::n]))
+                       for i in range(1, n)]
+            try:
+                for worker in workers:
+                    worker.start()
+                run(starts[::n])
+            finally:
+                for worker in workers:
+                    if worker.ident is not None:
+                        worker.join()
+        if errors:
+            raise errors[min(errors)]
         return ForecastResult(out[0] if single else out)
 
     def joint_loss(self, batch) -> Tensor:

@@ -11,6 +11,7 @@ scores stay differentiable.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .autodiff import Tensor
 DEGENERATE_NORM = 1e-12
 
 _degenerate_events = 0
+_degenerate_lock = threading.Lock()   # forecast threads score concurrently
 
 
 def degenerate_score_events() -> int:
@@ -189,8 +191,9 @@ def score(ts_embed: Tensor, anchors: Tensor, pooling: str = "mean") -> Tensor:
     global _degenerate_events
     scores, flat, anchor_flat = _cosines(ts_embed, anchors, pooling)
     flat = flat.reshape(len(flat), -1).any(axis=1)
-    _degenerate_events += int(flat.sum()
-                              + (flat.size - flat.sum()) * anchor_flat.sum())
+    events = int(flat.sum() + (flat.size - flat.sum()) * anchor_flat.sum())
+    with _degenerate_lock:
+        _degenerate_events += events
     return scores
 
 

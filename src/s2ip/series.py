@@ -128,10 +128,12 @@ class Window(NamedTuple):
 
 def _parse_timestamp(text: str, row: int):
     text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    # int() refuses a ':', a 'T' or a '-' past the sign, as ISO-8601 has
+    if ":" not in text and "T" not in text and "-" not in text[1:]:
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
         return datetime.fromisoformat(text)
     except ValueError:

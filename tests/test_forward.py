@@ -9,7 +9,9 @@ gradients.
 
 import copy
 import importlib.util
+import threading
 import tracemalloc
+import warnings
 from functools import cache
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 import s2ip.autodiff as ad
+import s2ip.model as model_module
 import s2ip.training as training
 from s2ip import harness, prompt
 from s2ip.autodiff import Tape, Tensor, active_tape, backward
@@ -412,8 +415,9 @@ def test_predict_runs_tape_free_chunks():
     passes, forward = [], model.forward
     model.forward = lambda *args: passes.append(forward(*args)) or passes[-1]
     model.forward_forecast(x, [channel for channel, _, _ in batch])
-    assert [p.forecast.shape[0] for p in passes] == [FORECAST_CHUNK,
-                                                     FORECAST_CHUNK, 3]
+    # threads run the chunks in no fixed order
+    assert sorted(p.forecast.shape[0] for p in passes) == [3, FORECAST_CHUNK,
+                                                           FORECAST_CHUNK]
     assert all(p.forecast.tape is None and not p.forecast.requires_grad
                for p in passes)
     assert active_tape() is None
@@ -422,6 +426,98 @@ def test_predict_runs_tape_free_chunks():
             model.forward_forecast(x, channels)
     with pytest.raises(ModelError, match="one channel per window"):
         model.forward_forecast(x[0], [0, 1])
+
+
+def split_inputs(n, seed):
+    batch = make_batch(n, seed=seed)
+    return (np.stack([x for _, x, _ in batch]),
+            np.array([channel for channel, _, _ in batch]))
+
+
+def record_threads(model):
+    """Make ``model.forward`` note the thread each chunk runs on."""
+    idents, forward = [], model.forward
+
+    def noted(*args):
+        idents.append(threading.get_ident())
+        return forward(*args)
+    model.forward = noted
+    return idents
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 35, 162])
+@pytest.mark.parametrize("pooling", ["mean", "per_patch"])
+def test_split_forecast_equals_the_serial_one(pooling, n, monkeypatch):
+    """Two threads give the serial forecasts bit for bit, and split only a
+    call of several chunks."""
+    model = make_model(pooling=pooling)
+    x, channels = split_inputs(n, seed=14)
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 1)
+    serial = model.forward_forecast(x, channels).forecast
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 2)
+    idents = record_threads(model)
+    assert np.array_equal(model.forward_forecast(x, channels).forecast, serial)
+    assert len(set(idents)) == (2 if n > FORECAST_CHUNK else 1)
+    assert threading.get_ident() in idents
+
+
+@pytest.mark.parametrize("bad_rows", [(20,), (5, 20), (20, 33)])
+def test_a_failing_chunk_raises_the_serial_error(bad_rows, monkeypatch):
+    """The first failing chunk's error, raised once every thread is
+    joined, whichever thread ran it (two threads: the caller runs chunks 0
+    and 32, the worker chunk 16)."""
+    model = make_model()
+    x, channels = split_inputs(35, seed=15)
+    channels[list(bad_rows)] = model.config.n_channels
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 1)
+    with pytest.raises(ModelError, match="channel out of range") as serial:
+        model.forward_forecast(x, channels)
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 2)
+    before = threading.active_count()
+    with pytest.raises(ModelError) as split:
+        model.forward_forecast(x, channels)
+    assert str(split.value) == str(serial.value)
+    assert threading.active_count() == before
+
+
+def test_a_forecast_on_a_tape_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 2)
+    model = make_model()
+    x, channels = split_inputs(35, seed=16)
+    idents = record_threads(model)
+    with Tape():
+        model.forward_forecast(x, channels)
+    assert set(idents) == {threading.get_ident()} and len(idents) == 3
+
+
+def test_split_counts_degenerate_scores_as_the_serial_path(monkeypatch):
+    """With no RevIN shift, constant windows embed to the zero projection
+    bias, so each scores as one degenerate event, on either thread."""
+    model = make_model()
+    model.params["revin.beta"].data[:] = 0.0
+    x = np.repeat(np.arange(35.0)[:, None], model.config.window.lookback, 1)
+    channels = np.zeros(35, dtype=np.int64)
+    counts = []
+    for threads in (1, 2):
+        monkeypatch.setattr(model_module, "FORECAST_THREADS", threads)
+        before = prompt.degenerate_score_events()
+        model.forward_forecast(x, channels)
+        counts.append(prompt.degenerate_score_events() - before)
+    assert counts == [35, 35]
+
+
+def test_split_forecast_keeps_the_callers_errstate(monkeypatch):
+    """The worker threads run under the caller's ``np.errstate``: an
+    overflowing forecast warns on none of them."""
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 2)
+    model = make_model()
+    model.params["output_projection.weight"].data[...] = 1e308
+    x, channels = split_inputs(35, seed=17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            forecast = model.forward_forecast(x, channels).forecast
+    assert not np.isfinite(forecast).all()
 
 
 @pytest.mark.parametrize("name", ["classical-mean", "no-prompt"])
@@ -580,6 +676,8 @@ def test_default_step_memory():
     assert result["tape_nodes"] == 76
     assert result["live_mib"] <= 10.0
     assert result["peak_mib"] <= 14.0
+    # two threads hold two chunks' activations at once, and no more
+    assert result["split_forecast_peak_mib"] <= 2.5 * result["forecast_peak_mib"]
 
 
 def test_default_step_forward_peak():

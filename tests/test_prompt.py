@@ -1,3 +1,5 @@
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -110,6 +112,31 @@ def test_score_degenerate_flagged():
     scores = score_all(batch, np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert np.allclose(scores, [[0.0, 0.0], [np.sqrt(0.5), 0.0]], atol=1e-15)
     assert pr.degenerate_score_events() - before == 3
+
+
+def test_concurrent_scores_count_every_degenerate_event():
+    """More threads than cores, switching as often as the interpreter
+    allows, lose no event."""
+    threads, calls = 8, 200
+    ts, anchors = np.zeros((3, 2)), np.array([[1.0, 0.0]])
+
+    def work():
+        for _ in range(calls):
+            score_all(ts, anchors)
+
+    before = pr.degenerate_score_events()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert pr.degenerate_score_events() - before == threads * calls
 
 
 @pytest.mark.parametrize("pooling, flat_windows", [("mean", 1),

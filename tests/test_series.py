@@ -98,6 +98,26 @@ def test_load_iso_timestamps(tmp_path):
     assert frame.length == 2
 
 
+def test_iso_timestamps_are_not_tried_as_integers(tmp_path, monkeypatch):
+    """int() sees the integer cells of a column that falls back to the
+    row-by-row parse, and none of its ISO-8601 cells."""
+    import s2ip.series as series
+    seen = []
+    monkeypatch.setattr(series, "int", lambda text: seen.append(text)
+                        or int(text), raising=False)
+    path = write(tmp_path, "t,a\n2021-01-01T00:00:00,1.0\n"
+                           "2021-01-01 01:00:00,2.0\n2021-01-02,3.0\n")
+    assert load_csv(path).timestamps == (datetime(2021, 1, 1),
+                                         datetime(2021, 1, 1, 1),
+                                         datetime(2021, 1, 2))
+    assert seen == ["2021-01-01T00:00:00"]  # the bulk map's first cell
+    seen.clear()
+    path = write(tmp_path, "t,a\n-3,1.0\n1_0,2.0\n 20160701 ,3.0\n")
+    assert load_csv(path).timestamps == (-3, 10, 20160701)
+    with pytest.raises(ParseError, match="row 3: cannot parse timestamp '1-0'"):
+        load_csv(write(tmp_path, "t,a\n-3,1.0\n1-0,2.0\n"))
+
+
 def test_load_missing_value_rejected(tmp_path):
     path = write(tmp_path, "t,a\n1,1.0\n2,\n3,3.0\n")
     with pytest.raises(ParseError, match="row 3"):
