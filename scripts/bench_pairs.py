@@ -21,8 +21,12 @@ change won and a verdict, ``gain``, ``worse`` or ``unresolved`` (see
 side's line count of ``src/s2ip/*.py``. ``--traced N`` adds N traced runs
 per side (``--trace 1``), in the same alternating order, with their
 per-layer metrics. ``--suite`` runs the tier-1 test suite once per side,
-after the pairs, and records its wall seconds and outcome counts. Stdlib
-only.
+after the pairs, and records its wall seconds and outcome counts. Before
+each pair, one reading of core availability is taken in a process of its
+own (:func:`core_reading`): a fixed NumPy kernel's time on one thread
+against the same work split over two threads. A claim about threads can only
+be read next to it, since on a shared machine a second core comes and goes.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -46,6 +50,40 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 WARM_UP_SECONDS = 1.0   # a discarded run that fills a side's bytecode cache
 MIN_GAIN_PAIRS = 10     # fewer pairs than this support no claimed gain
+
+
+# the core reading's child: the best of three passes of ``2 * half``
+# products on one thread, and of ``half`` on each of two threads, with
+# OpenBLAS held to one thread
+CORE_PROBE = """
+import json, threading, time
+import numpy as np
+a = np.random.default_rng(0).standard_normal((192, 192))
+half = 100
+
+def work(n):
+    for _ in range(n):
+        np.tanh(a @ a)
+
+def best(run):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+def split():
+    worker = threading.Thread(target=work, args=(half,))
+    worker.start()
+    work(half)
+    worker.join()
+
+work(4)
+one, two = best(lambda: work(2 * half)), best(split)
+print(json.dumps({"one_thread_s": one, "two_threads_s": two,
+                  "speedup": one / two}))
+"""
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -122,6 +160,16 @@ def run_once(checkout: Path, env: dict, workload: str, seed: int,
         "wall_s": wall,
         "env": env,
     }
+
+
+def core_reading() -> dict:
+    """Seconds of :data:`CORE_PROBE`'s kernel on one thread and split over
+    two, and their ratio: about 2 while a second core is free, about 1
+    while it is not."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CORE_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def run_suite(checkout: Path, env: dict) -> dict:
@@ -235,7 +283,8 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 seed = args.first_seed + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pair = {"seed": seed, "first": order[0]}
+                pair = {"seed": seed, "first": order[0],
+                        "cores": core_reading()}
                 for side in order:
                     pair[side] = run_once(checkouts[side], envs[side],
                                           workload, seed, args.seconds, False)
@@ -245,7 +294,12 @@ def main(argv=None) -> int:
                           f"{m['latency_ms.p50']:.2f} ms faults "
                           f"{pair[side]['minor_faults']}", file=sys.stderr)
                 pairs.append(pair)
-            entry = {"runs": pairs, "summary": compare(pairs, metrics)}
+            entry = {"runs": pairs, "summary": compare(pairs, metrics),
+                     "cores_speedup": summarize(
+                         [pair["cores"]["speedup"] for pair in pairs])}
+            print(f"{workload} two-thread speedup of the core reading: "
+                  f"median {entry['cores_speedup']['median']:.2f}",
+                  file=sys.stderr)
             for name, result in entry["summary"]["verdict"].items():
                 print(f"{workload} {name}: {result}", file=sys.stderr)
             traced = {side: [] for side in SIDES}

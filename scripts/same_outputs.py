@@ -18,6 +18,9 @@ checkout's working tree; the *parent* side is ``--parent``, unpacked with
   artifact that each of :data:`ARTIFACT_CONFIGS` writes with its own
   commands; a config's ``evaluate``, ``forecast`` and ``export-embeddings``
   read the checkpoint that its own ``train``, or the named config's, wrote.
+  The ``train`` of :data:`SERIAL_TRAIN` runs with ``model.FORECAST_THREADS``
+  at 1, so every revision takes serial steps there and the commands after
+  it read one fixed checkpoint, with the threads left as they are.
 
 Per array the report reads ``equal`` or the largest difference in ulps and
 in relative terms; per file it gives both sides' sha256. The exit code is 0
@@ -78,7 +81,9 @@ ARTIFACT_CONFIGS = {
     "tiny": (TINY, ALL_COMMANDS, None),
     "tiny-short": ({**TINY, "eval.mode": "short", "eval.seasonality": 8},
                    ("evaluate", "ablate"), "tiny"),
+    "serial-785": (DEFAULT_785, ALL_COMMANDS[:4], None),
 }
+SERIAL_TRAIN = frozenset({"serial-785"})
 ISO_START = datetime(2016, 7, 1)
 SEED = 0
 
@@ -154,16 +159,26 @@ def write_data(datadir: Path) -> dict[str, str]:
 
 
 def artifact_hashes(values: dict, commands, workdir: Path,
-                    checkpoint: str | None = None) -> dict[str, str]:
-    """sha256 of every file ``commands`` write, by file name."""
+                    checkpoint: str | None = None,
+                    serial_train: bool = False) -> dict[str, str]:
+    """sha256 of every file ``commands`` write, by file name; with
+    ``serial_train``, ``train`` runs on one thread."""
     from s2ip import harness
+    from s2ip import model as model_module
     from s2ip.config import RunConfig
 
     config = RunConfig(dict(values))
     hashes = {}
+    threads = model_module.FORECAST_THREADS
     for command in commands:
-        for path in harness.run(command, config, SEED, str(workdir),
-                                checkpoint):
+        if serial_train and command == "train":
+            model_module.FORECAST_THREADS = 1
+        try:
+            paths = harness.run(command, config, SEED, str(workdir),
+                                checkpoint)
+        finally:
+            model_module.FORECAST_THREADS = threads
+        for path in paths:
             hashes[Path(path).name] = sha256(path)
     return hashes
 
@@ -183,7 +198,8 @@ def collect(dest: Path) -> None:
             values = {**values,
                       "data.path": str(workdir["data"] / values["data.path"])}
         checkpoint = source and str(workdir[source] / "model.ckpt")
-        hashes = artifact_hashes(values, commands, workdir[name], checkpoint)
+        hashes = artifact_hashes(values, commands, workdir[name], checkpoint,
+                                 name in SERIAL_TRAIN)
         for file, digest in hashes.items():
             files[f"{name}/{file}"] = digest
     np.savez(dest.with_suffix(".npz"), **arrays)

@@ -12,9 +12,11 @@ shape.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import math
 import os
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,29 +79,83 @@ class _Node:
 
 class Tape:
     """Append-only record of operations; reverse append order is a valid
-    topological order for backpropagation."""
+    topological order for backpropagation. A tape records the operations
+    of the thread that entered it.
+
+    ``shares`` is set by :func:`sum_shares`: the node count before the sum
+    and the summed outputs of other threads' tapes, which :func:`backward`
+    replays once their gradients are known."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.shares: tuple[int, list[Tensor]] | None = None
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        global _open_tapes
+        _TAPE_STACK.tapes.append(self)
+        with _open_lock:
+            _open_tapes += 1
         return self
 
     def __exit__(self, *exc) -> bool:
-        _TAPE_STACK.pop()
+        global _open_tapes
+        with _open_lock:
+            _open_tapes -= 1
+        _TAPE_STACK.tapes.pop()
         return False
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-_TAPE_STACK: list[Tape] = []
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_TAPE_STACK = _TapeStack()  # each thread's entered tapes, innermost last
+# tapes entered and not exited, in every thread: while none is, an op reads
+# no thread-local state
+_open_tapes = 0
+_open_lock = threading.Lock()
 _FLOAT64 = np.dtype(np.float64)
 
 
 def active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    """The innermost tape this thread entered, if any."""
+    tapes = _TAPE_STACK.tapes if _open_tapes else None
+    return tapes[-1] if tapes else None
+
+
+def in_threads(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, the first on the caller's thread
+    and each other on a thread of its own, started and joined within the
+    call. Each thread runs in a copy of the caller's context, so
+    ``np.errstate`` holds in it. Once every thread has finished, the error
+    of the first item that failed is raised."""
+    if len(items) == 1:
+        return [fn(items[0])]
+    results, errors = [None] * len(items), {}
+
+    def run(i):
+        try:
+            results[i] = fn(items[i])
+        except Exception as exc:
+            errors[i] = exc
+
+    workers = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(run, i)) for i in range(1, len(items))]
+    try:
+        for worker in workers:
+            worker.start()
+        run(0)
+    finally:
+        for worker in workers:
+            if worker.ident is not None:
+                worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class Tensor:
@@ -161,7 +217,8 @@ def as_tensor(value) -> Tensor:
 def _keys(*inputs: Tensor) -> tuple | None:
     """Each input's key on the active tape (a trainable leaf itself, a
     recorded output its node, else ``_CONSTANT``); None if not recorded."""
-    if _TAPE_STACK and any(t.requires_grad for t in inputs):
+    if (_open_tapes and _TAPE_STACK.tapes
+            and any(t.requires_grad for t in inputs)):
         return tuple((t.node or t) if t.requires_grad else _CONSTANT for t in inputs)
     return None
 
@@ -169,7 +226,7 @@ def _keys(*inputs: Tensor) -> tuple | None:
 def _record(kind: str, keys: tuple, out_data: np.ndarray,
             backward_fn: Callable[[np.ndarray], list[tuple[object, np.ndarray]]]) -> Tensor:
     out = Tensor(out_data, requires_grad=True)
-    out.tape, out.node = _TAPE_STACK[-1], _Node(kind, keys, backward_fn)
+    out.tape, out.node = _TAPE_STACK.tapes[-1], _Node(kind, keys, backward_fn)
     out.tape.nodes.append(out.node)
     return out
 
@@ -492,17 +549,22 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _reduce("sum", a, axis, keepdims)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce("mean", a, axis, keepdims)
+def tmean(a, axis=None, keepdims: bool = False, count: int | None = None
+          ) -> Tensor:
+    """The mean over ``axis``; given ``count``, the sum divided by it: a
+    share's part of the mean over a larger batch."""
+    return _reduce("mean", a, axis, keepdims, count)
 
 
-def _reduce(kind: str, a, axis, keepdims: bool) -> Tensor:
+def _reduce(kind: str, a, axis, keepdims: bool, count: int | None = None
+            ) -> Tensor:
     # np.add.reduce and a division in place are what ndarray.sum and
     # ndarray.mean compute, without their Python wrappers
     a = as_tensor(a)
     axes = _normalize_axes(axis, a.ndim)
     out = np.add.reduce(a.data, axes, None, None, keepdims)
-    count = math.prod([a.shape[ax] for ax in axes]) if kind == "mean" else 1
+    if count is None:
+        count = math.prod([a.shape[ax] for ax in axes]) if kind == "mean" else 1
     if count != 1:  # a full reduction without keepdims gives a scalar
         out = np.true_divide(out, count,
                              out=out if type(out) is np.ndarray else None)
@@ -685,7 +747,34 @@ def gather_rows(a, indices) -> Tensor:
 # backward pass and gradient checking
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor) -> None:
+def sum_shares(parts: Sequence[Tensor]) -> Tensor:
+    """The sum of ``parts`` on the active tape, which recorded the first;
+    each other was recorded on a tape of another thread, and
+    :func:`backward` replays it on a thread of its own."""
+    tape = active_tape()
+    mark, total = len(tape.nodes), parts[0]
+    for part in parts[1:]:
+        total = add(total, part)
+    tape.shares = (mark, list(parts[1:]))
+    return total
+
+
+def _replay(nodes: list[_Node], grads: dict) -> None:
+    """Run ``nodes``' backward functions in reverse, from and into ``grads``."""
+    for node in reversed(nodes):
+        fn, node.backward_fn = node.backward_fn, None
+        if fn is None:
+            raise AutodiffError("this tape was already replayed by backward")
+        g_out = grads.pop(node, None)
+        if g_out is None:
+            continue
+        for key, g in fn(g_out):
+            if key.requires_grad:
+                grads[key] = grads[key] + g if key in grads else g
+
+
+def backward(loss: Tensor, seed: np.ndarray | None = None,
+             into: dict | None = None) -> None:
     """Backpropagate from a scalar loss through its tape, which replays once.
 
     Gradients accumulate into leaf tensors that require gradients (tensors
@@ -696,28 +785,47 @@ def backward(loss: Tensor) -> None:
     backward on the same tape raises :class:`AutodiffError`. Each
     intermediate gradient is freed as soon as the node that produced its
     tensor has consumed it, so intermediate tensors never carry ``.grad``.
+
+    A tape's :func:`sum_shares` parts are replayed through this function,
+    each on a thread of its own, once the nodes recorded from their sum on
+    have run; their leaf gradients are added in share order after the
+    caller's. ``seed`` is the loss's gradient (ones by default), and with
+    ``into`` the leaf gradients go into that dict instead of ``.grad``.
     """
     if loss.size != 1:
         raise AutodiffError(f"backward expects a scalar loss, got shape {loss.shape}")
     if loss.tape is None:
         raise AutodiffError("loss is not attached to a tape (no recorded operations)")
     # keyed by leaf tensors and by the nodes of recorded outputs
-    grads: dict[object, np.ndarray] = {loss.node: np.ones_like(loss.data)}
-    for node in reversed(loss.tape.nodes):
-        fn, node.backward_fn = node.backward_fn, None
-        if fn is None:
-            raise AutodiffError("this tape was already replayed by backward")
-        g_out = grads.pop(node, None)
-        if g_out is None:
-            continue
-        for key, g in fn(g_out):
-            if key.requires_grad:
-                grads[key] = grads[key] + g if key in grads else g
-    # what is left is keyed by leaves, and by outputs of other tapes
-    for key, g in grads.items():
-        if isinstance(key, Tensor):
-            g = np.asarray(g, dtype=np.float64).reshape(key.shape)
-            key.grad = g.copy() if key.grad is None else key.grad + g
+    grads: dict[object, np.ndarray] = {
+        loss.node: np.ones_like(loss.data) if seed is None else seed}
+    nodes = loss.tape.nodes
+    mark, parts = loss.tape.shares or (0, ())
+    _replay(nodes[mark:], grads)
+    seeds = [(part, grads.pop(part.node)) for part in parts
+             if part.node in grads]
+
+    def replay(share):
+        leaves = {}
+        if share is None:
+            _replay(nodes[:mark], grads)
+            # what is left is keyed by leaves, and by outputs of other tapes
+            for key, g in grads.items():
+                if isinstance(key, Tensor):
+                    leaves[key] = np.asarray(g, dtype=np.float64).reshape(key.shape)
+        else:  # looked up when called, so a wrapper of backward sees it
+            backward(*share, leaves)
+        return leaves
+
+    leaves, *others = in_threads(replay, [None, *seeds])
+    for share in others:
+        for key, g in share.items():
+            leaves[key] = leaves[key] + g if key in leaves else g
+    if into is not None:
+        into.update(leaves)
+        return
+    for key, g in leaves.items():
+        key.grad = g.copy() if key.grad is None else key.grad + g
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],

@@ -15,7 +15,7 @@ from .backbone import TrainabilityPolicy
 from .model import (ModelConfig, ModelError, build_dataclass,
                     flatten_dataclass, typed_value)
 from .series import SplitSpec
-from .training import TrainConfig, TrainingError
+from .training import TrainConfig, TrainingError, read_record_header
 
 
 class ConfigError(ValueError):
@@ -151,6 +151,25 @@ def _parse_value(key: str, kind: str, text: str):
         raise ConfigError(f"{key}: cannot parse {text!r} as {kind}") from None
 
 
+def _check_embedding_header(values: dict) -> None:
+    """ConfigError if the ``prompt.embedding_path`` record's header gives a
+    matrix narrower or wider than ``backbone.embed_dim``, or with fewer
+    rows than ``2 * prompt.anchors``. Only the header is read; one that
+    cannot be read is left to the command that loads the file."""
+    path = values["prompt.embedding_path"]
+    try:
+        with open(path, "rb") as fh:
+            _, dims = read_record_header(fh)
+    except OSError:
+        return
+    width, anchors = values["backbone.embed_dim"], values["prompt.anchors"]
+    if len(dims) == 2 and (dims[1] != width or dims[0] < 2 * anchors):
+        raise ConfigError(f"prompt.embedding_path: {path} holds a {dims[0]} x "
+                          f"{dims[1]} matrix; it needs backbone.embed_dim = "
+                          f"{width} columns and at least 2 * prompt.anchors "
+                          f"= {2 * anchors} rows")
+
+
 @dataclass
 class RunConfig:
     """Validated configuration values plus the config dataclasses built
@@ -184,7 +203,9 @@ class RunConfig:
             key_of = {path: key for key, (_, path) in FIELDS.items()}
             raise ConfigError(re.sub(r"\w+(?:\.\w+)*", lambda m: key_of.get(
                 m[0], m[0]), str(exc))) from None
-        if not merged["prompt.embedding_path"]:
+        if merged["prompt.embedding_path"]:
+            _check_embedding_header(merged)
+        else:
             most = merged["prompt.vocab_size"] // 2
             if merged["prompt.anchors"] > most:
                 raise ConfigError(f"prompt.anchors: must be at most "

@@ -16,10 +16,8 @@ policy allows (positional embeddings and layer norms by default).
 
 from __future__ import annotations
 
-import contextvars
 import os
 import re
-import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from typing import get_type_hints
@@ -43,8 +41,9 @@ from .series import WindowSpec
 # the same peak RSS; 32 added 2.3-2.8 MiB (5-6%) to it, over its 5% bound
 FORECAST_CHUNK = 16
 
-# threads per tape-free ``forward_forecast`` call of several chunks, one per
-# usable core: NumPy's ufuncs and BLAS release the GIL
+# threads per tape-free ``forward_forecast`` call of several chunks, and per
+# ``joint_loss`` batch on a tape, one per usable core: NumPy's ufuncs and
+# BLAS release the GIL
 FORECAST_THREADS = (len(os.sched_getaffinity(0))
                     if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
@@ -339,6 +338,23 @@ class ForecastModel:
 
     # -- tokenization --------------------------------------------------------
 
+    def _checked(self, x, channels) -> tuple[np.ndarray, np.ndarray]:
+        """A ``(B, lookback)`` float64 batch and its ``(B,)`` channels;
+        ModelError for another shape or a channel out of range."""
+        x = np.asarray(x, dtype=np.float64)
+        channels = np.asarray(channels, dtype=np.int64)
+        lookback, n_channels = self.config.window.lookback, self.config.n_channels
+        if x.ndim != 2 or x.shape[1] != lookback:
+            raise ModelError(f"expected (B, {lookback}) windows, "
+                             f"got shape {x.shape}")
+        if channels.shape != (x.shape[0],):
+            raise ModelError(f"need one channel per window, got shape "
+                             f"{channels.shape} for {x.shape[0]} windows")
+        if channels.min() < 0 or channels.max() >= n_channels:
+            raise ModelError(f"channel out of range [0, {n_channels}): "
+                             f"{channels.tolist()}")
+        return x, channels
+
     def tokenize_and_embed(self, x: np.ndarray, channels
                            ) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """Normalize, decompose, patch, and project a ``(B, lookback)``
@@ -352,17 +368,7 @@ class ForecastModel:
         the tape afterwards, which keeps the whole map differentiable.
         """
         cfg = self.config
-        x = np.asarray(x, dtype=np.float64)
-        channels = np.asarray(channels, dtype=np.int64)
-        if x.ndim != 2 or x.shape[1] != cfg.window.lookback:
-            raise ModelError(f"expected (B, {cfg.window.lookback}) windows, "
-                             f"got shape {x.shape}")
-        if channels.shape != (x.shape[0],):
-            raise ModelError(f"need one channel per window, got shape "
-                             f"{channels.shape} for {x.shape[0]} windows")
-        if channels.min() < 0 or channels.max() >= cfg.n_channels:
-            raise ModelError(f"channel out of range [0, {cfg.n_channels}): "
-                             f"{channels.tolist()}")
+        x, channels = self._checked(x, channels)
         # np.mean and np.var, written out as the reductions they run, so
         # the centered windows are formed once
         mean = np.add.reduce(x, axis=1) / x.shape[1]
@@ -482,25 +488,14 @@ class ForecastModel:
                     errors[start] = exc
                     return
 
-        # the tape stack is one per process, so a tape keeps to one thread
+        # a tape records one thread's operations, so it keeps the call serial
         n = min(FORECAST_THREADS, len(starts))
         if n < 2 or ad.active_tape() is not None:
             run(starts)
         else:
             if self.config.prompt_k > 0:
                 self.bank.anchors_tensor()  # derived once, for every thread
-            # each in a copy of the caller's context, so np.errstate holds
-            workers = [threading.Thread(target=contextvars.copy_context().run,
-                                        args=(run, starts[i::n]))
-                       for i in range(1, n)]
-            try:
-                for worker in workers:
-                    worker.start()
-                run(starts[::n])
-            finally:
-                for worker in workers:
-                    if worker.ident is not None:
-                        worker.join()
+            ad.in_threads(run, [starts[i::n] for i in range(n)])
         if errors:
             raise errors[min(errors)]
         return ForecastResult(out[0] if single else out)
@@ -508,14 +503,46 @@ class ForecastModel:
     def joint_loss(self, batch) -> Tensor:
         """Mean-squared forecast error minus ``config.alignment_weight``
         times the batch-mean alignment bonus over a batch of (channel, input,
-        target) windows; the training objective."""
+        target) windows; the training objective.
+
+        On a tape, a batch of several windows is split into one contiguous
+        share per thread, up to :data:`FORECAST_THREADS`. The caller runs
+        the first share on its tape, each other thread one on a tape of its
+        own, and the loss is the sum of the shares' parts
+        (:func:`autodiff.sum_shares`): a share's squared errors summed over
+        ``B * horizon`` minus the weight times its bonuses summed over
+        ``B``. A share's error is raised once every thread has finished:
+        that of the first share that failed."""
         if not batch:
             raise ModelError("joint_loss needs a nonempty batch")
         channels, inputs, targets = zip(*batch)
-        out = self.forward(np.stack(inputs), channels)
-        err = ad.sub(out.forecast, Tensor(np.stack(targets)))
-        loss = ad.tmean(ad.mul(err, err))
+        x, targets = np.stack(inputs), np.stack(targets)
+        n = min(FORECAST_THREADS, len(x))
+        tape = ad.active_tape()
+        if n < 2 or tape is None or tape.shares:
+            return self._loss_part(x, channels, targets, len(x))
+        x, channels = self._checked(x, channels)  # the serial errors, first
+        bounds = [len(x) * i // n for i in range(n + 1)]
+
+        def part(i):
+            rows = slice(bounds[i], bounds[i + 1])
+            args = (x[rows], channels[rows], targets[rows], len(x))
+            if i == 0:
+                return self._loss_part(*args)
+            with ad.Tape():
+                return self._loss_part(*args)
+
+        return ad.sum_shares(ad.in_threads(part, range(n)))
+
+    def _loss_part(self, x, channels, targets, batch_size: int) -> Tensor:
+        """The part of :meth:`joint_loss` over a batch of ``batch_size``
+        windows that the windows ``x`` contribute: all of it when they are
+        the batch."""
+        out = self.forward(x, channels)
+        err = ad.sub(out.forecast, Tensor(targets))
+        loss = ad.tmean(ad.mul(err, err), count=batch_size * err.shape[1])
         if out.scores is not None:
-            bonus = ad.tmean(alignment_term(out.scores, out.selections))
+            bonus = ad.tmean(alignment_term(out.scores, out.selections),
+                             count=batch_size)
             loss = ad.sub(loss, ad.mul(bonus, self.config.alignment_weight))
         return loss

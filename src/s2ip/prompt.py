@@ -219,11 +219,17 @@ def retrieve_topk(ts_embed: np.ndarray, bank: AnchorBank, k: int,
     per window. ``scores`` are the windows' scores against the bank's
     anchors when the caller already holds them, as :meth:`ForecastModel.prompt`
     does from :func:`score`; by default :func:`score_all` computes them.
+    Given scores must be ``(n_anchors,)`` for one window and
+    ``(B, n_anchors)`` for a batch; ``pooling`` is then not read.
     """
     if not 1 <= k <= bank.n_anchors:
         raise PromptError(f"k must lie in [1, {bank.n_anchors}], got {k}")
     if scores is None:
         scores = score_all(ts_embed, bank.anchors(), pooling=pooling)
+    elif scores.shape != np.shape(ts_embed)[:-2] + (bank.n_anchors,):
+        raise PromptError(f"scores of shape {scores.shape} do not fit windows "
+                          f"of shape {np.shape(ts_embed)}: expected "
+                          f"{np.shape(ts_embed)[:-2] + (bank.n_anchors,)}")
     # stable sort on negated scores: equal scores keep ascending index order
     order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     top = np.take_along_axis(scores, order, axis=-1)

@@ -230,9 +230,9 @@ def _take(fh: BinaryIO, size: int, part: str) -> bytes:
     return fh.read(size)
 
 
-def read_record(fh: BinaryIO) -> tuple[str, np.ndarray]:
-    """The next record of ``fh`` as ``(name, array)``; IOError if it is
-    truncated or malformed."""
+def read_record_header(fh: BinaryIO) -> tuple[str, tuple[int, ...]]:
+    """The name and dims of the next record of ``fh``, which is left at the
+    record's values; IOError if they are truncated or malformed."""
     (size,) = struct.unpack("<Q", _take(fh, 8, "named record (name length)"))
     try:
         name = _take(fh, size, "named record (name)").decode("utf-8")
@@ -242,7 +242,14 @@ def read_record(fh: BinaryIO) -> tuple[str, np.ndarray]:
     # refused before any dim is read, so a corrupt rank sizes nothing
     if rank > _MAX_RANK:
         raise IOError(f"invalid tensor record rank {rank}")
-    dims = struct.unpack(f"<{rank}Q", _take(fh, 8 * rank, "tensor record (dims)"))
+    return name, struct.unpack(f"<{rank}Q",
+                               _take(fh, 8 * rank, "tensor record (dims)"))
+
+
+def read_record(fh: BinaryIO) -> tuple[str, np.ndarray]:
+    """The next record of ``fh`` as ``(name, array)``; IOError if it is
+    truncated or malformed."""
+    name, dims = read_record_header(fh)
     # Python ints: a product of u64 dims can wrap around in int64
     raw = _take(fh, 8 * math.prod(dims), "tensor record (data)")
     try:

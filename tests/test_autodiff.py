@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import weakref
 import zlib
@@ -589,6 +590,54 @@ def test_grad_accumulates_across_separate_tapes():
             loss = ad.tsum(ad.mul(x, x))
         backward(loss)
     assert np.array_equal(x.grad, [4.0, 8.0])
+
+
+def in_thread(fn):
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+def test_a_tape_records_only_its_own_threads_operations():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+
+    def untaped():
+        return ad.active_tape(), ad.mul(x, x).tape
+
+    def taped():
+        with Tape() as tape:
+            return ad.active_tape() is tape, ad.mul(x, x).tape is tape
+
+    with Tape() as tape:
+        assert in_thread(untaped) == (None, None)
+        assert in_thread(taped) == (True, True)
+        assert ad.active_tape() is tape and len(tape) == 0
+    assert ad._open_tapes == 0 and ad.active_tape() is None
+
+
+def test_backward_replays_the_shares_of_a_sum():
+    """A sum of parts recorded on other threads' tapes backpropagates into
+    each part's tape, its leaf gradients added in share order."""
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([3.0, -1.0], requires_grad=True)
+
+    def part(scale):
+        with Tape():
+            return ad.tsum(ad.mul(ad.mul(x, w), scale))
+
+    with Tape() as tape:
+        own = ad.tsum(ad.mul(x, x))
+        total = ad.sum_shares([own, in_thread(lambda: part(2.0)),
+                               in_thread(lambda: part(5.0))])
+        loss = ad.mul(total, 3.0)   # recorded after the sum
+    assert tape.shares[0] == 2 and len(tape) == 2 + 2 + 1
+    backward(loss)
+    assert np.array_equal(x.grad, 3.0 * (2 * x.data + 7.0 * w.data))
+    assert np.array_equal(w.grad, 3.0 * 7.0 * x.data)
+    assert all(node.backward_fn is None for share in tape.shares[1]
+               for node in share.tape.nodes)
 
 
 # ---------------------------------------------------------------------------

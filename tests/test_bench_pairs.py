@@ -122,3 +122,35 @@ def test_src_lines_counts_each_checkout_like_wc(tmp_path):
             (package / name).write_text(text)
         counts[side] = bench_pairs.src_lines(tmp_path / side)
     assert counts == {"parent": 3, "change": 1}
+
+
+def test_a_core_reading_is_taken_before_each_pair(tmp_path, monkeypatch):
+    """Each pair holds one reading of its own, and each workload their
+    median and quartiles; the reading's child runs for real, the benchmark
+    does not."""
+    readings, core_reading = [], bench_pairs.core_reading
+
+    def reading():
+        readings.append(core_reading())
+        return readings[-1]
+
+    monkeypatch.setattr(bench_pairs, "core_reading", reading)
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, env, workload, seed, seconds, trace:
+                        {**run(seed, 1.5, 1000.0),
+                         "metrics": {name: 1.0 for name in (
+                             "setup_s", "windows_per_s", "latency_ms.p50",
+                             "latency_ms.p90", "peak_rss_mb")}})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--workload", "train", "--pairs", "3",
+                             "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["train"]
+    assert [pair["cores"] for pair in entry["runs"]] == readings
+    for reading in readings:
+        assert set(reading) == {"one_thread_s", "two_threads_s", "speedup"}
+        assert reading["one_thread_s"] > 0 and reading["two_threads_s"] > 0
+        assert reading["speedup"] == pytest.approx(
+            reading["one_thread_s"] / reading["two_threads_s"])
+    assert entry["cores_speedup"] == bench_pairs.summarize(
+        [reading["speedup"] for reading in readings])

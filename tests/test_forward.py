@@ -285,7 +285,8 @@ def two_pass_forward(model, x, channels):
     ts_embed, mean, scale = model.tokenize_and_embed(x, channels)
     anchors = model.bank.anchors_tensor()
     scores = score_all(ts_embed.data, anchors.data, cfg.pooling)
-    selections = retrieve_topk(None, model.bank, cfg.prompt_k, scores=scores)
+    selections = retrieve_topk(ts_embed.data, model.bank, cfg.prompt_k,
+                               scores=scores)
     indices = np.array([s.indices for s in selections])
     z_in = ad.concat([ad.gather_rows(anchors, indices), ts_embed], axis=-2)
     y_norm = model._recombine(model._head(model.backbone.forward(z_in)))
@@ -339,13 +340,16 @@ def test_one_scoring_pass_per_forward(monkeypatch):
     calls, cosines = [], prompt._cosines
     monkeypatch.setattr(prompt, "_cosines",
                         lambda *args: calls.append(args) or cosines(*args))
-    with Tape():
-        model.joint_loss(make_batch(4, seed=7))
-    assert len(calls) == 1
-    batch = make_batch(FORECAST_CHUNK + 1, seed=8)
-    model.forward_forecast(np.stack([x for _, x, _ in batch]),
-                           [channel for channel, _, _ in batch])
-    assert len(calls) == 3  # one per chunk
+    for threads in (1, 2):
+        monkeypatch.setattr(model_module, "FORECAST_THREADS", threads)
+        calls.clear()
+        with Tape():
+            model.joint_loss(make_batch(4, seed=7))
+        assert len(calls) == threads  # one per share of the batch
+        batch = make_batch(FORECAST_CHUNK + 1, seed=8)
+        model.forward_forecast(np.stack([x for _, x, _ in batch]),
+                               [channel for channel, _, _ in batch])
+        assert len(calls) == threads + 2  # one per chunk
 
 
 def test_trimmed_backbone_equals_the_untrimmed_rows_it_keeps():
@@ -520,6 +524,117 @@ def test_split_forecast_keeps_the_callers_errstate(monkeypatch):
     assert not np.isfinite(forecast).all()
 
 
+def split_step(model, batch, threads, monkeypatch):
+    """The loss and every gradient of one step on ``threads`` threads."""
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", threads)
+    return gradients(model, lambda: model.joint_loss(batch))
+
+
+@pytest.mark.parametrize("name, n", [("classical-mean", 32),
+                                     ("stl-per_patch", 32), ("no-prompt", 32),
+                                     ("no-decomposition", 32),
+                                     ("classical-mean", 33)])
+def test_split_step_equals_the_serial_one(name, n, monkeypatch):
+    """Two shares give the serial loss within 1e-12 relative and every
+    gradient within 1e-12 of its largest entry, and two runs agree bit for
+    bit."""
+    model = make_model(**CONFIGS[name])
+    batch = make_batch(n, seed=18)
+    serial_loss, serial = split_step(model, batch, 1, monkeypatch)
+    loss, grads = split_step(model, batch, 2, monkeypatch)
+    assert abs(loss - serial_loss) <= 1e-12 * abs(serial_loss)
+    for key, g in serial.items():
+        assert np.max(np.abs(grads[key] - g)) <= 1e-12 * np.max(np.abs(g)), key
+    again_loss, again = split_step(model, batch, 2, monkeypatch)
+    assert again_loss == loss
+    assert all(np.array_equal(again[key], g) for key, g in grads.items())
+
+
+def test_a_split_step_runs_one_share_per_thread(monkeypatch):
+    """Each share's forward runs on a thread of its own, the caller's
+    among them, and each worker tape is replayed through ``autodiff.backward`` as
+    looked up when called; a batch of one stays serial."""
+    model = make_model()
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 2)
+    replayed, backward_fn = [], ad.backward
+    monkeypatch.setattr(ad, "backward", lambda loss, *args: (
+        replayed.append(threading.get_ident()), backward_fn(loss, *args))[1])
+    idents = record_threads(model)
+    before = threading.active_count()
+    with Tape() as tape:
+        loss = model.joint_loss(make_batch(5, seed=19))
+    assert len(set(idents)) == 2 and threading.get_ident() in idents
+    assert tape.shares[0] == len(tape) - 1 and len(tape.shares[1]) == 1
+    ad.backward(loss)
+    assert len(replayed) == 2 and replayed[1] != threading.get_ident()
+    assert all(t.grad is not None for _, t in model.named_parameters())
+    assert threading.active_count() == before
+    idents.clear()
+    with Tape() as tape:
+        model.joint_loss(make_batch(1, seed=19))
+    assert idents == [threading.get_ident()] and tape.shares is None
+
+
+def test_a_second_loss_on_a_split_tape_runs_serially(monkeypatch):
+    """A tape keeps one split: a second ``joint_loss`` on it runs on the
+    caller's thread, and the sum of both still backpropagates in full."""
+    model = make_model()
+    first, second = make_batch(8, seed=22), make_batch(6, seed=23)
+
+    def both():
+        return ad.add(model.joint_loss(first), model.joint_loss(second))
+
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 1)
+    serial_loss, serial = gradients(model, both)
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 2)
+    idents = record_threads(model)
+    loss, grads = gradients(model, both)
+    assert len(idents) == 3 and idents[-1] == threading.get_ident()
+    assert abs(loss - serial_loss) <= 1e-12 * abs(serial_loss)
+    for key, g in serial.items():
+        assert np.max(np.abs(grads[key] - g)) <= 1e-12 * np.max(np.abs(g)), key
+
+
+@pytest.mark.parametrize("bad_rows", [(5,), (20,), (5, 20)])
+def test_a_failing_share_raises_the_serial_error(bad_rows, monkeypatch):
+    """A bad channel is refused for the whole batch before it is split; an
+    overflow under ``np.errstate(over="raise")`` is raised by its share,
+    once the other thread is joined."""
+    model = make_model()
+    batch = make_batch(32, seed=20)
+    bad_channel = [(model.config.n_channels if i in bad_rows else c, x, y)
+                   for i, (c, x, y) in enumerate(batch)]
+    huge = [(c, x * 1e200 if i in bad_rows else x, y)
+            for i, (c, x, y) in enumerate(batch)]
+    for bad, error in ((bad_channel, ModelError),
+                       (huge, FloatingPointError)):
+        errors = []
+        for threads in (1, 2):
+            monkeypatch.setattr(model_module, "FORECAST_THREADS", threads)
+            before = threading.active_count()
+            with pytest.raises(error) as caught, np.errstate(over="raise"):
+                with Tape():
+                    model.joint_loss(bad)
+            assert threading.active_count() == before
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+
+def test_a_split_step_keeps_the_callers_errstate(monkeypatch):
+    """The share threads run the forward and the backward under the
+    caller's ``np.errstate``: an overflowing step warns on none of them."""
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 2)
+    model = make_model()
+    model.params["output_projection.weight"].data[...] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            with Tape():
+                loss = model.joint_loss(make_batch(32, seed=21))
+            backward(loss)
+    assert not np.isfinite(loss.item())
+
+
 @pytest.mark.parametrize("name", ["classical-mean", "no-prompt"])
 def test_predict_derives_the_anchors_once_per_call(name, monkeypatch):
     """Tape-free, the bank derives the anchors on a cold cache, reuses them
@@ -595,15 +710,18 @@ def test_anchors_on_an_active_tape_are_derived_and_train(monkeypatch):
     calls, derive = [], prompt.derive_anchors
     monkeypatch.setattr(prompt, "derive_anchors",
                         lambda *args: calls.append(args) or derive(*args))
-    with Tape():
-        out = model.forward(np.stack([x for _, x, _ in batch]), [0, 1, 0, 1])
-        loss = model.joint_loss(batch)
-    assert len(calls) == 2
-    assert out.scores.tape is not None and out.scores.requires_grad
-    model.bank.map_weights.grad = None
-    backward(loss)
-    assert model.bank.map_weights.grad is not None
-    assert np.any(model.bank.map_weights.grad != 0.0)
+    for threads in (1, 2):
+        monkeypatch.setattr(model_module, "FORECAST_THREADS", threads)
+        calls.clear()
+        with Tape():
+            out = model.forward(np.stack([x for _, x, _ in batch]), [0, 1, 0, 1])
+            loss = model.joint_loss(batch)
+        assert len(calls) == 1 + threads  # the forward, then one per share
+        assert out.scores.tape is not None and out.scores.requires_grad
+        model.bank.map_weights.grad = None
+        backward(loss)
+        assert model.bank.map_weights.grad is not None
+        assert np.any(model.bank.map_weights.grad != 0.0)
 
 
 def test_grad_check_of_the_anchor_map_through_a_tape_free_forward():
@@ -643,9 +761,11 @@ def load_spans():
     return module
 
 
-def test_default_step_tape_size_and_node_buckets():
+def test_default_step_tape_size_and_node_buckets(monkeypatch):
     # the traced benchmark's span coverage needs a backward node in every
-    # bucket but "other"; a fusion that empties one fails that check
+    # bucket but "other"; a fusion that empties one fails that check. On
+    # two threads the caller's tape holds its share and the sum of the parts
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 2)
     spans = load_spans()
     config = RunConfig({})
     pipeline = harness.build_pipeline(config, 0)
@@ -653,7 +773,7 @@ def test_default_step_tape_size_and_node_buckets():
     batch = pipeline.train_windows[:config.train_config(0).batch_size]
     with Tape() as tape:
         model.joint_loss(batch)
-    assert len(tape) == 76
+    assert [len(tape)] + [len(part.tape) for part in tape.shares[1]] == [77, 76]
     buckets = {spans.node_bucket(node.kind) for node in tape.nodes}
     assert set(spans.NODE_BUCKETS) - {"other"} <= buckets
 
@@ -674,8 +794,10 @@ def test_default_step_memory():
     # the backward's peak on this step
     result = default_step_memory()
     assert result["tape_nodes"] == 76
-    assert result["live_mib"] <= 10.0
-    assert result["peak_mib"] <= 14.0
+    assert result["split_tape_nodes"] == [77, 76]
+    for prefix in ("", "split_"):   # the serial step, and two shares
+        assert result[prefix + "live_mib"] <= 10.0
+        assert result[prefix + "peak_mib"] <= 14.0
     # two threads hold two chunks' activations at once, and no more
     assert result["split_forecast_peak_mib"] <= 2.5 * result["forecast_peak_mib"]
 
@@ -683,7 +805,9 @@ def test_default_step_memory():
 def test_default_step_forward_peak():
     # the forward peaks at the second block's GELU; forming its slope in
     # full-size buffers read 7.98 MiB
-    assert default_step_memory()["forward_peak_mib"] <= 7.5
+    result = default_step_memory()
+    assert result["forward_peak_mib"] <= 7.5
+    assert result["split_forward_peak_mib"] <= 7.5
 
 
 def test_tape_free_forward_holds_only_what_is_still_read():

@@ -816,10 +816,6 @@ SHORT_TEST = {"split.train": "0.8", "split.val": "0.15", "split.test": "0.05"}
     ("forecast", {}, "no_embedding", "checkpoint lacks the embedding matrix"),
     ("evaluate", {}, "extra_tensor",
      "checkpoint has unexpected tensors: ['extra']"),
-    ("train", {"prompt.embedding_path": (40, 8)}, None,
-     "embedding width 8 != backbone width 16"),
-    ("train", {"prompt.embedding_path": (10, 16), **SHORT_TEST}, None,
-     "n_anchors must be << vocab size (at most 5), got 8"),
     ("train", {"synthetic.length": "60"}, None,
      "training split yields no windows: train split has 36 rows, fewer "
      "than lookback+horizon = 40; increase data length or shrink "
@@ -837,8 +833,7 @@ SHORT_TEST = {"split.train": "0.8", "split.val": "0.15", "split.test": "0.05"}
      "no test windows to embed: test split has 10 rows, fewer than "
      "lookback+horizon = 40"),
 ], ids=["checkpoint_header_length", "checkpoint_header", "no_embedding",
-        "unexpected_tensor", "embedding_width", "too_many_anchors",
-        "no_train_windows", "no_test_windows", "short_forecast_input",
+        "unexpected_tensor", "no_train_windows", "no_test_windows", "short_forecast_input",
         "ablation_cell", "nothing_to_embed"])
 def test_each_refusal_prints_one_line_and_writes_nothing(
         tmp_path, command, overrides, checkpoint, message):
@@ -862,6 +857,42 @@ def test_each_refusal_prints_one_line_and_writes_nothing(
     assert done.stderr.endswith(f"{message}\n")
     assert "val split" not in done.stderr
     assert done.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, rows, width", [
+    ("train", 40, 8), ("train", 15, 16), ("evaluate", 15, 16),
+    ("gen-data", 40, 32),
+], ids=["embedding_width", "too_many_anchors", "evaluate_too_many_anchors",
+        "gen_data_embedding_width"])
+def test_an_embedding_file_that_does_not_fit_exits_2_before_any_output(
+        tmp_path, command, rows, width):
+    # the tiny config has width 16 and 8 anchors; only the record's header
+    # is read, before the command runs
+    path = write_embedding(tmp_path / "E.tensor", rows, width)
+    out = tmp_path / "out"
+    done = run_cli([command, "--config", tiny_config_file(
+        tmp_path, {"prompt.embedding_path": path}), "--out", str(out)])
+    assert done.returncode == 2
+    assert done.stderr == (
+        f"error: invalid configuration: prompt.embedding_path: {path} holds "
+        f"a {rows} x {width} matrix; it needs backbone.embed_dim = 16 columns "
+        "and at least 2 * prompt.anchors = 16 rows\n")
+    assert done.stdout == ""
+    assert not out.exists()
+
+
+def test_an_embedding_header_that_cannot_be_read_stays_a_runtime_error(
+        tmp_path):
+    path = tmp_path / "E.tensor"
+    path.write_bytes(struct.pack("<Q", 2 ** 62) + b"E")
+    out = tmp_path / "out"
+    config = {"prompt.embedding_path": str(path)}
+    assert RunConfig(config)["prompt.embedding_path"] == str(path)
+    done = run_cli(["train", "--config", tiny_config_file(tmp_path, config),
+                    "--out", str(out)])
+    assert done.returncode == 1
+    assert done.stderr == ("error: truncated named record (name)\n")
     assert not out.exists()
 
 
@@ -923,7 +954,7 @@ def test_embedding_file_interface(tmp_path):
     with open(path, "wb") as fh:
         write_record(fh, "E", emb)
     config = RunConfig({"prompt.embedding_path": str(path),
-                        "backbone.embed_dim": 16})
+                        "backbone.embed_dim": 16, "prompt.anchors": 8})
     loaded = load_embedding(config, seed=0)
     assert np.array_equal(loaded.values, emb)
 
@@ -940,7 +971,7 @@ def test_embedding_file_with_huge_name_length_raises_ioerror(tmp_path):
     path = tmp_path / "vocab.tensor"
     path.write_bytes(struct.pack("<Q", 2 ** 62) + b"E" + bytes(64))
     config = RunConfig({"prompt.embedding_path": str(path),
-                        "backbone.embed_dim": 16})
+                        "backbone.embed_dim": 16, "prompt.anchors": 8})
     with pytest.raises(IOError, match="truncated named record"):
         load_embedding(config, seed=0)
 
@@ -958,7 +989,7 @@ def test_embedding_file_with_trailing_bytes_rejected(tmp_path, capsys,
         else:
             fh.write(bytes(7))
     config = RunConfig({"prompt.embedding_path": str(path),
-                        "backbone.embed_dim": 16})
+                        "backbone.embed_dim": 16, "prompt.anchors": 8})
     with pytest.raises(HarnessError, match="more data after it"):
         load_embedding(config, seed=0)
     cfg = tiny_config_file(tmp_path, {"prompt.embedding_path": path.as_posix()})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import s2ip.autodiff as ad
+import s2ip.model as model_module
 from s2ip.backbone import BackboneConfig, TrainabilityPolicy
 from s2ip.autodiff import Tensor
 from s2ip.model import DecompositionConfig, ForecastModel, ModelConfig, ModelError
@@ -311,13 +312,22 @@ def test_an_all_trainable_step_leaves_the_attention_key_bias():
 
 
 @pytest.mark.parametrize("pooling, nodes", [("mean", 62), ("per_patch", 62)])
-def test_step_computes_no_frozen_gradient(pooling, nodes):
+def test_step_computes_no_frozen_gradient(pooling, nodes, monkeypatch):
     # one training step's backward computes a gradient for no tensor that
-    # does not require one, on a tape of a fixed size
+    # does not require one, on tapes of a fixed size: one per share, the
+    # caller's also holding the sum of the shares' parts
+    for threads in (1, 2):
+        monkeypatch.setattr(model_module, "FORECAST_THREADS", threads)
+        check_no_frozen_gradient(pooling, [nodes] if threads == 1
+                                 else [nodes + 1, nodes])
+
+
+def check_no_frozen_gradient(pooling, nodes):
     model = tiny_model(pooling=pooling)
     with ad.Tape() as tape:
         loss = model.joint_loss(make_batch(model, 4, seed=12))
-    assert len(tape.nodes) == nodes
+    tapes = [tape] + [part.tape for part in (tape.shares or (0, ()))[1]]
+    assert [len(t) for t in tapes] == nodes
     targets = []
 
     def spy(fn):
@@ -327,7 +337,7 @@ def test_step_computes_no_frozen_gradient(pooling, nodes):
             return pairs
         return backward_fn
 
-    for node in tape.nodes:
+    for node in (node for t in tapes for node in t.nodes):
         node.backward_fn = spy(node.backward_fn)
     ad.backward(loss)
     assert targets and all(tensor.requires_grad for tensor in targets)

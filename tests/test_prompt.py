@@ -241,6 +241,28 @@ def test_retrieve_k_out_of_range():
         retrieve_topk(ts, bank, bank.n_anchors + 1)
 
 
+def test_retrieve_refuses_scores_that_do_not_fit_the_windows():
+    bank = make_bank()
+    rng = np.random.default_rng(8)
+    batch = rng.normal(size=(3, 5, 4))
+    scores = score_all(batch, bank.anchors())
+    assert retrieve_topk(batch, bank, 2, scores=scores) == retrieve_topk(
+        batch, bank, 2)
+    one = score_all(batch[0], bank.anchors())
+    assert retrieve_topk(batch[0], bank, 2, scores=one) == retrieve_topk(
+        batch[0], bank, 2)
+    a = bank.n_anchors
+    for windows, wrong in ((batch, scores[:2]),             # another batch
+                           (batch, scores[:, :a - 1]),      # other anchors
+                           (batch[0], one[:a - 1]),
+                           (batch[0], scores)):             # a batch's scores
+        with pytest.raises(PromptError) as info:
+            retrieve_topk(windows, bank, 2, scores=wrong)
+        expected = windows.shape[:-2] + (a,)
+        assert f"shape {wrong.shape}" in str(info.value)
+        assert f"expected {expected}" in str(info.value)
+
+
 def test_selection_invariants_enforced():
     with pytest.raises(PromptError):
         PromptSelection((0, 0), (1.0, 1.0))

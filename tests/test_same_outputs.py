@@ -125,3 +125,25 @@ def test_collect_twice_compares_equal_until_a_stored_array_changes(
     assert [name for name, diff in report["arrays"].items()
             if diff != "equal"] == ["tiny/step2/forecast"]
     assert all(f["parent"] == f["change"] for f in report["files"].values())
+
+
+def test_a_serial_train_runs_on_one_thread_and_the_rest_as_set(
+        same_outputs, tmp_path, monkeypatch):
+    import s2ip.model as model_module
+
+    seen = []
+    joint_loss, forward_forecast = (model_module.ForecastModel.joint_loss,
+                                    model_module.ForecastModel.forward_forecast)
+    monkeypatch.setattr(model_module.ForecastModel, "joint_loss",
+                        lambda *args: seen.append(("train", model_module.FORECAST_THREADS))
+                        or joint_loss(*args))
+    monkeypatch.setattr(model_module.ForecastModel, "forward_forecast",
+                        lambda *args: seen.append(("forecast", model_module.FORECAST_THREADS))
+                        or forward_forecast(*args))
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 2)
+    tiny = {**same_outputs.TINY, "train.epochs": 1}
+    hashes = same_outputs.artifact_hashes(tiny, ("train", "evaluate"), tmp_path,
+                                          serial_train=True)
+    assert {"model.ckpt", "metrics.csv"} <= set(hashes)
+    assert ("train", 1) in seen and ("train", 2) not in seen
+    assert seen[-1] == ("forecast", 2) and model_module.FORECAST_THREADS == 2

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import s2ip.autodiff as ad
+import s2ip.model as model_module
 import s2ip.training as training
 from s2ip.autodiff import Tensor
 from s2ip.backbone import BackboneConfig
@@ -332,6 +333,23 @@ def test_zero_gamma_aborts_with_the_initial_parameters_restored():
     for name, tensor in model.named_parameters():
         assert np.array_equal(tensor.data, before[name]), name
         assert tensor.grad is None, name
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_nonfinite_loss_aborts_before_any_gradient(threads, monkeypatch):
+    # the loss is checked before backward, whether its batch was split over
+    # threads or not
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", threads)
+    replayed = []
+    monkeypatch.setattr(training, "backward", replayed.append)
+    model = tiny_model()
+    model.params["revin.gamma"].data[:] = 0.0
+    with pytest.raises(TrainingError, match=r"^non-finite loss \(inf\) at "
+                                            r"epoch 1; best parameters restored$"):
+        train(model, sine_windows(20, seed=8), [],
+              TrainConfig(epochs=1, batch_size=8, seed=0))
+    assert replayed == []
+    assert all(t.grad is None for _, t in model.named_parameters())
 
 
 def test_constant_window_keeps_loss_and_training_finite():
