@@ -12,7 +12,10 @@ step split over two threads (tape nodes per share, the caller's first);
 then the peak of one tape-free
 ``forward_forecast`` chunk (``model.FORECAST_CHUNK`` test windows, the
 anchors already derived), and of one ``forward_forecast`` call over twice
-as many windows split over two threads, whose chunks are live at once.
+as many windows split over two threads, whose chunks are live at once;
+and the peak of one tape-free ``forward`` over ``model.FORECAST_CHUNK``
+and over 16 windows, per window and as a multiple of one feed-forward
+hidden activation of that many windows, so chunk sizes compare alike.
 Every figure is tracemalloc's (Python objects and
 numpy buffers), counted from just before the call it measures, so the
 model's parameters are not in them. Stdlib and ``s2ip`` only.
@@ -27,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MIB = float(1 << 20)
+KIB = float(1 << 10)
+BASE_CHUNK = 16     # the chunk size the forward peak is also read at
 
 
 def traced_peak(fn, *args) -> int:
@@ -75,7 +80,10 @@ def step_memory(config) -> dict:
     step of ``config``, a ``RunConfig``; the same, prefixed ``split_``, for
     the step on two threads, with ``split_tape_nodes`` per share;
     ``forecast_peak_mib`` of one tape-free ``forward_forecast`` chunk and
-    ``split_forecast_peak_mib`` of two chunks on two threads."""
+    ``split_forecast_peak_mib`` of two chunks on two threads; and from
+    :func:`forward_peak`, ``chunk_peak_per_window_kib`` and
+    ``chunk_peak_hidden`` at ``FORECAST_CHUNK`` windows, and the same
+    prefixed ``chunk16_`` at :data:`BASE_CHUNK` windows."""
     import numpy as np
 
     from s2ip import harness
@@ -99,8 +107,24 @@ def step_memory(config) -> dict:
         split_peak = traced_peak(model.forward_forecast, x, channels)
     finally:
         model_module.FORECAST_THREADS = threads
+    peaks = {f"{prefix}{key}": value
+             for prefix, n in (("chunk_", FORECAST_CHUNK),
+                               (f"chunk{BASE_CHUNK}_", BASE_CHUNK))
+             for key, value in forward_peak(model, x[:n], channels[:n]).items()}
     return {**serial, **split, "forecast_peak_mib": forecast_peak / MIB,
-            "split_forecast_peak_mib": split_peak / MIB}
+            "split_forecast_peak_mib": split_peak / MIB, **peaks}
+
+
+def forward_peak(model, x, channels) -> dict:
+    """``peak_per_window_kib`` and ``peak_hidden`` of one tape-free
+    ``model.forward`` over the windows ``x``: its peak per window, and as a
+    multiple of one feed-forward hidden activation of all its rows."""
+    cfg = model.config
+    hidden = (len(x) * (cfg.prompt_k + cfg.n_patches)
+              * cfg.backbone.ffn_mult * cfg.backbone.embed_dim * 8)
+    peak = traced_peak(model.forward, x, channels)
+    return {"peak_per_window_kib": peak / len(x) / KIB,
+            "peak_hidden": peak / hidden}
 
 
 def main(argv=None) -> int:
@@ -109,6 +133,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     from s2ip.config import RunConfig, parse_config
+    from s2ip.model import FORECAST_CHUNK
 
     config = parse_config(args.config) if args.config else RunConfig()
     result = step_memory(config)
@@ -125,6 +150,12 @@ def main(argv=None) -> int:
              f"{result['forecast_peak_mib']:.2f} MiB"),
             ("peak of a split forecast",
              f"{result['split_forecast_peak_mib']:.2f} MiB"))
+    for prefix, n in (("chunk_", FORECAST_CHUNK),
+                      (f"chunk{BASE_CHUNK}_", BASE_CHUNK)):
+        rows += ((f"forward peak per window, {n} windows",
+                  f"{result[prefix + 'peak_per_window_kib']:.1f} KiB"),
+                 (f"forward peak, {n} windows",
+                  f"{result[prefix + 'peak_hidden']:.2f} x FFN hidden"))
     for label, value in rows:
         print(f"{label:<37}{value}")
     return 0

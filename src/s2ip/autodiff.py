@@ -319,20 +319,30 @@ def sqrt(a) -> Tensor:
     return _record("sqrt", keys, out, backward_fn)
 
 
-def gelu(a) -> Tensor:
+def gelu(a, overwrite: bool = False) -> Tensor:
     # one buffer t: the cube is (x * x) * x (``x ** 3`` goes through pow,
     # ~100x slower), then tanh, then the output, all in place. It rounds as
     # 0.5 * x * (1 + tanh(s (x + c x^3))) does: it only commutes products
     # and scales by 0.5. On a tape the local slope is formed from tanh
-    # before t becomes the output, and the node keeps only the slope
+    # before t becomes the output, and the node keeps only the slope.
+    # ``overwrite`` lets a call with no active tape write its output over
+    # ``a``'s array, _GELU_BLOCK elements at a time through one scratch
+    # block, so no second full-size buffer is live; on a tape it is ignored
     a = as_tensor(a)
     x = a.data
-    t = x * x
-    t *= x
-    t *= GELU_CUBIC_COEFF
-    t += x
-    t *= _GELU_SCALE
-    np.tanh(t, out=t)
+    if overwrite and active_tape() is None:
+        xs = x.reshape(-1)
+        scratch = np.empty(min(xs.size, _GELU_BLOCK))
+        for start in range(0, xs.size, _GELU_BLOCK):
+            xb = xs[start:start + _GELU_BLOCK]
+            t = scratch[:xb.size]
+            _gelu_inner(xb, t)
+            t += 1.0
+            t *= xb
+            np.multiply(t, 0.5, out=xb)
+        return Tensor(x)
+    t = np.empty_like(x)
+    _gelu_inner(x, t)
     keys = _keys(a)
     if keys is not None:
         # 0.5 (1 + t) + 0.5 x (1 - t^2) dinner. The node keeps the slope, a
@@ -370,6 +380,16 @@ def gelu(a) -> Tensor:
         return [(keys[0], slope)]
 
     return _record("gelu", keys, t, backward_fn)
+
+
+def _gelu_inner(x: np.ndarray, t: np.ndarray) -> None:
+    """tanh(s (x + c x^3)) of ``x`` into ``t``, in place."""
+    np.multiply(x, x, out=t)
+    t *= x
+    t *= GELU_CUBIC_COEFF
+    t += x
+    t *= _GELU_SCALE
+    np.tanh(t, out=t)
 
 
 # ---------------------------------------------------------------------------

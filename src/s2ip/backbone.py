@@ -152,8 +152,9 @@ class Backbone:
         return ad.layer_norm(x, self.params["final_ln.gain"],
                              self.params["final_ln.bias"])
 
-    # each block returns its residual sum, so its activations are freed on
-    # return unless a tape node saved them
+    # each block returns its residual sum and drops each activation once
+    # the next op has read it, so only what is still read stays live
+    # (unless a tape node saved it)
 
     def _attention_block(self, x: Tensor, p: str, mask: Tensor,
                          heads: int) -> Tensor:
@@ -161,15 +162,27 @@ class Backbone:
                           self.params[f"{p}.ln1.bias"])
         q, k, v = (ad.linear(h, self.params[f"{p}.attn.w{n}"],
                              self.params[f"{p}.attn.b{n}"]) for n in "qkv")
-        weights = ad.softmax(ad.attention_scores(q, k, mask, heads), axis=-1)
-        return ad.add(x, ad.linear(ad.attention_context(weights, v, heads),
-                                   self.params[f"{p}.attn.wo"],
-                                   self.params[f"{p}.attn.bo"]))
+        del h
+        scores = ad.attention_scores(q, k, mask, heads)
+        del q, k
+        weights = ad.softmax(scores, axis=-1)
+        del scores
+        context = ad.attention_context(weights, v, heads)
+        del weights, v
+        out = ad.linear(context, self.params[f"{p}.attn.wo"],
+                        self.params[f"{p}.attn.bo"])
+        del context
+        return ad.add(x, out)
 
     def _ffn_block(self, x: Tensor, p: str) -> Tensor:
-        inner = ad.gelu(ad.linear(
-            ad.layer_norm(x, self.params[f"{p}.ln2.gain"],
-                          self.params[f"{p}.ln2.bias"]),
-            self.params[f"{p}.ffn.w1"], self.params[f"{p}.ffn.b1"]))
-        return ad.add(x, ad.linear(inner, self.params[f"{p}.ffn.w2"],
-                                   self.params[f"{p}.ffn.b2"]))
+        h = ad.layer_norm(x, self.params[f"{p}.ln2.gain"],
+                          self.params[f"{p}.ln2.bias"])
+        inner = ad.linear(h, self.params[f"{p}.ffn.w1"],
+                          self.params[f"{p}.ffn.b1"])
+        del h
+        # tape-free, GELU writes over the w1 product, read by nothing else
+        inner = ad.gelu(inner, overwrite=True)
+        out = ad.linear(inner, self.params[f"{p}.ffn.w2"],
+                        self.params[f"{p}.ffn.b2"])
+        del inner
+        return ad.add(x, out)

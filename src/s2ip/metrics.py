@@ -59,6 +59,26 @@ def mse_mae(y, yhat) -> tuple[float, float]:
     return float(np.mean(diff * diff)), float(np.mean(np.abs(diff)))
 
 
+def row_mse_mae(y, yhat) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's :func:`mse_mae` of two equal ``(N, H)`` arrays, bit for
+    bit, as two ``(N,)`` arrays, from one reduction over the stacked
+    squared and absolute errors."""
+    y = np.asarray(y, dtype=np.float64)
+    yhat = np.asarray(yhat, dtype=np.float64)
+    if y.shape != yhat.shape or y.ndim != 2 or y.size < 1:
+        raise MetricError(f"need equal (N, H) arrays, got {y.shape} and "
+                          f"{yhat.shape}")
+    errors = np.empty((2, *y.shape))
+    np.subtract(y, yhat, out=errors[1])
+    np.multiply(errors[1], errors[1], out=errors[0])
+    np.abs(errors[1], out=errors[1])
+    # each row sums pairwise along its contiguous horizon, as np.mean of
+    # one row does
+    sums = np.add.reduce(errors, axis=2)
+    sums /= y.shape[1]
+    return sums[0], sums[1]
+
+
 def smape(y, yhat) -> float:
     """200/H * sum |y - yhat| / (|y| + |yhat|), zero-denominator terms
     contributing 0."""
@@ -199,18 +219,20 @@ def _window_metrics(pairs: list, insamples, mode: str, seasonality: int
         raise MetricError(f"unknown metrics mode {mode!r}")
     if mode == "short" and (insamples is None or len(insamples) != len(pairs)):
         raise MetricError("short mode needs one in-sample history per window")
-    rows = []
-    for i, (y, yhat) in enumerate(pairs):
-        m, a = mse_mae(y, yhat)
-        row = {"mse": m, "mae": a}
-        if mode == "short":
-            hist = insamples[i]
+    targets, forecasts = zip(*pairs)
+    try:
+        targets, forecasts = np.stack(targets), np.stack(forecasts)
+    except ValueError:
+        raise MetricError("need windows of one horizon") from None
+    mses, maes = row_mse_mae(targets, forecasts)
+    rows = [{"mse": m, "mae": a} for m, a in zip(mses.tolist(), maes.tolist())]
+    if mode == "short":
+        for row, (y, yhat), hist in zip(rows, pairs, insamples):
             ref = naive2_forecast(hist, seasonality, len(y))
             row.update(smape=smape(y, yhat), mape=mape(y, yhat),
                        mase=mase(y, yhat, hist, seasonality),
                        ref_smape=smape(y, ref),
                        ref_mase=mase(y, ref, hist, seasonality))
-        rows.append(row)
     return rows
 
 

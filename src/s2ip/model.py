@@ -35,11 +35,12 @@ from .series import WindowSpec
 
 
 # windows per forward in ``ForecastModel.forward_forecast``. A tape-free
-# forward holds only what is still read (GELU in one buffer, each block's
-# activations freed on return), so 16 windows peak at 1.35 MiB (tracemalloc,
-# default config) and run ~20% faster than 8 on the evaluation benchmark at
-# the same peak RSS; 32 added 2.3-2.8 MiB (5-6%) to it, over its 5% bound
-FORECAST_CHUNK = 16
+# forward holds only what is still read (GELU written over the w1 product,
+# each activation dropped once read), so 24 windows peak at 1.53 MiB, 2.04
+# feed-forward hidden activations (tracemalloc, default config). On the
+# evaluation benchmark 24 read +1.5% peak RSS over 16 (median of 10 pairs,
+# +0.1% to +2.9%); 32 read +3.3% to +4.5% in three runs, near its 5% bound
+FORECAST_CHUNK = 24
 
 # threads per tape-free ``forward_forecast`` call of several chunks, and per
 # ``joint_loss`` batch on a tape, one per usable core: NumPy's ufuncs and

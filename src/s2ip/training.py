@@ -14,7 +14,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .autodiff import Tape, backward
-from .metrics import mse_mae
+from .metrics import row_mse_mae
 from .model import ForecastModel, ModelConfig, ModelError, check_arrays
 from .prompt import EmbeddingMatrix
 
@@ -134,8 +134,7 @@ def _validation_mse(model: ForecastModel, val_windows) -> float:
     """Mean per-window MSE; inf or nan if a forecast is not finite."""
     channels, inputs, targets = zip(*val_windows)
     forecasts = model.forward_forecast(np.stack(inputs), channels).forecast
-    return float(np.mean([mse_mae(y, yhat)[0]
-                          for y, yhat in zip(targets, forecasts)]))
+    return float(np.mean(row_mse_mae(np.stack(targets), forecasts)[0]))
 
 
 def train(model: ForecastModel, train_windows, val_windows,

@@ -444,6 +444,36 @@ def test_gelu_in_place_forward_rounds_as_the_expression(shape):
     assert np.array_equal(y.data, expected)
 
 
+@pytest.mark.parametrize("shape", GELU_SHAPES.values(), ids=GELU_SHAPES)
+def test_gelu_overwrite_writes_the_same_output_into_its_input(shape):
+    x = np.random.default_rng(27).normal(0.0, 3.0, size=shape)
+    x.reshape(-1)[:4] = [0.0, -40.0, 40.0, 1e-300]
+    expected = ad.gelu(Tensor(x)).data
+    given = x.copy()
+    out = ad.gelu(Tensor(given), overwrite=True)
+    assert out.data is given
+    assert np.array_equal(given, expected)
+    assert not out.requires_grad and out.tape is None
+
+
+def test_gelu_leaves_its_input_alone_without_the_flag_or_on_a_tape():
+    x = np.random.default_rng(28).normal(0.0, 3.0, size=(5, 7))
+    given = x.copy()
+    ad.gelu(Tensor(given))
+    assert np.array_equal(given, x)
+    for requires_grad in (True, False):
+        with Tape():
+            out = ad.gelu(Tensor(given, requires_grad=requires_grad),
+                          overwrite=True)
+        assert out.data is not given and np.array_equal(given, x)
+    with Tape() as tape:
+        a = Tensor(given, requires_grad=True)
+        loss = ad.tsum(ad.gelu(a, overwrite=True))
+    assert [node.kind for node in tape.nodes][0] == "gelu"
+    backward(loss)
+    assert np.array_equal(a.grad, separate_pass_gelu_slope(x))
+
+
 def test_gelu_grad_check():
     # clipped to |x| <= 3: further out, 1 + tanh cancels to a few digits and
     # central differences of the loss carry no usable derivative

@@ -383,8 +383,10 @@ def test_backbone_returns_the_positions_the_head_reads(name):
                                                   cfg.backbone.embed_dim)
 
 
-# one window, short and full chunks, and two full chunks and a short one
-PREDICT_SIZES = sorted({1, 8, 19, FORECAST_CHUNK, 2 * FORECAST_CHUNK + 3})
+# one window, short and full chunks, and two full chunks and a short one;
+# 16 and 35 are the full and the two-and-a-bit chunks of the old chunk size
+PREDICT_SIZES = sorted({1, 8, 16, 19, 35, FORECAST_CHUNK,
+                        2 * FORECAST_CHUNK + 3})
 
 
 @pytest.mark.parametrize("n", PREDICT_SIZES)
@@ -402,7 +404,7 @@ def test_predict_matches_per_window_forecasts(name, n):
         assert np.max(np.abs(row - expected)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, FORECAST_CHUNK, 19])
+@pytest.mark.parametrize("n", sorted({1, 16, 19, FORECAST_CHUNK}))
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_batched_validation_matches_the_per_window_mean(name, n):
     model = make_model(**CONFIGS[name])
@@ -410,6 +412,23 @@ def test_batched_validation_matches_the_per_window_mean(name, n):
     per_window = np.mean([mse_mae(y, model.forward_forecast(x, c).forecast)[0]
                           for c, x, y in windows])
     assert abs(training._validation_mse(model, windows) - per_window) <= 1e-12
+
+
+OLD_CHUNK = 16  # windows per forward before the in-place GELU
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_forecast_chunks_match_the_old_partition(name):
+    """BLAS may round a row differently with the number of rows it gets,
+    so chunks of another size agree to rounding, not bit for bit."""
+    model = make_model(**CONFIGS[name])
+    x, channels = split_inputs(2 * FORECAST_CHUNK + 3, seed=17)
+    old = np.concatenate([
+        model.forward(x[start:start + OLD_CHUNK],
+                      channels[start:start + OLD_CHUNK]).forecast.data
+        for start in range(0, len(x), OLD_CHUNK)])
+    new = model.forward_forecast(x, channels).forecast
+    assert np.max(np.abs(new - old)) <= 1e-12
 
 
 def test_predict_runs_tape_free_chunks():
@@ -465,13 +484,17 @@ def test_split_forecast_equals_the_serial_one(pooling, n, monkeypatch):
     assert threading.get_ident() in idents
 
 
-@pytest.mark.parametrize("bad_rows", [(20,), (5, 20), (20, 33)])
+# rows of the second chunk, of the first and second, and of the second
+# and third
+@pytest.mark.parametrize("bad_rows", [
+    (FORECAST_CHUNK + 4,), (5, FORECAST_CHUNK + 4),
+    (FORECAST_CHUNK + 4, 2 * FORECAST_CHUNK + 1)])
 def test_a_failing_chunk_raises_the_serial_error(bad_rows, monkeypatch):
     """The first failing chunk's error, raised once every thread is
-    joined, whichever thread ran it (two threads: the caller runs chunks 0
-    and 32, the worker chunk 16)."""
+    joined, whichever thread ran it (two threads: the caller runs the
+    first and third chunks, the worker the second)."""
     model = make_model()
-    x, channels = split_inputs(35, seed=15)
+    x, channels = split_inputs(2 * FORECAST_CHUNK + 3, seed=15)
     channels[list(bad_rows)] = model.config.n_channels
     monkeypatch.setattr(model_module, "FORECAST_THREADS", 1)
     with pytest.raises(ModelError, match="channel out of range") as serial:
@@ -487,7 +510,7 @@ def test_a_failing_chunk_raises_the_serial_error(bad_rows, monkeypatch):
 def test_a_forecast_on_a_tape_starts_no_thread(monkeypatch):
     monkeypatch.setattr(model_module, "FORECAST_THREADS", 2)
     model = make_model()
-    x, channels = split_inputs(35, seed=16)
+    x, channels = split_inputs(2 * FORECAST_CHUNK + 3, seed=16)
     idents = record_threads(model)
     with Tape():
         model.forward_forecast(x, channels)
@@ -800,6 +823,10 @@ def test_default_step_memory():
         assert result[prefix + "peak_mib"] <= 14.0
     # two threads hold two chunks' activations at once, and no more
     assert result["split_forecast_peak_mib"] <= 2.5 * result["forecast_peak_mib"]
+    # a tape-free forward, at the chunk size and at 16 windows
+    for prefix in ("chunk_", "chunk16_"):
+        assert result[prefix + "peak_hidden"] <= 2.4
+        assert result[prefix + "peak_per_window_kib"] > 0.0
 
 
 def test_default_step_forward_peak():
@@ -830,6 +857,9 @@ def test_tape_free_forward_holds_only_what_is_still_read():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * hidden
+    # GELU written over the w1 product, and each activation dropped once
+    # read: 2.09 hidden activations at 16 windows, against 2.71 before
+    assert peak <= 2.4 * hidden
 
 
 # ---------------------------------------------------------------------------

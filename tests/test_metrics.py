@@ -53,6 +53,28 @@ def test_mse_mae_hand_sum():
     assert a == pytest.approx(2.0 / 3.0)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 8), (9, 17), (562, 24),
+                                   (3, 129)])
+def test_row_mse_mae_is_each_rows_mse_mae_bit_for_bit(shape):
+    rng = np.random.default_rng(31)
+    y = rng.normal(0.0, 50.0, size=shape)
+    yhat = y + rng.normal(size=shape)
+    mses, maes = metrics.row_mse_mae(y, yhat)
+    assert mses.shape == maes.shape == shape[:1]
+    for m, a, row, forecast in zip(mses, maes, y, yhat):
+        assert (m, a) == mse_mae(row, forecast)
+
+
+def test_row_mse_mae_needs_equal_2d_arrays():
+    for y, yhat in ((np.zeros((2, 3)), np.zeros((2, 4))),
+                    (np.zeros(3), np.zeros(3)), (np.zeros((2, 0)),) * 2):
+        with pytest.raises(MetricError):
+            metrics.row_mse_mae(y, yhat)
+    with pytest.raises(MetricError, match="one horizon"):
+        evaluate_forecasts([(np.zeros(3), np.ones(3)),
+                            (np.zeros(4), np.ones(4))])
+
+
 def test_mse_mae_length_mismatch():
     with pytest.raises(MetricError):
         mse_mae([1.0], [1.0, 2.0])
@@ -260,6 +282,34 @@ def test_evaluate_dump_matches_recomputation(tmp_path):
     assert recomputed == pytest.approx(report.mse, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["long", "short"])
+def test_dump_bytes_equal_one_mse_mae_per_window(tmp_path, mode):
+    import csv
+
+    model = tiny_real_model()
+    rng = np.random.default_rng(8)
+    windows = [(i % 2, 10.0 + rng.normal(size=32), 10.0 + rng.normal(size=8))
+               for i in range(FORECAST_CHUNK + 5)]
+    dump = tmp_path / "per_window.csv"
+    evaluate_model(model, windows, mode=mode, seasonality=8, dump_path=dump)
+    channels, inputs, targets = zip(*windows)
+    forecasts = model.forward_forecast(np.stack(inputs), channels).forecast
+    fields = ["window_id", "channel", "mse", "mae"]
+    fields += ["smape", "mase"] if mode == "short" else []
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        for i, (c, x, y, f) in enumerate(zip(channels, inputs, targets,
+                                              forecasts)):
+            row = [i, c, *mse_mae(y, f)]
+            if mode == "short":
+                m = mase(y, f, x, 8)
+                row += [smape(y, f), "" if m is None else m]
+            writer.writerow(row)
+    assert dump.read_bytes() == expected.read_bytes()
+
+
 def test_evaluate_empty_rejected():
     with pytest.raises(MetricError):
         evaluate_model(OracleModel(lambda x, c: x), [], mode="long")
@@ -344,11 +394,13 @@ def test_evaluate_model_scores_each_window_once(mode, monkeypatch):
     expected = evaluate_forecasts(
         pairs, mode=mode, seasonality=2,
         insamples=[x for _, x, _ in windows] if mode == "short" else None)
-    calls, score = [], metrics.mse_mae
-    monkeypatch.setattr(metrics, "mse_mae",
+    calls, score = [], metrics.row_mse_mae
+    monkeypatch.setattr(metrics, "row_mse_mae",
                         lambda *args: calls.append(args) or score(*args))
     report = evaluate_model(model, windows, mode=mode, seasonality=2)
-    assert len(calls) == len(windows)
+    # one stacked call scores every window
+    assert len(calls) == 1
+    assert [np.shape(a) for a in calls[0]] == [(len(windows), 4)] * 2
     assert report.as_row() == expected.as_row()
 
 

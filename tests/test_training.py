@@ -16,7 +16,8 @@ import s2ip.training as training
 from s2ip.autodiff import Tensor
 from s2ip.backbone import BackboneConfig
 from s2ip.config import RunConfig
-from s2ip.harness import build_model
+from s2ip.harness import build_model, build_pipeline
+from s2ip.metrics import mse_mae
 from s2ip.model import DecompositionConfig, ModelConfig
 from s2ip.model import ForecastModel
 from s2ip.preprocess import PatchSpec
@@ -386,7 +387,8 @@ import s2ip
 import numpy as np
 from s2ip.autodiff import Tape, backward
 from s2ip.config import RunConfig
-from s2ip.harness import build_model
+from s2ip.harness import build_model, build_pipeline
+from s2ip.metrics import mse_mae
 from s2ip.training import AdamState, adam_step, clip_gradients
 
 config = RunConfig({})
@@ -980,3 +982,14 @@ def test_seeded_checkpoint_fuzz(tmp_path, default_checkpoint, kind):
         assert peak <= 4 * len(data) + (1 << 20), (kind, case, peak)
         # a prefix lacks at least one record
         assert refused or kind != "truncate", (kind, case)
+
+
+def test_validation_mse_is_the_mean_of_each_windows_mse_bit_for_bit():
+    config = RunConfig({})
+    pipeline = build_pipeline(config, 0)
+    model = build_model(config, pipeline.frame.n_channels, 0)
+    channels, inputs, targets = zip(*pipeline.val_windows)
+    forecasts = model.forward_forecast(np.stack(inputs), channels).forecast
+    expected = float(np.mean([mse_mae(y, f)[0]
+                              for y, f in zip(targets, forecasts)]))
+    assert training._validation_mse(model, pipeline.val_windows) == expected
