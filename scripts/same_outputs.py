@@ -13,7 +13,9 @@ checkout's working tree; the *parent* side is ``--parent``, unpacked with
   the forecasts of the test windows after the step's Adam update, made by
   ``model.forward`` over chunks of ``FORECAST_CHUNK`` windows as
   evaluation makes them, so revisions with different forecast methods
-  compare alike;
+  compare alike; and the forecasts of the first :data:`SINGLE_WINDOWS`
+  test windows, each from its own ``forward_forecast`` call on a
+  ``(lookback,)`` window;
 - the sha256 of the CSVs that :func:`write_data` makes, and of every
   artifact that each of :data:`ARTIFACT_CONFIGS` writes with its own
   commands; a config's ``evaluate``, ``forecast`` and ``export-embeddings``
@@ -44,6 +46,7 @@ import numpy as np
 from bench_pairs import ROOT, SIDES, unpack
 
 STEPS = 3
+SINGLE_WINDOWS = 16     # test windows forecast one call each, per step
 # the default model; STL with per-patch pooling and twice the prompts; and
 # the policy that trains every backbone weight
 STEP_CONFIGS = {
@@ -102,7 +105,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 
 def step_arrays(values: dict) -> dict[str, np.ndarray]:
-    """Loss, gradients and forecasts of :data:`STEPS` training steps."""
+    """Loss, gradients, chunk forecasts and single-window forecasts of
+    :data:`STEPS` training steps."""
     from s2ip import harness
     from s2ip.autodiff import Tape, backward
     from s2ip.config import RunConfig
@@ -134,6 +138,9 @@ def step_arrays(values: dict) -> dict[str, np.ndarray]:
             model.forward(x[i:i + FORECAST_CHUNK],
                           channels[i:i + FORECAST_CHUNK]).forecast.data
             for i in range(0, len(x), FORECAST_CHUNK)])
+        out[f"step{step}/single"] = np.stack([
+            model.forward_forecast(x[i], channels[i]).forecast
+            for i in range(SINGLE_WINDOWS)])
     return out
 
 

@@ -207,45 +207,55 @@ def evaluate_forecasts(pairs, mode: str = "long", seasonality: int = 1,
     pairs = list(pairs)
     if not pairs:
         raise MetricError("no forecasts to evaluate")
-    return _aggregate(_window_metrics(pairs, insamples, mode, seasonality),
-                      len(pairs[0][0]), mode, seasonality)
+    targets, forecasts = zip(*pairs)
+    return _aggregate(_window_metrics(targets, forecasts, insamples, mode,
+                                      seasonality),
+                      len(targets[0]), mode, seasonality)
 
 
-def _window_metrics(pairs: list, insamples, mode: str, seasonality: int
-                    ) -> list[dict]:
-    """Each window's MSE and MAE; in short mode also its SMAPE, MAPE and
-    MASE (None when undefined), and the naive reference's SMAPE and MASE."""
+def _window_metrics(targets, forecasts, insamples, mode: str,
+                    seasonality: int) -> dict:
+    """Each window's metrics, one column per metric: the ``(N,)`` MSE and
+    MAE arrays of the ``(N, H)`` targets and forecasts (or sequences of
+    ``(H,)`` windows); in short mode also lists of each window's SMAPE,
+    MAPE and MASE (None when undefined), and of the naive reference's
+    SMAPE and MASE."""
     if mode not in ("long", "short"):
         raise MetricError(f"unknown metrics mode {mode!r}")
-    if mode == "short" and (insamples is None or len(insamples) != len(pairs)):
+    if mode == "short" and (insamples is None or len(insamples) != len(targets)):
         raise MetricError("short mode needs one in-sample history per window")
-    targets, forecasts = zip(*pairs)
     try:
-        targets, forecasts = np.stack(targets), np.stack(forecasts)
+        targets = np.asarray(targets, dtype=np.float64)
+        forecasts = np.asarray(forecasts, dtype=np.float64)
     except ValueError:
         raise MetricError("need windows of one horizon") from None
     mses, maes = row_mse_mae(targets, forecasts)
-    rows = [{"mse": m, "mae": a} for m, a in zip(mses.tolist(), maes.tolist())]
+    columns = {"mse": mses, "mae": maes}
     if mode == "short":
-        for row, (y, yhat), hist in zip(rows, pairs, insamples):
+        rows = []
+        for y, yhat, hist in zip(targets, forecasts, insamples):
             ref = naive2_forecast(hist, seasonality, len(y))
-            row.update(smape=smape(y, yhat), mape=mape(y, yhat),
-                       mase=mase(y, yhat, hist, seasonality),
-                       ref_smape=smape(y, ref),
-                       ref_mase=mase(y, ref, hist, seasonality))
-    return rows
+            rows.append((smape(y, yhat), mape(y, yhat),
+                         mase(y, yhat, hist, seasonality), smape(y, ref),
+                         mase(y, ref, hist, seasonality)))
+        columns.update(zip(("smape", "mape", "mase", "ref_smape", "ref_mase"),
+                           map(list, zip(*rows))))
+    return columns
 
 
-def _aggregate(rows: list[dict], horizon: int, mode: str, seasonality: int
+def _aggregate(columns: dict, horizon: int, mode: str, seasonality: int
                ) -> MetricReport:
-    """The report over :func:`_window_metrics` rows; a MASE that is None
+    """The report over :func:`_window_metrics` columns; a MASE that is None
     leaves its window out of that mean."""
     def mean(key: str) -> float | None:
-        values = [row[key] for row in rows if row[key] is not None]
-        return float(np.mean(values)) if values else None
+        values = columns[key]
+        if isinstance(values, list):    # a short-mode column
+            values = [value for value in values if value is not None]
+        return float(np.mean(values)) if len(values) else None
 
     report = MetricReport(mse=mean("mse"), mae=mean("mae"), horizon=horizon,
-                          seasonality=seasonality, n_windows=len(rows))
+                          seasonality=seasonality,
+                          n_windows=len(columns["mse"]))
     if mode == "short":
         report.smape, report.mape, report.mase = (mean("smape"), mean("mape"),
                                                   mean("mase"))
@@ -266,24 +276,24 @@ def evaluate_model(model, test_windows, mode: str = "long",
         raise MetricError("test set is empty")
     channels, insamples, targets = zip(*test_windows)
     forecasts = model.forward_forecast(np.stack(insamples), channels).forecast
-    pairs = list(zip(targets, forecasts))
-    rows = _window_metrics(pairs, insamples, mode, seasonality)
-    report = _aggregate(rows, len(targets[0]), mode, seasonality)
-    _require_finite(forecasts, rows, report, channels)
+    columns = _window_metrics(targets, forecasts, insamples, mode, seasonality)
+    report = _aggregate(columns, len(targets[0]), mode, seasonality)
+    _require_finite(forecasts, columns, report, channels)
     if dump_path is not None:
-        fields = ["window_id", "channel", "mse", "mae"]
+        fields = ["mse", "mae"]
         if mode == "short":
             fields += ["smape", "mase"]   # csv writes an undefined MASE as ""
+        values = [columns[key].tolist() if key in ("mse", "mae")
+                  else columns[key] for key in fields]
         with open(dump_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields,
-                                    extrasaction="ignore")
-            writer.writeheader()
-            for i, (channel, row) in enumerate(zip(channels, rows)):
-                writer.writerow({"window_id": i, "channel": channel, **row})
+            writer = csv.writer(fh)
+            writer.writerow(["window_id", "channel", *fields])
+            for i, (channel, *row) in enumerate(zip(channels, *values)):
+                writer.writerow([i, channel, *row])
     return report
 
 
-def _require_finite(forecasts: np.ndarray, rows: list[dict],
+def _require_finite(forecasts: np.ndarray, columns: dict,
                     report: MetricReport, channels) -> None:
     """Raise ``MetricError`` naming the first window whose forecast or
     metrics are not finite, or else the aggregate that is not."""
@@ -292,13 +302,17 @@ def _require_finite(forecasts: np.ndarray, rows: list[dict],
     if (np.isfinite(forecasts).all()
             and np.isfinite(list(aggregates.values())).all()):
         return
-    for i, (forecast, row) in enumerate(zip(forecasts, rows)):
-        bad = [] if np.isfinite(forecast).all() else ["forecast"]
-        bad += [key for key, value in row.items()
-                if value is not None and not np.isfinite(value)]
-        if bad:
-            raise MetricError(f"window {i} (channel {channels[i]}): "
-                              f"{', '.join(bad)} not finite")
+    # an undefined (None) MASE is not a value that is not finite
+    bad = {"forecast": ~np.isfinite(forecasts).all(axis=1),
+           **{key: ~np.isfinite([0.0 if value is None else value
+                                 for value in column])
+              for key, column in columns.items()}}
+    windows = np.flatnonzero(np.logical_or.reduce(list(bad.values())))
+    if windows.size:
+        i = int(windows[0])
+        raise MetricError(f"window {i} (channel {channels[i]}): "
+                          f"{', '.join(key for key in bad if bad[key][i])} "
+                          "not finite")
     bad = [key for key, value in aggregates.items() if not np.isfinite(value)]
-    raise MetricError(f"mean {', '.join(bad)} over {len(rows)} windows not "
-                      "finite")
+    raise MetricError(f"mean {', '.join(bad)} over {len(columns['mse'])} "
+                      "windows not finite")

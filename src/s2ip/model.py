@@ -36,11 +36,11 @@ from .series import WindowSpec
 
 # windows per forward in ``ForecastModel.forward_forecast``. A tape-free
 # forward holds only what is still read (GELU written over the w1 product,
-# each activation dropped once read), so 24 windows peak at 1.53 MiB, 2.04
-# feed-forward hidden activations (tracemalloc, default config). On the
-# evaluation benchmark 24 read +1.5% peak RSS over 16 (median of 10 pairs,
-# +0.1% to +2.9%); 32 read +3.3% to +4.5% in three runs, near its 5% bound
-FORECAST_CHUNK = 24
+# each activation and the prompt-joined input dropped once read), so 32
+# windows peak at 1.77 MiB, 1.76 feed-forward hidden activations
+# (tracemalloc, default config), below the 2.04 of 24 windows that held
+# the prompt-joined input. Larger chunks make fewer NumPy calls per window
+FORECAST_CHUNK = 32
 
 # threads per tape-free ``forward_forecast`` call of several chunks, and per
 # ``joint_loss`` batch on a tape, one per usable core: NumPy's ufuncs and
@@ -427,14 +427,14 @@ class ForecastModel:
         top-K and prepend them to its patch embeddings: the backbone's input
         sequence, one selection per window, and the ``(B, n_anchors)``
         scores the selections were ranked by, on the active tape, for the
-        alignment bonus (None without prompts). The anchors come from
-        :meth:`AnchorBank.anchors_tensor`: derived on the active tape, or
-        reused with no tape while the anchor map is unchanged."""
+        alignment bonus (None without prompts). The anchors and their norms
+        come from :meth:`AnchorBank.scoring_anchors`: derived on the active
+        tape, or reused with no tape while the anchor map is unchanged."""
         k = self.config.prompt_k
         if k == 0:
             return ts_embed, [PromptSelection((), ())] * ts_embed.shape[0], None
-        anchors = self.bank.anchors_tensor()
-        scores = score(ts_embed, anchors, self.config.pooling)
+        anchors, anchor_norms = self.bank.scoring_anchors()
+        scores = score(ts_embed, anchors, self.config.pooling, anchor_norms)
         selections = retrieve_topk(ts_embed.data, self.bank, k,
                                    scores=scores.data)
         indices = np.array([s.indices for s in selections])
@@ -446,8 +446,11 @@ class ForecastModel:
         row: tokenize, :meth:`prompt`, run the backbone, project, recombine
         the components, and invert each window's normalization."""
         ts_embed, mean, scale = self.tokenize_and_embed(x, channels)
-        z_in, selections, scores = self.prompt(ts_embed)
-        components = self._head(self.backbone.forward(z_in))
+        prompted = list(self.prompt(ts_embed))
+        selections, scores = prompted[1:]
+        # the backbone input is handed over, not kept: nothing here holds it
+        # once the backbone has added the positions to it
+        components = self._head(self.backbone.forward(prompted.pop(0)))
         y_norm = self._recombine(components)
         gamma_t, beta_t = self._revin_affine(channels, (ts_embed.shape[0], 1))
         yhat = ad.div(ad.sub(y_norm, beta_t), gamma_t)
@@ -460,9 +463,10 @@ class ForecastModel:
         """Denormalized forecasts: a ``(lookback,)`` window of ``channel``
         gives ``(horizon,)``, an ``(N, lookback)`` batch with one channel per
         row gives ``(N, horizon)``. Runs :meth:`forward` over consecutive
-        chunks of :data:`FORECAST_CHUNK` windows from the first; with no
-        active tape it records nothing, the chunks share one derivation of
-        the anchors, and each chunk's activations are freed before the next.
+        chunks of :data:`FORECAST_CHUNK` windows from the first, and a call
+        of one chunk as one :meth:`forward`; with no active tape it records
+        nothing, the chunks share one derivation of the anchors, and each
+        chunk's activations are freed before the next.
 
         With no active tape, several chunks are spread over up to
         :data:`FORECAST_THREADS` threads, the caller's among them; each
@@ -475,6 +479,9 @@ class ForecastModel:
         if channels.shape != (len(x),):
             raise ModelError(f"need one channel per window, got shape "
                              f"{channels.shape} for {len(x)} windows")
+        if 0 < len(x) <= FORECAST_CHUNK:   # an empty batch takes the loop
+            out = self.forward(x, channels).forecast.data
+            return ForecastResult(out[0] if single else out)
         out = np.empty((len(x), self.config.window.horizon))
         starts = range(0, len(x), FORECAST_CHUNK)
         errors = {}
@@ -495,11 +502,11 @@ class ForecastModel:
             run(starts)
         else:
             if self.config.prompt_k > 0:
-                self.bank.anchors_tensor()  # derived once, for every thread
+                self.bank.scoring_anchors()  # derived once, for every thread
             ad.in_threads(run, [starts[i::n] for i in range(n)])
         if errors:
             raise errors[min(errors)]
-        return ForecastResult(out[0] if single else out)
+        return ForecastResult(out)
 
     def joint_loss(self, batch) -> Tensor:
         """Mean-squared forecast error minus ``config.alignment_weight``

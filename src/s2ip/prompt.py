@@ -81,25 +81,35 @@ class AnchorBank:
             raise PromptError(f"map_weights must be ({n_anchors}, "
                               f"{embedding.vocab_size}), got {map_weights.shape}")
         self.map_weights = Tensor(map_weights, requires_grad=True)
-        # the tape-free anchors and a copy of the map they were derived from
-        self._anchors: Tensor | None = None
-        self._derived_from: np.ndarray | None = None
+        # the last tape-free derivation: the anchors, their norms and
+        # degenerate mask, and a copy of the map they were derived from,
+        # replaced as one tuple so a reader never mixes two derivations
+        self._tape_free: tuple[Tensor, tuple[Tensor, np.ndarray],
+                               np.ndarray] | None = None
 
     def anchors_tensor(self) -> Tensor:
-        """The anchors as a tensor. With a tape active they are derived on
-        it. Without one, the last tape-free derivation is returned while the
-        map's contents equal those it was derived from; the contents are
-        compared, not the array's identity, because ``grad_check`` perturbs
-        the map in place."""
+        """The anchors as a tensor, as :meth:`scoring_anchors` gives them."""
+        return self.scoring_anchors()[0]
+
+    def scoring_anchors(self) -> tuple[Tensor, tuple[Tensor, np.ndarray] | None]:
+        """The anchors as a tensor, and their ``(A,)`` norms and degenerate
+        mask for :func:`score`. With a tape active the anchors are derived on
+        it and the norms are None, for :func:`score` to derive on the tape.
+        Without one, the last tape-free derivation and its norms are
+        returned while the map's contents equal those it was derived from;
+        the contents are compared, not the array's identity, because
+        ``grad_check`` perturbs the map in place."""
         if ad.active_tape() is not None:
-            return derive_anchors(self.embedding, self.map_weights)
+            return derive_anchors(self.embedding, self.map_weights), None
         weights = self.map_weights.data
-        if self._derived_from is None or not np.array_equal(self._derived_from,
-                                                            weights):
-            self._anchors = derive_anchors(self.embedding, self.map_weights)
-            self._anchors.data.flags.writeable = False  # every caller shares it
-            self._derived_from = weights.copy()
-        return self._anchors
+        cached = self._tape_free
+        if cached is None or not np.array_equal(cached[2], weights):
+            anchors = derive_anchors(self.embedding, self.map_weights)
+            norms = _norms(anchors, keepdims=False)
+            for arr in (anchors.data, norms[0].data, norms[1]):
+                arr.flags.writeable = False     # every caller shares them
+            cached = self._tape_free = (anchors, norms, weights.copy())
+        return cached[0], cached[1]
 
     def anchors(self) -> np.ndarray:
         return self.map_weights.data @ self.embedding.values
@@ -148,7 +158,8 @@ def _norms(rows: Tensor, keepdims: bool) -> tuple[Tensor, np.ndarray]:
     return ad.sqrt(squares), flat
 
 
-def _cosines(ts_embed: Tensor, anchors: Tensor, pooling: str
+def _cosines(ts_embed: Tensor, anchors: Tensor, pooling: str,
+             anchor_norms: tuple[Tensor, np.ndarray] | None = None
              ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Cosine of each window embedding against every anchor row: the
     ``(B, A)`` scores of ``(B, N_P, D)`` windows and ``(A, D)`` anchors,
@@ -156,16 +167,23 @@ def _cosines(ts_embed: Tensor, anchors: Tensor, pooling: str
     pooling, ``(B, N_P)`` patch rows under per-patch pooling) and the
     ``(A,)`` mask of degenerate anchors. A cosine with a degenerate row or
     anchor is 0, with a zero gradient. Built from ``ad`` ops, so it records
-    on the active tape when an input does and runs tape-free otherwise."""
+    on the active tape when an input does and runs tape-free otherwise.
+    ``anchor_norms`` are the anchors' ``(A,)`` :func:`_norms`, when the
+    caller holds them; by default they are formed here."""
     if pooling == "mean":
         pooled = ad.tmean(ts_embed, axis=1)                           # (B, D)
         norms, flat = _norms(pooled, keepdims=True)                   # (B, 1)
-        anchor_norms, anchor_flat = _norms(anchors, keepdims=False)   # (A,)
+        anchor_norms, anchor_flat = (anchor_norms                     # (A,)
+                                     or _norms(anchors, keepdims=False))
         cosines = ad.div(ad.matmul(pooled, anchors, transpose_b=True),
                          ad.mul(anchor_norms, norms))
     elif pooling == "per_patch":
         norms, flat = _norms(ts_embed, keepdims=True)                 # (B, N_P, 1)
-        anchor_norms, anchor_flat = _norms(anchors, keepdims=True)    # (A, 1)
+        if anchor_norms is None:
+            anchor_norms, anchor_flat = _norms(anchors, keepdims=True)  # (A, 1)
+        else:
+            anchor_norms, anchor_flat = anchor_norms
+            anchor_norms = ad.reshape(anchor_norms, (-1, 1))
         cosines = ad.matmul(ad.div(ts_embed, norms),
                             ad.div(anchors, anchor_norms), transpose_b=True)
     else:
@@ -179,9 +197,12 @@ def _cosines(ts_embed: Tensor, anchors: Tensor, pooling: str
     return cosines, flat[..., 0], anchor_flat
 
 
-def score(ts_embed: Tensor, anchors: Tensor, pooling: str = "mean") -> Tensor:
+def score(ts_embed: Tensor, anchors: Tensor, pooling: str = "mean",
+          anchor_norms: tuple[Tensor, np.ndarray] | None = None) -> Tensor:
     """The ``(B, A)`` cosine scores of ``(B, N_P, D)`` windows against
     ``(A, D)`` anchors, recorded on the active tape when an input is.
+    ``anchor_norms`` are the anchors' norms and degenerate mask as
+    :meth:`AnchorBank.scoring_anchors` gives them, or None to form them.
 
     A score whose pooled embedding (or, under per-patch pooling, whose patch
     row) or anchor is numerically zero is 0. Each window with such a row
@@ -189,7 +210,8 @@ def score(ts_embed: Tensor, anchors: Tensor, pooling: str = "mean") -> Tensor:
     window.
     """
     global _degenerate_events
-    scores, flat, anchor_flat = _cosines(ts_embed, anchors, pooling)
+    scores, flat, anchor_flat = _cosines(ts_embed, anchors, pooling,
+                                         anchor_norms)
     flat = flat.reshape(len(flat), -1).any(axis=1)
     events = int(flat.sum() + (flat.size - flat.sum()) * anchor_flat.sum())
     with _degenerate_lock:

@@ -12,6 +12,7 @@ import importlib.util
 import threading
 import tracemalloc
 import warnings
+import weakref
 from functools import cache
 from pathlib import Path
 
@@ -384,8 +385,9 @@ def test_backbone_returns_the_positions_the_head_reads(name):
 
 
 # one window, short and full chunks, and two full chunks and a short one;
-# 16 and 35 are the full and the two-and-a-bit chunks of the old chunk size
-PREDICT_SIZES = sorted({1, 8, 16, 19, 35, FORECAST_CHUNK,
+# 16 and 35, and 24 and 51, are the full and the two-and-a-bit chunks of
+# earlier chunk sizes
+PREDICT_SIZES = sorted({1, 8, 16, 19, 24, 35, 51, FORECAST_CHUNK,
                         2 * FORECAST_CHUNK + 3})
 
 
@@ -404,7 +406,7 @@ def test_predict_matches_per_window_forecasts(name, n):
         assert np.max(np.abs(row - expected)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", sorted({1, 16, 19, FORECAST_CHUNK}))
+@pytest.mark.parametrize("n", sorted({1, 16, 19, 24, FORECAST_CHUNK}))
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_batched_validation_matches_the_per_window_mean(name, n):
     model = make_model(**CONFIGS[name])
@@ -414,7 +416,9 @@ def test_batched_validation_matches_the_per_window_mean(name, n):
     assert abs(training._validation_mse(model, windows) - per_window) <= 1e-12
 
 
-OLD_CHUNK = 16  # windows per forward before the in-place GELU
+# windows per forward before the in-place GELU, and before the prompt-joined
+# input was handed to the backbone
+OLD_CHUNKS = (16, 24)
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
@@ -423,12 +427,13 @@ def test_forecast_chunks_match_the_old_partition(name):
     so chunks of another size agree to rounding, not bit for bit."""
     model = make_model(**CONFIGS[name])
     x, channels = split_inputs(2 * FORECAST_CHUNK + 3, seed=17)
-    old = np.concatenate([
-        model.forward(x[start:start + OLD_CHUNK],
-                      channels[start:start + OLD_CHUNK]).forecast.data
-        for start in range(0, len(x), OLD_CHUNK)])
     new = model.forward_forecast(x, channels).forecast
-    assert np.max(np.abs(new - old)) <= 1e-12
+    for chunk in OLD_CHUNKS:
+        old = np.concatenate([
+            model.forward(x[start:start + chunk],
+                          channels[start:start + chunk]).forecast.data
+            for start in range(0, len(x), chunk)])
+        assert np.max(np.abs(new - old)) <= 1e-12, chunk
 
 
 def test_predict_runs_tape_free_chunks():
@@ -515,6 +520,146 @@ def test_a_forecast_on_a_tape_starts_no_thread(monkeypatch):
     with Tape():
         model.forward_forecast(x, channels)
     assert set(idents) == {threading.get_ident()} and len(idents) == 3
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_a_one_window_forecast_is_forward_on_a_batch_of_one(name):
+    model = make_model(**CONFIGS[name])
+    for channel, x, _ in make_batch(3, seed=18):
+        expected = model.forward(x[None], [channel]).forecast.data[0]
+        forecast = model.forward_forecast(x, channel).forecast
+        assert forecast.shape == expected.shape
+        assert np.array_equal(forecast, expected)
+
+
+def test_a_one_chunk_forecast_runs_one_forward_on_the_callers_thread(
+        monkeypatch):
+    monkeypatch.setattr(model_module, "FORECAST_THREADS", 2)
+    monkeypatch.setattr(ad, "in_threads",
+                        lambda *args: pytest.fail("a thread scaffold ran"))
+    model = make_model()
+    x, channels = split_inputs(FORECAST_CHUNK, seed=19)
+    expected = model.forward(x, channels).forecast.data
+    idents = record_threads(model)
+    before = threading.active_count()
+    assert np.array_equal(model.forward_forecast(x, channels).forecast,
+                          expected)
+    assert idents == [threading.get_ident()]
+    assert threading.active_count() == before
+    # a bad channel or window raises the error of the serial chunk loop,
+    # which is that of ``forward`` on the chunk
+    bad = channels.copy()
+    bad[5] = model.config.n_channels
+    lookback = model.config.window.lookback
+    for args in ((x, bad), (x[:, 1:], channels), (x[0], -1),
+                 (x[0, 1:], 0), (np.zeros((3, lookback + 1)), [0, 1, 0])):
+        with pytest.raises(ModelError) as direct:
+            model.forward_forecast(*args)
+        with pytest.raises(ModelError) as serial:
+            model.forward(np.atleast_2d(args[0]), np.atleast_1d(args[1]))
+        assert str(direct.value) == str(serial.value)
+    assert threading.active_count() == before
+
+
+def test_a_tape_free_forward_hands_the_prompted_input_to_the_backbone():
+    """Once the backbone has added the positions, nothing holds the
+    prompt-joined input; and the backbone writes into no input array."""
+    model = make_model()
+    x, channels = split_inputs(4, seed=21)
+    joined, alive = [], []
+    prompted, block = model.prompt, model.backbone._attention_block
+
+    def noted_prompt(ts_embed):
+        out = prompted(ts_embed)
+        joined.append(weakref.ref(out[0].data))
+        return out
+
+    def noted_block(*args):
+        alive.append(joined[-1]() is not None)
+        return block(*args)
+
+    model.prompt, model.backbone._attention_block = noted_prompt, noted_block
+    model.forward(x, channels)
+    assert alive == [False]
+    z_in = Tensor(np.random.default_rng(22).normal(size=(3, 10, 16)))
+    before = z_in.data.copy()
+    model.backbone.forward(z_in)
+    assert np.array_equal(z_in.data, before)
+
+
+def bank_norms_are_fresh(bank):
+    """The tape-free anchors, norms and degenerate mask equal those the
+    map holds now."""
+    anchors, (norms, flat) = bank.scoring_anchors()
+    expected = bank.map_weights.data @ bank.embedding.values
+    expected_norms, expected_flat = prompt._norms(Tensor(expected),
+                                                  keepdims=False)
+    return (np.array_equal(anchors.data, expected)
+            and np.array_equal(norms.data, expected_norms.data)
+            and np.array_equal(flat, expected_flat))
+
+
+def test_cached_anchor_norms_follow_in_place_writes_and_adam_steps():
+    model = make_model()
+    bank = model.bank
+    assert bank_norms_are_fresh(bank)
+    norms = bank.scoring_anchors()[1][0].data
+    bank.map_weights.data[0] *= 3.0         # in place, as grad_check writes
+    assert bank_norms_are_fresh(bank)
+    assert not np.array_equal(bank.scoring_anchors()[1][0].data, norms)
+    bank.map_weights.data[1] = 0.0          # a zero anchor row
+    assert bank_norms_are_fresh(bank)
+    assert np.flatnonzero(bank.scoring_anchors()[1][1]).tolist() == [1]
+    with Tape():
+        assert bank.scoring_anchors()[1] is None    # formed on the tape
+        loss = model.joint_loss(make_batch(4, seed=9))
+    backward(loss)
+    named = model.named_parameters()
+    norms = bank.scoring_anchors()[1][0].data
+    adam_step(named, AdamState(named), TrainConfig(learning_rate=0.05))
+    assert bank_norms_are_fresh(bank)
+    assert not np.array_equal(bank.scoring_anchors()[1][0].data, norms)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "per_patch"])
+def test_grad_check_through_the_cached_anchor_norms(pooling):
+    """grad_check perturbs the map in place and evaluates tape-free, where
+    the scores read the cached norms; stale norms would fail it."""
+    model = make_model(pooling=pooling)
+    ts_embed = Tensor(np.random.default_rng(23).normal(
+        size=(3, model.config.n_patches, model.config.backbone.embed_dim)))
+
+    def loss():
+        anchors, norms = model.bank.scoring_anchors()
+        return ad.tsum(prompt.score(ts_embed, anchors, pooling, norms))
+
+    loss()                                  # warms the tape-free cache
+    assert ad.grad_check(loss, [model.bank.map_weights]) < 1e-3
+
+
+@pytest.mark.parametrize("pooling", ["mean", "per_patch"])
+def test_cached_norms_count_degenerate_events_as_before(pooling):
+    """A degenerate window counts once; a zero anchor once per window
+    that is not degenerate, over one chunk or several."""
+    model = make_model(pooling=pooling)
+    x, channels = split_inputs(FORECAST_CHUNK + 5, seed=20)
+
+    def events(x, channels):
+        before = prompt.degenerate_score_events()
+        model.forward_forecast(x, channels)
+        return prompt.degenerate_score_events() - before
+
+    assert events(x, channels) == 0
+    model.bank.map_weights.data[[1, 4]] = 0.0     # two zero anchor rows
+    assert events(x, channels) == 2 * len(x)
+    assert events(x[0], channels[0]) == 2
+    # with no RevIN shift, constant windows embed to the zero projection
+    # bias
+    model.params["revin.beta"].data[:] = 0.0
+    flat = np.repeat(np.arange(len(x), dtype=float)[:, None],
+                     model.config.window.lookback, 1)
+    assert events(flat, channels) == len(x)
+    assert events(flat[:3], channels[:3]) == 3
 
 
 def test_split_counts_degenerate_scores_as_the_serial_path(monkeypatch):

@@ -397,10 +397,14 @@ def test_evaluate_model_scores_each_window_once(mode, monkeypatch):
     calls, score = [], metrics.row_mse_mae
     monkeypatch.setattr(metrics, "row_mse_mae",
                         lambda *args: calls.append(args) or score(*args))
+    forecasts, forward_forecast = [], model.forward_forecast
+    model.forward_forecast = (lambda *args: forecasts.append(
+        forward_forecast(*args)) or forecasts[-1])
     report = evaluate_model(model, windows, mode=mode, seasonality=2)
-    # one stacked call scores every window
+    # one stacked call scores every window, from the forecast array itself
     assert len(calls) == 1
     assert [np.shape(a) for a in calls[0]] == [(len(windows), 4)] * 2
+    assert calls[0][1] is forecasts[0].forecast
     assert report.as_row() == expected.as_row()
 
 

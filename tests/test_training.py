@@ -862,11 +862,12 @@ def test_checkpoint_with_nonfinite_value_or_zero_gamma_is_corrupt(tmp_path,
         load_checkpoint(path)
 
 
-def test_a_gamma_driven_toward_0_aborts_with_the_best_parameters_restored(
-        tmp_path, monkeypatch):
-    # the first step of epoch 2 leaves revin.gamma at 2^-600 of its value,
-    # below the bound, where the next loss overflows: train aborts and
-    # restores epoch 1, which saves and loads; the driven model is not saved
+def drive_gamma(factor, tmp_path, monkeypatch) -> str:
+    """Train a tiny model whose first step of epoch 2 multiplies revin.gamma
+    by ``factor``, out of the bound a checkpoint allows; returns the
+    error ``train`` raised, once it has checked that the driven model
+    could not be saved, that the next step aborted, and that epoch 1's
+    parameters were restored and save and load."""
     model = tiny_model()
     steps, epoch_1 = [], {}
 
@@ -877,7 +878,7 @@ def test_a_gamma_driven_toward_0_aborts_with_the_best_parameters_restored(
             epoch_1.update((n, t.data.copy()) for n, t in named)
         if len(steps) == 4:
             gamma = model.params["revin.gamma"]
-            gamma.data = gamma.data * 2.0 ** -600
+            gamma.data = gamma.data * factor
             with pytest.raises(TrainingError, match="revin.gamma holds an entry"):
                 save_checkpoint(model, tmp_path / "driven.ckpt")
 
@@ -885,8 +886,6 @@ def test_a_gamma_driven_toward_0_aborts_with_the_best_parameters_restored(
     config = TrainConfig(epochs=3, batch_size=8, seed=0)
     with pytest.raises(TrainingError) as info, np.errstate(over="ignore"):
         train(model, sine_windows(20, seed=8), sine_windows(8, seed=5), config)
-    assert str(info.value) == ("non-finite loss (inf) at epoch 2; best "
-                               "parameters restored")
     assert len(steps) == 4 and not (tmp_path / "driven.ckpt").exists()
     for name, tensor in model.named_parameters():
         assert np.array_equal(tensor.data, epoch_1[name]), name
@@ -894,6 +893,26 @@ def test_a_gamma_driven_toward_0_aborts_with_the_best_parameters_restored(
     loaded = load_checkpoint(tmp_path / "model.ckpt")
     assert np.array_equal(loaded.params["revin.gamma"].data,
                           epoch_1["revin.gamma"])
+    return str(info.value)
+
+
+def test_a_gamma_driven_toward_0_aborts_with_the_best_parameters_restored(
+        tmp_path, monkeypatch):
+    # revin.gamma at 2^-600 of its value, below the bound: the next loss
+    # overflows
+    assert drive_gamma(2.0 ** -600, tmp_path, monkeypatch) == (
+        "non-finite loss (inf) at epoch 2; best parameters restored")
+
+
+def test_a_gamma_driven_above_2_511_aborts_with_the_best_parameters_restored(
+        tmp_path, monkeypatch):
+    # revin.gamma at 2^600 times its value, above the bound: the next loss
+    # is finite, but its gradient is not
+    with np.errstate(invalid="ignore"):
+        message = drive_gamma(2.0 ** 600, tmp_path, monkeypatch)
+    assert message == (
+        "non-finite gradient for 'anchor_map.weight' (norm nan); best "
+        "parameters restored")
 
 
 @pytest.mark.parametrize("gamma", [2.0 ** -511, -(2.0 ** 511), 2.0 ** 511,
