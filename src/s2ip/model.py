@@ -38,7 +38,8 @@ from .series import WindowSpec
 # forward holds only what is still read (GELU written over the w1 product,
 # each activation and the prompt-joined input dropped once read), so 32
 # windows peak at 1.77 MiB, 1.76 feed-forward hidden activations
-# (tracemalloc, default config), below the 2.04 of 24 windows that held
+# (tracemalloc, default config, CPython 3.11+, untraced: see
+# ``ForecastModel.forward``), below the 2.04 of 24 windows that held
 # the prompt-joined input. Larger chunks make fewer NumPy calls per window
 FORECAST_CHUNK = 32
 
@@ -449,7 +450,10 @@ class ForecastModel:
         prompted = list(self.prompt(ts_embed))
         selections, scores = prompted[1:]
         # the backbone input is handed over, not kept: nothing here holds it
-        # once the backbone has added the positions to it
+        # once the backbone has added the positions to it. That rests on the
+        # interpreter: CPython 3.11+ moves a call's arguments into the
+        # callee's frame, where 3.10 kept them on the caller's stack, and a
+        # wrapper around ``Backbone.forward`` (a tracer's) holds it anyway
         components = self._head(self.backbone.forward(prompted.pop(0)))
         y_norm = self._recombine(components)
         gamma_t, beta_t = self._revin_affine(channels, (ts_embed.shape[0], 1))
@@ -463,10 +467,9 @@ class ForecastModel:
         """Denormalized forecasts: a ``(lookback,)`` window of ``channel``
         gives ``(horizon,)``, an ``(N, lookback)`` batch with one channel per
         row gives ``(N, horizon)``. Runs :meth:`forward` over consecutive
-        chunks of :data:`FORECAST_CHUNK` windows from the first, and a call
-        of one chunk as one :meth:`forward`; with no active tape it records
-        nothing, the chunks share one derivation of the anchors, and each
-        chunk's activations are freed before the next.
+        chunks of :data:`FORECAST_CHUNK` windows from the first; with no
+        active tape it records nothing, the chunks share one derivation of
+        the anchors, and each chunk's activations are freed before the next.
 
         With no active tape, several chunks are spread over up to
         :data:`FORECAST_THREADS` threads, the caller's among them; each
@@ -479,9 +482,6 @@ class ForecastModel:
         if channels.shape != (len(x),):
             raise ModelError(f"need one channel per window, got shape "
                              f"{channels.shape} for {len(x)} windows")
-        if 0 < len(x) <= FORECAST_CHUNK:   # an empty batch takes the loop
-            out = self.forward(x, channels).forecast.data
-            return ForecastResult(out[0] if single else out)
         out = np.empty((len(x), self.config.window.horizon))
         starts = range(0, len(x), FORECAST_CHUNK)
         errors = {}
@@ -506,7 +506,7 @@ class ForecastModel:
             ad.in_threads(run, [starts[i::n] for i in range(n)])
         if errors:
             raise errors[min(errors)]
-        return ForecastResult(out)
+        return ForecastResult(out[0] if single else out)
 
     def joint_loss(self, batch) -> Tensor:
         """Mean-squared forecast error minus ``config.alignment_weight``

@@ -553,11 +553,11 @@ def test_a_one_chunk_forecast_runs_one_forward_on_the_callers_thread(
     lookback = model.config.window.lookback
     for args in ((x, bad), (x[:, 1:], channels), (x[0], -1),
                  (x[0, 1:], 0), (np.zeros((3, lookback + 1)), [0, 1, 0])):
-        with pytest.raises(ModelError) as direct:
+        with pytest.raises(ModelError) as chunked:
             model.forward_forecast(*args)
         with pytest.raises(ModelError) as serial:
             model.forward(np.atleast_2d(args[0]), np.atleast_1d(args[1]))
-        assert str(direct.value) == str(serial.value)
+        assert str(chunked.value) == str(serial.value)
     assert threading.active_count() == before
 
 
